@@ -48,9 +48,6 @@ class CreditVector:
     def touchpoint_ids(self) -> frozenset[str]:
         return frozenset(tp_id for tp_id, _ in self.entries)
 
-    def total(self) -> float:
-        return sum(credit for _, credit in self.entries)
-
 
 @dataclass(frozen=True, slots=True)
 class DecayConfig:
@@ -101,14 +98,15 @@ class MdaModel:
         if not all(math.isfinite(w) for w in self.weights) or not math.isfinite(self.bias):
             raise ValueError("MDA weights must be finite")
 
-    def features(self, journey: Journey, exclude: Touchpoint | None = None) -> np.ndarray:
-        """Feature vector for a journey, optionally leaving one touchpoint out."""
-        tps = [tp for tp in journey.touchpoints if tp is not exclude]
-        return _feature_vector(self.feature_names, tps, journey.conversion)
+    def features(self, journey: Journey) -> np.ndarray:
+        """Feature vector for a journey."""
+        return _feature_vector(self.feature_names, journey.touchpoints, journey.conversion)
 
-    def predict_proba(self, journey: Journey, exclude: Touchpoint | None = None) -> float:
-        z = float(np.dot(self.features(journey, exclude), self.weights) + self.bias)
-        return _sigmoid(z)
+    def predict_proba(self, journey: Journey) -> float:
+        return self._proba(self.features(journey))
+
+    def _proba(self, x: np.ndarray) -> float:
+        return _sigmoid(float(np.dot(x, self.weights) + self.bias))
 
     def to_json(self) -> str:
         doc = {
@@ -157,18 +155,21 @@ def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _recency_days(touchpoints: Sequence[Touchpoint], conversion) -> float:
+    if not touchpoints:
+        return 0.0
+    last_ts = max(tp.timestamp for tp in touchpoints)
+    reference = conversion.timestamp if conversion is not None else last_ts
+    return max(0.0, (reference - last_ts).total_seconds() / _SECONDS_PER_DAY)
+
+
 def _feature_vector(
     feature_names: Sequence[str],
     touchpoints: Sequence[Touchpoint],
     conversion,
 ) -> np.ndarray:
     x = np.zeros(len(feature_names))
-    if touchpoints:
-        last_ts = max(tp.timestamp for tp in touchpoints)
-        reference = conversion.timestamp if conversion is not None else last_ts
-        recency = max(0.0, (reference - last_ts).total_seconds() / _SECONDS_PER_DAY)
-    else:
-        recency = 0.0
+    recency = _recency_days(touchpoints, conversion)
     channel_counts: dict[str, int] = {}
     n_views = n_clicks = 0
     for tp in touchpoints:
@@ -304,12 +305,43 @@ def train_mda(journeys: Sequence[Journey], hyper: MdaHyperparams = MdaHyperparam
 def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
     """Leave-one-out credits: each touchpoint earns the (clipped) drop in
     conversion probability caused by removing it, normalized to sum to 1;
-    if no removal lowers the probability the credit falls back to uniform."""
+    if no removal lowers the probability the credit falls back to uniform.
+
+    The features are counts plus the recency of the latest touchpoint, so
+    removing touchpoint i subtracts its indicator row from the full vector;
+    recency changes only when i is the unique latest touchpoint, and is then
+    recomputed from the remaining touchpoints. Every row is scored with
+    the same scalar arithmetic as the full vector, so the credits equal those
+    of rebuilding each leave-one-out vector from scratch, in O(n) per journey.
+    """
     _require_touchpoints(journey)
     tps = _sorted_touchpoints(journey)
-    canonical = Journey(journey.customer_id, tuple(tps), journey.conversion)
-    p_full = model.predict_proba(canonical)
-    deltas = [max(0.0, p_full - model.predict_proba(canonical, exclude=tp)) for tp in tps]
+    names = model.feature_names
+    x = _feature_vector(names, tps, journey.conversion)
+
+    is_click = np.array([tp.interaction_kind is InteractionKind.CLICK for tp in tps])
+    channels = np.array([tp.channel for tp in tps])
+    removed = np.zeros((len(tps), len(names)))
+    recency_columns = []
+    for i, name in enumerate(names):
+        if name == "n_touchpoints":
+            removed[:, i] = 1.0
+        elif name == "n_views":
+            removed[:, i] = ~is_click
+        elif name == "n_clicks":
+            removed[:, i] = is_click
+        elif name == "recency_days":
+            recency_columns.append(i)
+        elif name.startswith("channel_count:"):
+            removed[:, i] = channels == name.split(":", 1)[1]
+    loo = x - removed
+    if len(tps) == 1 or tps[-1].timestamp != tps[-2].timestamp:
+        loo[-1, recency_columns] = _recency_days(tps[:-1], journey.conversion)
+
+    # Per-row np.dot, not loo @ weights: a batched product sums in another
+    # order and moves credits in their last bits.
+    p_full = model._proba(x)
+    deltas = [max(0.0, p_full - model._proba(row)) for row in loo]
     total = sum(deltas)
     if total > 0.0:
         credits = [d / total for d in deltas]

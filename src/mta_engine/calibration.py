@@ -89,10 +89,10 @@ class CalibrationModel:
         return GLOBAL_GROUP if self.pooling == POOLING_GLOBAL else channel
 
     def group_weights(self, channel: str) -> dict[str, float]:
-        group = self.group_for(channel)
-        values = self.weights_by_group.get(group)
+        """The channel's weights; zeros when its group has no fitted weights,
+        which callers report."""
+        values = self.weights_by_group.get(self.group_for(channel))
         if values is None:
-            logger.warning("no fitted weights for group %r; using zeros", group)
             values = (0.0,) * len(self.feature_names)
         return dict(zip(self.feature_names, values))
 
@@ -341,6 +341,11 @@ def fit_calibration(
 
 def predict_campaign(model: CalibrationModel, row: CampaignFeatureRow) -> float:
     """Predicted RCT conversions for one campaign row (clamped at 0)."""
+    group = model.group_for(row.channel)
+    if group not in model.weights_by_group:
+        logger.warning(
+            "row %s: no fitted weights for group %r; using zeros", row.campaign_id, group
+        )
     weights = model.group_weights(row.channel)
     value = 0.0
     for name, weight in weights.items():

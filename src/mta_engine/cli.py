@@ -141,6 +141,12 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    _require(isinstance(value, dict), f"{key} must be an object, got {json.dumps(value)}")
+    return value
+
+
 def _campaign_from_dict(index: int, data: dict) -> CampaignSpec:
     try:
         return CampaignSpec(
@@ -165,6 +171,7 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    _require(isinstance(raw, dict), "config must be a JSON object")
 
     seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
     out_dir = Path(out_override if out_override is not None else raw.get("out_dir", "out"))
@@ -174,7 +181,7 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
     half_life_days = float(raw.get("decay_half_life_days", 3.0))
     _require(half_life_days > 0, f"decay_half_life_days must be positive, got {half_life_days}")
 
-    mda_raw = raw.get("mda", {})
+    mda_raw = _section(raw, "mda")
     mda_hyper = MdaHyperparams(
         learning_rate=float(mda_raw.get("learning_rate", 0.5)),
         iterations=int(mda_raw.get("iterations", 400)),
@@ -184,8 +191,12 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
     _require(mda_hyper.iterations >= 1, "mda.iterations must be >= 1")
     max_negatives = mda_raw.get("max_negatives")
     max_negatives = int(max_negatives) if max_negatives is not None else None
+    _require(
+        max_negatives is None or max_negatives >= 0,
+        f"mda.max_negatives must be >= 0, got {max_negatives}",
+    )
 
-    cal_raw = raw.get("calibration", {})
+    cal_raw = _section(raw, "calibration")
     features = cal_raw.get("features", ["lta", "mda"])
     _require(
         isinstance(features, list) and features,
@@ -200,6 +211,7 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
         inverse_variance_weighting=bool(cal_raw.get("inverse_variance_weighting", False)),
     )
     cv_folds = int(cal_raw.get("cv_folds", 5))
+    _require(cv_folds >= 2, f"calibration.cv_folds must be >= 2, got {cv_folds}")
     cv_seed = int(cal_raw.get("cv_seed", 0))
 
     dimension = str(raw.get("report_dimension", "channel"))
@@ -207,7 +219,7 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
 
     sim = None
     if "simulation" in raw:
-        sim_raw = raw["simulation"]
+        sim_raw = _section(raw, "simulation")
         campaigns = tuple(
             _campaign_from_dict(i, c) for i, c in enumerate(sim_raw.get("campaigns", []))
         )
@@ -220,7 +232,7 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
         )
 
     paths = {
-        name: Path(value) for name, value in raw.get("paths", {}).items() if name in ARTIFACTS
+        name: Path(value) for name, value in _section(raw, "paths").items() if name in ARTIFACTS
     }
 
     effective = dict(raw)

@@ -4,6 +4,7 @@ and aggregation of those credits into normalized attribution shares."""
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -73,10 +74,58 @@ def score_touchpoints(
     units is the conversion's unit count (1 for ordinary conversions), so
     campaign-level sums of MTA credits reconcile exactly with the
     calibration model's campaign predictions. A model named in the
-    calibration weights but missing here contributes zero credit (with a
-    warning); credit vectors that disagree on the touchpoint set raise
-    :class:`DataIntegrityError`.
+    calibration weights but missing here, or a touchpoint whose group has no
+    fitted weights, contributes zero credit (with a warning); credit vectors
+    that disagree on the touchpoint set raise :class:`DataIntegrityError`.
     """
+    out = _score_journey(model, credits_by_model, journey)
+    _warn_zero_credit(model, credits_by_model.keys(), [journey])
+    return out
+
+
+def score_all(
+    model: CalibrationModel,
+    attributable: Sequence[Journey],
+    credits_by_model: Mapping[str, Sequence[CreditVector]],
+) -> list[MtaCredit]:
+    """MTA credits for every attributable conversion, as
+    :func:`score_touchpoints` gives them, with one warning line per cause of
+    zero credit for the whole batch."""
+    out: list[MtaCredit] = []
+    for i, journey in enumerate(attributable):
+        per_model = {name: vectors[i] for name, vectors in credits_by_model.items()}
+        out.extend(_score_journey(model, per_model, journey))
+    _warn_zero_credit(model, credits_by_model.keys(), attributable)
+    return out
+
+
+def _warn_zero_credit(
+    model: CalibrationModel, model_names: Iterable[str], journeys: Sequence[Journey]
+) -> None:
+    """Report, as counts, the credit that scoring set to zero: weighted models
+    with no credit vectors, and touchpoints in groups with no fitted weights."""
+    missing = [name for name in model.feature_names if name not in model_names]
+    if missing and journeys:
+        logger.warning(
+            "%d conversion(s) have no %s credits; treating them as zero",
+            len(journeys),
+            ", ".join(map(repr, missing)),
+        )
+    channels = Counter(tp.channel for journey in journeys for tp in journey.touchpoints)
+    unfitted = {model.group_for(c) for c in channels} - model.weights_by_group.keys()
+    if unfitted:
+        logger.warning(
+            "no fitted weights for group(s) %s; %d touchpoint(s) get zero credit",
+            ", ".join(map(repr, sorted(unfitted))),
+            sum(n for c, n in channels.items() if model.group_for(c) in unfitted),
+        )
+
+
+def _score_journey(
+    model: CalibrationModel,
+    credits_by_model: Mapping[str, CreditVector],
+    journey: Journey,
+) -> list[MtaCredit]:
     if journey.conversion is None:
         raise DataIntegrityError("cannot score a journey without a conversion")
     conversion_id = journey.conversion.conversion_id
@@ -95,14 +144,6 @@ def score_touchpoints(
                 f"for conversion {conversion_id!r}"
             )
         vectors[name] = vector.as_dict()
-
-    for name in model.feature_names:
-        if name not in vectors:
-            logger.warning(
-                "conversion %s has no %r credits; treating them as zero",
-                conversion_id,
-                name,
-            )
 
     units = journey.conversion.units
     out: list[MtaCredit] = []

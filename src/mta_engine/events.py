@@ -14,9 +14,10 @@ import logging
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from itertools import islice
 from typing import IO, Iterable, Iterator
 
-from .errors import ParseError
+from .errors import DataIntegrityError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -269,6 +270,18 @@ def conversion_to_record(conv: ConversionEvent) -> dict:
     }
 
 
+def _reject_duplicate_ids(ids: list[str], field: str) -> None:
+    # Sorted in place rather than put in a set: freeing a set table this big
+    # raises glibc's mmap threshold, and with it the stage's peak RSS.
+    ids.sort()
+    if any(map(str.__eq__, ids, islice(ids, 1, None))):
+        duplicates = sorted({a for a, b in zip(ids, islice(ids, 1, None)) if a == b})
+        raise DataIntegrityError(
+            f"{len(duplicates)} {field} value(s) occur more than once in the input, "
+            f"e.g. {duplicates[0]!r}"
+        )
+
+
 def build_journeys(
     touchpoints: Iterable[Touchpoint],
     conversions: Iterable[ConversionEvent],
@@ -281,7 +294,15 @@ def build_journeys(
     touchpoints but no conversion yield a single conversion-absent journey
     carrying all their touchpoints. Output order is deterministic: sorted by
     customer_id, then conversion timestamp, ties by conversion_id.
+
+    Every downstream join is keyed by id, so a ``touchpoint_id`` or
+    ``conversion_id`` that occurs twice in the input raises
+    :class:`DataIntegrityError` instead of being credited to the wrong record.
     """
+    touchpoints = list(touchpoints)
+    conversions = list(conversions)
+    _reject_duplicate_ids([tp.touchpoint_id for tp in touchpoints], "touchpoint_id")
+    _reject_duplicate_ids([conv.conversion_id for conv in conversions], "conversion_id")
     by_customer: dict[str, list[Touchpoint]] = {}
     for tp in touchpoints:
         by_customer.setdefault(tp.customer_id, []).append(tp)

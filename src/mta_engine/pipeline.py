@@ -31,7 +31,7 @@ from .calibration import (
     evaluate_oos,
     fit_calibration,
 )
-from .credits import MtaCredit, score_touchpoints
+from .credits import score_all  # noqa: F401  -- the CLI scores through pipeline.score_all
 from .errors import DegenerateLabelsError, InsufficientDataError
 from .events import Journey
 from .rct import CampaignSpec, RctResult
@@ -139,19 +139,6 @@ def fit_with_cv(
     else:
         logger.warning("skipping CV: %d RCT row(s) < %d folds", n_rct, cv_folds)
     return model
-
-
-def score_all(
-    model: CalibrationModel,
-    attributable: Sequence[Journey],
-    credits_by_model: Mapping[str, Sequence[CreditVector]],
-) -> list[MtaCredit]:
-    """MTA credits for every attributable conversion."""
-    out: list[MtaCredit] = []
-    for i, journey in enumerate(attributable):
-        per_model = {name: vectors[i] for name, vectors in credits_by_model.items()}
-        out.extend(score_touchpoints(model, per_model, journey))
-    return out
 
 
 def model_credit_records(

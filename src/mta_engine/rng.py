@@ -48,8 +48,3 @@ def keyed_uniforms(seed: int, label: str, ids: np.ndarray) -> np.ndarray:
     """Uniform [0, 1) draws keyed by (seed, label, id hash)."""
     mixed = mix64(ids ^ stream_key(seed, label))
     return (mixed >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-
-
-def keyed_uniform(seed: int, label: str, identifier: str) -> float:
-    """Scalar convenience wrapper around :func:`keyed_uniforms`."""
-    return float(keyed_uniforms(seed, label, np.array([id_hash64(identifier)], dtype=np.uint64))[0])

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mta_engine import attribution
 from mta_engine.attribution import (
+    CreditVector,
     DecayConfig,
     MdaHyperparams,
     MdaModel,
@@ -18,6 +20,7 @@ from mta_engine.attribution import (
     train_mda,
 )
 from mta_engine.errors import DegenerateLabelsError, NoTouchpointsError
+from mta_engine.events import Journey
 
 from conftest import T0, mk_conv, mk_journey, mk_tp
 
@@ -273,3 +276,94 @@ class TestCreditInvariants:
             assert {tp_id for tp_id, _ in vector.entries} == {
                 tp.touchpoint_id for tp in journey.touchpoints
             }
+
+
+def loo_reference(model: MdaModel, journey: Journey) -> CreditVector:
+    """MDA credits by their definition: rebuild and score the feature vector
+    of every leave-one-out journey from scratch, O(n^2) per journey."""
+    tps = sorted(journey.touchpoints, key=lambda t: (t.timestamp, t.touchpoint_id))
+
+    def proba(touchpoints):
+        loo = Journey(journey.customer_id, tuple(touchpoints), journey.conversion)
+        return model.predict_proba(loo)
+
+    p_full = proba(tps)
+    deltas = [max(0.0, p_full - proba(tps[:i] + tps[i + 1 :])) for i in range(len(tps))]
+    total = sum(deltas)
+    if total > 0.0:
+        credits = [d / total for d in deltas]
+    else:
+        credits = [1.0 / len(tps)] * len(tps)
+    entries = tuple((tp.touchpoint_id, c) for tp, c in zip(tps, credits))
+    return CreditVector(journey.conversion.conversion_id, entries)
+
+
+# A few fixed offsets make ties, including ties at the latest timestamp, common.
+TIED_MS = (0, 1, 3_600_000, 86_400_000)
+
+
+@st.composite
+def loo_journeys(draw):
+    """Converting journeys of 1-12 touchpoints; channel "Other" is absent from
+    every model's features."""
+    n = draw(st.integers(1, 12))
+    tps = []
+    for i in range(n):
+        ms = draw(st.one_of(st.sampled_from(TIED_MS), st.integers(0, 6 * 24 * 3600 * 1000)))
+        tps.append(
+            mk_tp(
+                f"t{i:02d}",
+                ts=T0 - timedelta(milliseconds=ms),
+                kind=draw(st.sampled_from(["view", "click"])),
+                channel=draw(st.sampled_from(["Upper", "Lower", "Mid", "Other"])),
+            )
+        )
+    return mk_journey(tps, mk_conv("x1", ts=T0))
+
+
+@st.composite
+def loo_models(draw):
+    """Models over the base features plus two channels, with the weight of any
+    feature possibly 0 (all-zero weights give the uniform fallback)."""
+    names = PROPERTY_MODEL.feature_names[:4] + ("channel_count:Lower", "channel_count:Upper")
+    weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+    weights = tuple(draw(weight) for _ in names)
+    bias = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
+    return MdaModel(names, weights, bias, TrainingInfo(0, 0.0, 0.0, 0.0))
+
+
+class TestMdaClosedForm:
+    @settings(max_examples=400)
+    @given(loo_models(), loo_journeys())
+    def test_equals_brute_force_exactly(self, model, journey):
+        assert mda_credits(model, journey) == loo_reference(model, journey)
+
+    @pytest.mark.parametrize(
+        "journey",
+        [
+            simple_journey(2.0),
+            simple_journey(3.0, 1.0, 1.0, kinds=["click", "view", "click"]),
+            simple_journey(3.0, 1.0, 0.5, channels=["Upper", "Other", "Other"]),
+            simple_journey(4.0, 2.0, 0.0, kinds=["view", "click", "click"]),
+        ],
+        ids=["single", "tied-latest", "unknown-channel", "unique-latest"],
+    )
+    @pytest.mark.parametrize("model", [zero_model(), PROPERTY_MODEL], ids=["uniform", "weighted"])
+    def test_equals_brute_force_on_edge_cases(self, model, journey):
+        assert mda_credits(model, journey) == loo_reference(model, journey)
+
+    def test_feature_builds_do_not_grow_with_journey_length(self, monkeypatch):
+        calls = []
+        build = attribution._feature_vector
+
+        def counting(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(attribution, "_feature_vector", counting)
+        per_call = []
+        for n in (1, 2, 10, 100):
+            calls.clear()
+            mda_credits(PROPERTY_MODEL, simple_journey(*[0.01 * (i + 1) for i in range(n)]))
+            per_call.append(len(calls))
+        assert per_call == [per_call[0]] * 4 and per_call[0] <= 2

@@ -83,6 +83,26 @@ class TestValidation:
         assert run("simulate", "--config", write_config(tmp_path, config)) == 2
 
 
+    @pytest.mark.parametrize(
+        "section, key, value, command",
+        [
+            ("mda", "max_negatives", -5, "fit"),
+            ("calibration", "cv_folds", 1, "fit"),
+            (None, "mda", None, "simulate"),
+        ],
+        ids=["negative-max-negatives", "one-cv-fold", "null-mda"],
+    )
+    def test_invalid_value_exits_2_with_one_line(
+        self, tmp_path, capsys, section, key, value, command
+    ):
+        config = base_config(tmp_path / "out")
+        (config[section] if section else config)[key] = value
+        assert run(command, "--config", write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ConfigError:") and key in err
+
+
 class TestMissingArtifacts:
     def test_fit_before_simulate_exits_4(self, workspace, capsys):
         cfg_path, _ = workspace

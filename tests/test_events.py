@@ -4,7 +4,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from mta_engine.errors import ParseError
+from mta_engine.errors import DataIntegrityError, ParseError
 from mta_engine.events import (
     ConversionEvent,
     InteractionKind,
@@ -208,6 +208,19 @@ class TestBuildJourneys:
 
     def test_empty_inputs(self):
         assert build_journeys([], [], WEEK) == []
+
+    def test_duplicate_touchpoint_id_rejected(self):
+        tps = [mk_tp("t1", customer="c1"), mk_tp("t2"), mk_tp("t1", customer="c2")]
+        with pytest.raises(DataIntegrityError, match="1 touchpoint_id .*'t1'"):
+            build_journeys(tps, [mk_conv("x1")], WEEK)
+
+    def test_duplicate_conversion_id_rejected(self):
+        convs = [
+            mk_conv("x1", customer="c1"),
+            mk_conv("x1", customer="c2", ts=T0 + timedelta(days=1)),
+        ]
+        with pytest.raises(DataIntegrityError, match="conversion_id .*'x1'"):
+            build_journeys(iter([mk_tp("t1")]), iter(convs), WEEK)
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):

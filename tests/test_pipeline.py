@@ -5,8 +5,15 @@ import pytest
 
 from mta_engine import pipeline
 from mta_engine.attribution import DecayConfig, MdaHyperparams
-from mta_engine.calibration import CalibrationOptions, fit_calibration, predict_campaign
+from mta_engine.attribution import CreditVector
+from mta_engine.calibration import (
+    CalibrationModel,
+    CalibrationOptions,
+    fit_calibration,
+    predict_campaign,
+)
 from mta_engine.credits import aggregate_shares, per_conversion_total
+from mta_engine.errors import DataIntegrityError
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 
@@ -135,6 +142,52 @@ class TestFigureFixtureThroughPipeline:
             conv_id = journey.conversion.conversion_id
             total = per_conversion_total([c for c in mta if c.conversion_id == conv_id])
             assert total == pytest.approx(weight_sum * journey.conversion.units, abs=1e-9)
+
+
+def many_conversions(n=50):
+    journeys, lta = [], []
+    for i in range(n):
+        tps = [
+            mk_tp(f"u{i}", customer=f"c{i}", channel="Upper", ts=T0 - timedelta(days=2)),
+            mk_tp(f"l{i}", customer=f"c{i}", channel="Lower", ts=T0 - timedelta(days=1)),
+        ]
+        journeys.append(mk_journey(tps, mk_conv(f"x{i}", customer=f"c{i}"), customer=f"c{i}"))
+        lta.append(CreditVector(f"x{i}", ((f"u{i}", 0.0), (f"l{i}", 1.0))))
+    return journeys, {"lta": lta}
+
+
+class TestScoreAllWarnings:
+    def test_missing_model_warns_once_with_count(self, caplog):
+        journeys, credits = many_conversions()
+        model = CalibrationModel(("lta", "mda"), "global", {"global": (0.6, 0.4)}, None)
+        with caplog.at_level(logging.WARNING):
+            mta = pipeline.score_all(model, journeys, credits)
+        assert per_conversion_total(mta) == pytest.approx(0.6 * 50)
+        (record,) = caplog.records
+        assert "50 conversion(s)" in record.message and "'mda'" in record.message
+
+    def test_unfitted_group_warns_once_with_count(self, caplog):
+        journeys, credits = many_conversions()
+        model = CalibrationModel(("lta",), "per_channel", {"Upper": (1.0,)}, None)
+        with caplog.at_level(logging.WARNING):
+            mta = pipeline.score_all(model, journeys, credits)
+        assert all(c.credit == 0.0 for c in mta)
+        (record,) = caplog.records
+        assert "'Lower'" in record.message and "50 touchpoint(s)" in record.message
+
+
+class TestDuplicateIds:
+    def test_touchpoint_id_shared_across_campaigns_is_rejected(self):
+        # Two customers each saw a touchpoint called "t1", one in campA and
+        # one in campB. Keyed by id, both credits used to land on campB,
+        # {campA: 0.0, campB: 2.0}, where the truth is 1 each.
+        tps = [
+            mk_tp("t1", customer="c1", campaign="campA", ts=T0 - timedelta(days=1)),
+            mk_tp("t1", customer="c2", campaign="campB", ts=T0 - timedelta(days=1)),
+        ]
+        convs = [mk_conv("x1", customer="c1"), mk_conv("x2", customer="c2")]
+        with pytest.raises(DataIntegrityError, match="touchpoint_id.*'t1'"):
+            build_journeys(tps, convs, LookbackWindow(timedelta(days=7)))
 
 
 class TestEndToEndSmoke:
