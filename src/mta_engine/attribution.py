@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -371,10 +371,3 @@ def credits_for_model(
         return mda_credits(mda, journey)
     raise ValueError(f"unknown attribution model {name!r}")
 
-
-def save_mda(model: MdaModel, stream: IO[str]) -> None:
-    stream.write(model.to_json())
-
-
-def load_mda(stream: IO[str]) -> MdaModel:
-    return MdaModel.from_json(stream.read())

@@ -125,14 +125,6 @@ class CalibrationModel:
         )
 
 
-def save_calibration(model: CalibrationModel, stream: IO[str]) -> None:
-    stream.write(model.to_json())
-
-
-def load_calibration(stream: IO[str]) -> CalibrationModel:
-    return CalibrationModel.from_json(stream.read())
-
-
 def aggregate_campaign_features(
     journeys: Sequence[Journey],
     credits_by_model: Mapping[str, Iterable[CreditVector]],
@@ -247,7 +239,7 @@ def _fit_group(
     rows: Sequence[CampaignFeatureRow],
     names: tuple[str, ...],
     options: CalibrationOptions,
-) -> tuple[tuple[float, ...], float | None, float, float]:
+) -> tuple[tuple[float, ...], float | None, float]:
     n_params = len(names) + (1 if options.intercept else 0)
     if len(rows) < n_params:
         raise InsufficientDataError(
@@ -281,10 +273,7 @@ def _fit_group(
         intercept = None
         residual = b - A @ weights
 
-    rss = float(residual @ residual)
-    tss = float(np.sum((b - np.mean(b)) ** 2))
-    r_squared = 1.0 - rss / tss if tss > 0.0 else (1.0 if rss < 1e-24 else 0.0)
-    return tuple(float(w) for w in weights), intercept, float(np.sqrt(rss)), r_squared
+    return tuple(float(w) for w in weights), intercept, float(np.sqrt(residual @ residual))
 
 
 def fit_calibration(
@@ -316,7 +305,7 @@ def fit_calibration(
     total_rss = 0.0
     targets: list[float] = []
     for group in sorted(grouped):
-        weights, intercept, res_norm, _ = _fit_group(group, grouped[group], names, options)
+        weights, intercept, res_norm = _fit_group(group, grouped[group], names, options)
         weights_by_group[group] = weights
         if intercept is not None:
             intercepts[group] = intercept

@@ -31,22 +31,20 @@ import os
 import sys
 from dataclasses import dataclass, field
 from datetime import timedelta
+from itertools import groupby
+from operator import attrgetter, getitem, itemgetter
 from pathlib import Path
 from typing import IO, Sequence
 
 from . import pipeline
-from .attribution import DecayConfig, MdaHyperparams, MdaModel, MODEL_NAMES, load_mda, save_mda
-from .calibration import (
-    CalibrationOptions,
-    feature_rows_to_csv,
-    load_calibration,
-    save_calibration,
-)
+from .attribution import MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams, MdaModel
+from .calibration import CalibrationModel, CalibrationOptions, feature_rows_to_csv
 from .credits import (
     DIMENSIONS,
     AttributionShareReport,
     MtaCredit,
     aggregate_shares,
+    credit_totals,
     render_share_table,
     shares_from_totals,
 )
@@ -86,6 +84,8 @@ ARTIFACTS = {
     "shares_table": "attribution_shares.txt",
 }
 
+# CSV columns are the fields of the record each row holds, in field order;
+# csv writes a float as its repr, which reads back exactly.
 RCT_RESULT_COLUMNS = (
     "campaign_id",
     "n_treatment",
@@ -172,7 +172,15 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config must be a JSON object")
+    try:
+        return _run_config_from_dict(raw, seed_override, out_override)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from None
 
+
+def _run_config_from_dict(
+    raw: dict, seed_override: int | None, out_override: Path | None
+) -> RunConfig:
     seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
     out_dir = Path(out_override if out_override is not None else raw.get("out_dir", "out"))
 
@@ -273,33 +281,23 @@ def _open_input(path: Path) -> IO[str]:
     return path.open()
 
 
-def _load_events(cfg: RunConfig):
+def _load_journeys(cfg: RunConfig):
+    """Every journey of the event log, the attributable ones, and the count of
+    unattributed conversions."""
     with _open_input(cfg.artifact("touchpoints")) as fh:
         touchpoints = parse_event_log(fh, "jsonl").touchpoints
     with _open_input(cfg.artifact("conversions")) as fh:
         conversions = parse_event_log(fh, "jsonl").conversions
-    return touchpoints, conversions
+    journeys = build_journeys(touchpoints, conversions, cfg.lookback)
+    return (journeys, *pipeline.split_attributable(journeys))
 
 
 def _write_rct_results(results: dict[str, RctResult], path: Path) -> None:
     with path.open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RCT_RESULT_COLUMNS)
-        for campaign_id in sorted(results):
-            r = results[campaign_id]
-            writer.writerow(
-                [
-                    r.campaign_id,
-                    r.n_treatment,
-                    r.n_holdout,
-                    repr(r.conv_treatment),
-                    repr(r.conv_holdout),
-                    repr(r.incremental_conversions),
-                    repr(r.std_error),
-                    repr(r.ci_low),
-                    repr(r.ci_high),
-                ]
-            )
+        row = attrgetter(*RCT_RESULT_COLUMNS)
+        writer.writerows(row(results[campaign_id]) for campaign_id in sorted(results))
 
 
 def _read_rct_results(path: Path) -> dict[str, RctResult]:
@@ -366,24 +364,16 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _journeys_and_credits(cfg: RunConfig, mda: MdaModel | None):
-    touchpoints, conversions = _load_events(cfg)
-    journeys = build_journeys(touchpoints, conversions, cfg.lookback)
-    attributable, unattributed = pipeline.split_attributable(journeys)
-    credits_by_model = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
-    return journeys, attributable, unattributed, credits_by_model
-
-
 def cmd_fit(cfg: RunConfig, args) -> int:
     if cfg.sim is None:
         raise ConfigError("config has no 'simulation' section (campaign list is required to fit)")
     rct_results = _read_rct_results(cfg.artifact("rct_results"))
-    touchpoints, conversions = _load_events(cfg)
-    journeys = build_journeys(touchpoints, conversions, cfg.lookback)
-    attributable, unattributed = pipeline.split_attributable(journeys)
+    journeys, attributable, unattributed = _load_journeys(cfg)
 
     mda = pipeline.train_attributor(journeys, cfg.mda_hyper, cfg.mda_max_negatives)
-    credits_by_model = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
+    credits_by_model = pipeline.ensemble_credits(
+        attributable, cfg.calibration.feature_models, cfg.decay, mda
+    )
     rows = pipeline.calibration_rows(
         journeys,
         credits_by_model,
@@ -393,11 +383,9 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     )
     model = pipeline.fit_with_cv(rows, cfg.calibration, cfg.cv_folds, cfg.cv_seed)
 
-    with cfg.artifact("calibration_model").open("w") as fh:
-        save_calibration(model, fh)
+    cfg.artifact("calibration_model").write_text(model.to_json())
     if mda is not None:
-        with cfg.artifact("mda_model").open("w") as fh:
-            save_mda(mda, fh)
+        cfg.artifact("mda_model").write_text(mda.to_json())
     with cfg.artifact("campaign_features").open("w") as fh:
         feature_rows_to_csv(rows, fh)
     outputs = ["calibration_model", "campaign_features"]
@@ -420,48 +408,24 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 
 
 def cmd_attribute(cfg: RunConfig, args) -> int:
-    model_path = cfg.artifact("calibration_model")
-    with _open_input(model_path) as fh:
-        model = load_calibration(fh)
-    mda: MdaModel | None = None
+    with _open_input(cfg.artifact("calibration_model")) as fh:
+        model = CalibrationModel.from_json(fh.read())
     mda_path = cfg.artifact("mda_model")
-    if mda_path.exists():
-        with mda_path.open() as fh:
-            mda = load_mda(fh)
+    mda = MdaModel.from_json(mda_path.read_text()) if mda_path.exists() else None
 
-    journeys, attributable, unattributed, credits_by_model = _journeys_and_credits(cfg, mda)
+    journeys, attributable, unattributed = _load_journeys(cfg)
+    credits_by_model = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
     mta_credits = pipeline.score_all(model, attributable, credits_by_model)
     records = pipeline.model_credit_records(attributable, credits_by_model)
 
     with cfg.artifact("mta_credits").open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MTA_CREDIT_COLUMNS)
-        for credit in mta_credits:
-            writer.writerow(
-                [
-                    credit.conversion_id,
-                    credit.touchpoint_id,
-                    credit.campaign_id,
-                    credit.channel,
-                    credit.ad_product,
-                    repr(credit.credit),
-                ]
-            )
+        writer.writerows(map(attrgetter(*MTA_CREDIT_COLUMNS), mta_credits))
     with cfg.artifact("model_credits").open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", *MTA_CREDIT_COLUMNS])
-        for record in records:
-            writer.writerow(
-                [
-                    record.model,
-                    record.conversion_id,
-                    record.touchpoint_id,
-                    record.campaign_id,
-                    record.channel,
-                    record.ad_product,
-                    repr(record.credit),
-                ]
-            )
+        writer.writerows(map(attrgetter("model", *MTA_CREDIT_COLUMNS), records))
     summary = {
         "conversions": sum(1 for j in journeys if j.converted),
         "attributed_conversions": len(attributable),
@@ -475,20 +439,9 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
 
 def _read_mta_credits(path: Path) -> list[MtaCredit]:
-    credits = []
+    labels = itemgetter(*MTA_CREDIT_COLUMNS[:-1])
     with _open_input(path) as fh:
-        for record in csv.DictReader(fh):
-            credits.append(
-                MtaCredit(
-                    conversion_id=record["conversion_id"],
-                    touchpoint_id=record["touchpoint_id"],
-                    campaign_id=record["campaign_id"],
-                    channel=record["channel"],
-                    ad_product=record["ad_product"],
-                    credit=float(record["credit"]),
-                )
-            )
-    return credits
+        return [MtaCredit(*labels(row), float(row["credit"])) for row in csv.DictReader(fh)]
 
 
 def _report_to_dict(report: AttributionShareReport) -> dict:
@@ -503,6 +456,10 @@ def _report_to_dict(report: AttributionShareReport) -> dict:
     }
 
 
+# Single-model share columns shown beside the calibrated shares.
+_COMPARED_MODELS = (MODEL_LTA, MODEL_MDA)
+
+
 def cmd_report(cfg: RunConfig, args) -> int:
     credits = _read_mta_credits(cfg.artifact("mta_credits"))
     unattributed = 0
@@ -511,25 +468,18 @@ def cmd_report(cfg: RunConfig, args) -> int:
         unattributed = int(json.loads(summary_path.read_text())["unattributed_conversions"])
     report = aggregate_shares(credits, cfg.report_dimension, unattributed)
 
-    comparisons: dict[str, AttributionShareReport] = {}
+    totals: dict[str, dict[str, float]] = {}
     model_credits_path = cfg.artifact("model_credits")
     if model_credits_path.exists():
-        totals: dict[str, dict[str, float]] = {}
         with model_credits_path.open() as fh:
-            for record in csv.DictReader(fh):
-                model_name = record["model"]
-                if model_name not in ("lta", "mda"):
-                    continue
-                key = record[
-                    "campaign_id" if cfg.report_dimension == "campaign" else cfg.report_dimension
-                ]
-                bucket = totals.setdefault(model_name, {})
-                bucket[key] = bucket.get(key, 0.0) + float(record["credit"])
-        for model_name in ("lta", "mda"):
-            if model_name in totals:
-                comparisons[model_name] = shares_from_totals(
-                    totals[model_name], cfg.report_dimension, unattributed
-                )
+            for name, rows in groupby(csv.DictReader(fh), itemgetter("model")):
+                if name in _COMPARED_MODELS:
+                    credit_totals(rows, cfg.report_dimension, getitem, totals.setdefault(name, {}))
+    comparisons = {
+        name: shares_from_totals(totals[name], cfg.report_dimension, unattributed)
+        for name in _COMPARED_MODELS
+        if name in totals
+    }
 
     doc = _report_to_dict(report)
     doc["comparisons"] = {name: _report_to_dict(rep) for name, rep in comparisons.items()}

@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .attribution import CreditVector
 from .calibration import CalibrationModel
@@ -15,7 +15,10 @@ from .events import Journey
 
 logger = logging.getLogger(__name__)
 
-DIMENSIONS = ("channel", "ad_product", "campaign")
+# Reporting dimension -> the field that carries it, on credit objects and in
+# credit CSV rows alike.
+DIMENSION_FIELDS = {"channel": "channel", "ad_product": "ad_product", "campaign": "campaign_id"}
+DIMENSIONS = tuple(DIMENSION_FIELDS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,15 +31,6 @@ class MtaCredit:
     channel: str
     ad_product: str
     credit: float
-
-    def dimension_value(self, dimension: str) -> str:
-        if dimension == "channel":
-            return self.channel
-        if dimension == "ad_product":
-            return self.ad_product
-        if dimension == "campaign":
-            return self.campaign_id
-        raise ValueError(f"unknown report dimension {dimension!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,24 +166,54 @@ def per_conversion_total(credits: Iterable[MtaCredit]) -> float:
     return sum(c.credit for c in credits)
 
 
+def _check_dimension(dimension: str) -> None:
+    if dimension not in DIMENSION_FIELDS:
+        raise ValueError(f"unknown report dimension {dimension!r}")
+
+
+def credit_totals(
+    rows: Iterable,
+    dimension: str,
+    get: Callable = getattr,
+    totals: dict[str, float] | None = None,
+) -> dict[str, float]:
+    """Sum each row's ``credit`` by reporting dimension, in first-seen order.
+
+    ``get`` reads a field: ``getattr`` for credit objects, ``operator.getitem``
+    for rows of a credit CSV. Sums accumulate into ``totals`` when given.
+    """
+    _check_dimension(dimension)
+    field = DIMENSION_FIELDS[dimension]
+    totals = {} if totals is None else totals
+    for row in rows:
+        value = get(row, field)
+        totals[value] = totals.get(value, 0.0) + float(get(row, "credit"))
+    return totals
+
+
 def aggregate_shares(
-    credits: Sequence[MtaCredit],
+    credits: Iterable[MtaCredit],
     dimension: str = "channel",
     unattributed_conversions: int = 0,
 ) -> AttributionShareReport:
     """Total and normalize credits by the requested reporting dimension."""
-    if dimension not in DIMENSIONS:
-        raise ValueError(f"unknown report dimension {dimension!r}")
-    totals: dict[str, float] = {}
-    for credit in credits:
-        value = credit.dimension_value(dimension)
-        totals[value] = totals.get(value, 0.0) + credit.credit
+    return shares_from_totals(
+        credit_totals(credits, dimension), dimension, unattributed_conversions
+    )
+
+
+def shares_from_totals(
+    totals: Mapping[str, float], dimension: str = "channel", unattributed: int = 0
+) -> AttributionShareReport:
+    """Normalize per-dimension credit totals into a share report, largest
+    share first."""
+    _check_dimension(dimension)
     grand_total = sum(totals.values())
     zero_total = grand_total <= 0.0
     rows = tuple(
         sorted(
             (
-                ShareRow(value, total, 0.0 if zero_total else total / grand_total)
+                ShareRow(value, float(total), 0.0 if zero_total else total / grand_total)
                 for value, total in totals.items()
             ),
             key=lambda r: (-r.share, r.value),
@@ -198,27 +222,9 @@ def aggregate_shares(
     return AttributionShareReport(
         dimension=dimension,
         rows=rows,
-        unattributed_conversions=unattributed_conversions,
+        unattributed_conversions=unattributed,
         zero_total=zero_total,
     )
-
-
-def shares_from_totals(
-    totals: Mapping[str, float], dimension: str = "channel", unattributed: int = 0
-) -> AttributionShareReport:
-    """Build a report directly from per-dimension credit totals."""
-    credits = [
-        MtaCredit(
-            conversion_id="",
-            touchpoint_id="",
-            campaign_id=value if dimension == "campaign" else "",
-            channel=value if dimension == "channel" else "",
-            ad_product=value if dimension == "ad_product" else "",
-            credit=total,
-        )
-        for value, total in totals.items()
-    ]
-    return aggregate_shares(credits, dimension, unattributed)
 
 
 def render_share_table(

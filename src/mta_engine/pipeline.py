@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -109,18 +109,16 @@ def calibration_rows(
     credits_by_model: Mapping[str, Sequence[CreditVector]],
     campaigns: Sequence[CampaignSpec],
     rct_results: Mapping[str, RctResult],
-    feature_models: Sequence[str] | None = None,
+    feature_models: Sequence[str],
 ) -> list[CampaignFeatureRow]:
-    if feature_models is not None:
-        missing = [name for name in feature_models if name not in credits_by_model]
-        if missing:
-            raise InsufficientDataError(
-                f"no credit vectors for calibration feature(s) {missing}; "
-                "was MDA training skipped for lack of labels?"
-            )
-        selected = {name: credits_by_model[name] for name in feature_models}
-    else:
-        selected = dict(credits_by_model)
+    """Campaign feature rows over the calibration's feature models only."""
+    missing = [name for name in feature_models if name not in credits_by_model]
+    if missing:
+        raise InsufficientDataError(
+            f"no credit vectors for calibration feature(s) {missing}; "
+            "was MDA training skipped for lack of labels?"
+        )
+    selected = {name: credits_by_model[name] for name in feature_models}
     return aggregate_campaign_features(journeys, selected, campaigns, rct_results)
 
 
@@ -170,21 +168,3 @@ def model_credit_records(
                     )
                 )
     return records
-
-
-def model_credit_totals(
-    records: Iterable[ModelCredit], model: str, dimension: str
-) -> dict[str, float]:
-    totals: dict[str, float] = {}
-    for record in records:
-        if record.model != model:
-            continue
-        key = (
-            record.channel
-            if dimension == "channel"
-            else record.ad_product
-            if dimension == "ad_product"
-            else record.campaign_id
-        )
-        totals[key] = totals.get(key, 0.0) + record.credit
-    return totals

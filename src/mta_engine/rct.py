@@ -186,19 +186,6 @@ class _SimDraws:
             )
         return rows
 
-    def estimate(self, campaign_id: str) -> RctResult:
-        for cd in self.campaigns:
-            if cd.spec.campaign_id == campaign_id:
-                treated = ~cd.holdout
-                return lift_from_counts(
-                    campaign_id,
-                    n_treatment=int(np.sum(treated)),
-                    n_holdout=int(np.sum(cd.holdout)),
-                    conv_treatment=float(np.sum(self.converted & treated)),
-                    conv_holdout=float(np.sum(self.converted & cd.holdout)),
-                )
-        raise KeyError(campaign_id)
-
 
 def _simulate_core(config: SimConfig, hashes: np.ndarray | None = None) -> _SimDraws:
     n = config.n_customers
@@ -327,6 +314,36 @@ def lift_from_counts(
     )
 
 
+def _lift(
+    campaign_id: str, treated: np.ndarray, holdout: np.ndarray, units: np.ndarray
+) -> RctResult:
+    """The RCT contrast from per-customer arm masks and converted units.
+
+    Units are integer-valued, so every sum is exact whatever its order.
+    """
+    return lift_from_counts(
+        campaign_id,
+        n_treatment=int(np.count_nonzero(treated)),
+        n_holdout=int(np.count_nonzero(holdout)),
+        conv_treatment=float(np.sum(units[treated])),
+        conv_holdout=float(np.sum(units[holdout])),
+    )
+
+
+def _customer_units(
+    customers: Iterable[str], conversions: Iterable[ConversionEvent]
+) -> np.ndarray:
+    """Converted units per customer, in ``customers`` order; conversions of
+    anyone else are ignored."""
+    index = {cid: i for i, cid in enumerate(customers)}
+    units = np.zeros(len(index))
+    for conv in conversions:
+        i = index.get(conv.customer_id)
+        if i is not None:
+            units[i] += conv.units
+    return units
+
+
 def estimate_lift(
     assignment: Mapping[str, str],
     conversions: Iterable[ConversionEvent],
@@ -334,23 +351,9 @@ def estimate_lift(
 ) -> RctResult:
     """Estimate a campaign's incremental conversions from an assignment map
     and the observed conversion events."""
-    n_treatment = sum(1 for arm in assignment.values() if arm == TREATMENT)
-    n_holdout = sum(1 for arm in assignment.values() if arm == HOLDOUT)
-    conv_t = 0.0
-    conv_h = 0.0
-    for conv in conversions:
-        arm = assignment.get(conv.customer_id)
-        if arm == TREATMENT:
-            conv_t += conv.units
-        elif arm == HOLDOUT:
-            conv_h += conv.units
-    return lift_from_counts(
-        campaign_id,
-        n_treatment=n_treatment,
-        n_holdout=n_holdout,
-        conv_treatment=conv_t,
-        conv_holdout=conv_h,
-    )
+    arms = np.array(list(assignment.values()), dtype=str)
+    units = _customer_units(assignment, conversions)
+    return _lift(campaign_id, arms == TREATMENT, arms == HOLDOUT, units)
 
 
 def estimate_all(
@@ -359,15 +362,7 @@ def estimate_all(
     """Reconstruct assignments from the config and estimate every campaign."""
     ids = customer_ids(config.n_customers)
     hashes = rng.id_hashes(ids)
-    conv_units: dict[str, float] = {}
-    for conv in conversions:
-        conv_units[conv.customer_id] = conv_units.get(conv.customer_id, 0.0) + conv.units
-    unit_array = np.zeros(config.n_customers)
-    index = {cid: i for i, cid in enumerate(ids)}
-    for cid, units in conv_units.items():
-        i = index.get(cid)
-        if i is not None:
-            unit_array[i] = units
+    units = _customer_units(ids, conversions)
     results: dict[str, RctResult] = {}
     for spec in config.campaigns:
         if rct_only and not spec.is_rct:
@@ -376,13 +371,7 @@ def estimate_all(
             rng.keyed_uniforms(config.seed, f"assign|{spec.campaign_id}", hashes)
             < spec.holdout_fraction
         )
-        results[spec.campaign_id] = lift_from_counts(
-            spec.campaign_id,
-            n_treatment=int(np.sum(~holdout)),
-            n_holdout=int(np.sum(holdout)),
-            conv_treatment=float(np.sum(unit_array[~holdout])),
-            conv_holdout=float(np.sum(unit_array[holdout])),
-        )
+        results[spec.campaign_id] = _lift(spec.campaign_id, ~holdout, holdout, units)
     return results
 
 
@@ -418,15 +407,16 @@ def replication_study(
         )
         draws = _simulate_core(cfg, hashes)
         truth = {row.campaign_id: row.true_incremental for row in draws.ground_truth()}
-        for spec in cfg.campaigns:
-            if wanted is not None and spec.campaign_id not in wanted:
+        for cd in draws.campaigns:
+            campaign_id = cd.spec.campaign_id
+            if wanted is not None and campaign_id not in wanted:
                 continue
             outcomes.append(
                 ReplicationOutcome(
                     seed=cfg.seed,
-                    campaign_id=spec.campaign_id,
-                    result=draws.estimate(spec.campaign_id),
-                    true_incremental=truth[spec.campaign_id],
+                    campaign_id=campaign_id,
+                    result=_lift(campaign_id, ~cd.holdout, cd.holdout, draws.converted),
+                    true_incremental=truth[campaign_id],
                 )
             )
     return outcomes

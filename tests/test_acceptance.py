@@ -27,7 +27,7 @@ from mta_engine.calibration import (
     fit_calibration,
 )
 from mta_engine.cli import ARTIFACTS, main
-from mta_engine.credits import MtaCredit, aggregate_shares, score_touchpoints
+from mta_engine.credits import MtaCredit, aggregate_shares, credit_totals, score_touchpoints
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.nnls import nnls, nnls_brute_force
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, replication_study, simulate
@@ -67,8 +67,8 @@ def test_criterion_2_ensemble_worked_example(credit_example):
     all_mta = pipeline.score_all(model, journeys, credits_by_model)
     mta_shares = aggregate_shares(all_mta).shares()
     records = pipeline.model_credit_records(journeys, credits_by_model)
-    lta_totals = pipeline.model_credit_totals(records, "lta", "channel")
-    mda_totals = pipeline.model_credit_totals(records, "mda", "channel")
+    lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
+    mda_totals = credit_totals((r for r in records if r.model == "mda"), "channel")
     lta_shares = {k: v / sum(lta_totals.values()) for k, v in lta_totals.items()}
     mda_shares = {k: v / sum(mda_totals.values()) for k, v in mda_totals.items()}
     shares_ok = all(
@@ -249,7 +249,7 @@ def _run_two_channel_pipeline(seed: int, n_customers: int):
     mta = pipeline.score_all(model, attributable, credits)
     mta_share = aggregate_shares(mta, "channel", unattributed).shares()["Lower"]
     records = pipeline.model_credit_records(attributable, credits)
-    lta_totals = pipeline.model_credit_totals(records, "lta", "channel")
+    lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
     lta_share = lta_totals["Lower"] / sum(lta_totals.values())
     spec_by_id = {c.campaign_id: c for c in config.campaigns}
     true_lower = sum(r.true_incremental for r in truth if spec_by_id[r.campaign_id].channel == "Lower")

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from mta_engine import attribution
 from mta_engine.cli import ARTIFACTS, main
 
 
@@ -101,6 +102,33 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("ConfigError:") and key in err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c.update(lookback_days="seven"),
+            lambda c: c["mda"].update(max_negatives="abc"),
+            lambda c: c["simulation"].update(
+                campaigns={cp["campaign_id"]: cp for cp in c["simulation"]["campaigns"]}
+            ),
+            lambda c: c["simulation"]["campaigns"][0].update(view_window=[0.1]),
+            lambda c: c["simulation"]["campaigns"][0].update(holdout_fraction="x"),
+        ],
+        ids=[
+            "word-lookback-days",
+            "word-max-negatives",
+            "campaigns-object",
+            "one-element-view-window",
+            "word-holdout-fraction",
+        ],
+    )
+    def test_ill_typed_value_exits_2_with_one_line(self, tmp_path, capsys, mutate):
+        config = base_config(tmp_path / "out")
+        mutate(config)
+        assert run("simulate", "--config", write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ConfigError:")
 
 
 class TestMissingArtifacts:
@@ -206,6 +234,24 @@ class TestFullPipeline:
         shares = json.loads((out / "attribution_shares.json").read_text())
         assert shares["unattributed_conversions"] == summary["unattributed_conversions"]
         assert summary["conversions"] == summary["attributed_conversions"] + summary["unattributed_conversions"]
+
+
+class TestFitEnsemble:
+    def test_fit_computes_only_the_calibration_features(self, workspace, monkeypatch):
+        cfg_path, out = workspace
+
+        def not_a_feature(*args, **kwargs):
+            raise AssertionError("fit computed credits for a model calibration does not use")
+
+        assert run("simulate", "--config", cfg_path) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(attribution, "linear_credits", not_a_feature)
+            patch.setattr(attribution, "decay_credits", not_a_feature)
+            assert run("fit", "--config", cfg_path) == 0
+        assert run("attribute", "--config", cfg_path) == 0
+        with (out / "model_credits.csv").open() as fh:
+            models = {row["model"] for row in csv.DictReader(fh)}
+        assert models == {"lta", "linear", "decay", "mda"}
 
 
 class TestPaperMirrorConfig:

@@ -12,7 +12,7 @@ from mta_engine.calibration import (
     fit_calibration,
     predict_campaign,
 )
-from mta_engine.credits import aggregate_shares, per_conversion_total
+from mta_engine.credits import aggregate_shares, credit_totals, per_conversion_total
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
@@ -119,12 +119,10 @@ class TestFigureFixtureThroughPipeline:
         mta = pipeline.score_all(model, journeys, credits_by_model)
         mta_shares = aggregate_shares(mta).shares()
         records = pipeline.model_credit_records(journeys, credits_by_model)
-        lta_shares = {
-            k: v / 3.0 for k, v in pipeline.model_credit_totals(records, "lta", "channel").items()
-        }
-        mda_shares = {
-            k: v / 3.0 for k, v in pipeline.model_credit_totals(records, "mda", "channel").items()
-        }
+        lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
+        mda_totals = credit_totals((r for r in records if r.model == "mda"), "channel")
+        lta_shares = {k: v / 3.0 for k, v in lta_totals.items()}
+        mda_shares = {k: v / 3.0 for k, v in mda_totals.items()}
         for channel in ("Upper", "Lower"):
             assert abs(mta_shares[channel] - lta_shares[channel]) > 1e-6
             assert abs(mta_shares[channel] - mda_shares[channel]) > 1e-6

@@ -186,6 +186,22 @@ class TestPathConsistency:
         via_estimate_all = estimate_all(cfg, conversions)["campA"]
         assert via_estimate_all == via_objects
 
+    def test_estimate_all_matches_estimate_lift_on_multi_unit_conversions(self):
+        cfg = SimConfig(
+            3_000, (spec(holdout_fraction=0.3), spec("campB", holdout_fraction=0.5)), 0.03, seed=5
+        )
+        ids = customer_ids(cfg.n_customers)
+        conversions = [mk_conv(f"x{i}", ids[7 * i], T0, units=1 + i % 4) for i in range(300)]
+        conversions += [mk_conv(f"again{i}", ids[14], T0, units=5 + i) for i in range(3)]
+        conversions.append(mk_conv("stranger", "C9999999", T0, units=9))
+        results = estimate_all(cfg, conversions)
+        for s in cfg.campaigns:
+            assignment = assign_treatment(ids, s.holdout_fraction, cfg.seed, s.campaign_id)
+            assert results[s.campaign_id] == estimate_lift(assignment, conversions, s.campaign_id)
+            for arm, total in ((TREATMENT, "conv_treatment"), (HOLDOUT, "conv_holdout")):
+                expected = sum(c.units for c in conversions if assignment.get(c.customer_id) == arm)
+                assert getattr(results[s.campaign_id], total) == expected
+
 
 class TestEstimatorCalibration:
     def test_unbiased_with_nominal_coverage(self):
