@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, NoTouchpointsError
+from .errors import DataIntegrityError, DegenerateLabelsError, NoTouchpointsError
 from .events import InteractionKind, Journey, Touchpoint
 
 MODEL_LTA = "lta"
@@ -37,16 +37,23 @@ _SECONDS_PER_DAY = 86400.0
 
 @dataclass(frozen=True, slots=True)
 class CreditVector:
-    """Per-touchpoint credit split for one conversion under one model."""
+    """One model's credit split for one converting journey: ``credits[i]`` is
+    the credit of ``journey.touchpoints[i]``."""
 
-    conversion_id: str
-    entries: tuple[tuple[str, float], ...]
+    journey: Journey
+    credits: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.journey.conversion is None:
+            raise DataIntegrityError(f"journey for {self.journey.customer_id} has no conversion")
+        if len(self.credits) != len(self.journey.touchpoints):
+            raise DataIntegrityError(
+                f"{len(self.credits)} credit(s) for the {len(self.journey.touchpoints)} "
+                f"touchpoint(s) of conversion {self.journey.conversion.conversion_id!r}"
+            )
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
-
-    def touchpoint_ids(self) -> frozenset[str]:
-        return frozenset(tp_id for tp_id, _ in self.entries)
+        return {tp.touchpoint_id: c for tp, c in zip(self.journey.touchpoints, self.credits)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,10 +207,6 @@ def feature_names_for(journeys: Iterable[Journey]) -> tuple[str, ...]:
     return _BASE_FEATURES + tuple(f"channel_count:{c}" for c in channels)
 
 
-def _sorted_touchpoints(journey: Journey) -> list[Touchpoint]:
-    return sorted(journey.touchpoints, key=lambda t: (t.timestamp, t.touchpoint_id))
-
-
 def _require_touchpoints(journey: Journey) -> None:
     if journey.conversion is None:
         raise NoTouchpointsError(f"journey for {journey.customer_id} has no conversion to credit")
@@ -221,18 +224,13 @@ def lta_credits(journey: Journey) -> CreditVector:
         journey.touchpoints,
         key=lambda t: (t.timestamp, t.interaction_kind is InteractionKind.CLICK, t.touchpoint_id),
     )
-    entries = tuple(
-        (tp.touchpoint_id, 1.0 if tp is last else 0.0) for tp in _sorted_touchpoints(journey)
-    )
-    return CreditVector(journey.conversion.conversion_id, entries)
+    return CreditVector(journey, tuple(1.0 if tp is last else 0.0 for tp in journey.touchpoints))
 
 
 def linear_credits(journey: Journey) -> CreditVector:
     """Equal credit 1/n to each of the n touchpoints."""
     _require_touchpoints(journey)
-    share = 1.0 / len(journey.touchpoints)
-    entries = tuple((tp.touchpoint_id, share) for tp in _sorted_touchpoints(journey))
-    return CreditVector(journey.conversion.conversion_id, entries)
+    return CreditVector(journey, (1.0 / len(journey.touchpoints),) * len(journey.touchpoints))
 
 
 def decay_credits(journey: Journey, cfg: DecayConfig = DecayConfig()) -> CreditVector:
@@ -241,14 +239,12 @@ def decay_credits(journey: Journey, cfg: DecayConfig = DecayConfig()) -> CreditV
     exponentiation so extreme ages cannot underflow the normalization."""
     _require_touchpoints(journey)
     conv_ts = journey.conversion.timestamp
-    tps = _sorted_touchpoints(journey)
     half_life_s = cfg.half_life.total_seconds()
-    ages = [(conv_ts - tp.timestamp).total_seconds() / half_life_s for tp in tps]
+    ages = [(conv_ts - tp.timestamp).total_seconds() / half_life_s for tp in journey.touchpoints]
     youngest = min(ages)
     weights = [2.0 ** (youngest - age) for age in ages]
     total = sum(weights)
-    entries = tuple((tp.touchpoint_id, w / total) for tp, w in zip(tps, weights))
-    return CreditVector(journey.conversion.conversion_id, entries)
+    return CreditVector(journey, tuple(w / total for w in weights))
 
 
 def train_mda(journeys: Sequence[Journey], hyper: MdaHyperparams = MdaHyperparams()) -> MdaModel:
@@ -315,7 +311,7 @@ def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
     of rebuilding each leave-one-out vector from scratch, in O(n) per journey.
     """
     _require_touchpoints(journey)
-    tps = _sorted_touchpoints(journey)
+    tps = journey.touchpoints
     names = model.feature_names
     x = _feature_vector(names, tps, journey.conversion)
 
@@ -344,11 +340,8 @@ def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
     deltas = [max(0.0, p_full - model._proba(row)) for row in loo]
     total = sum(deltas)
     if total > 0.0:
-        credits = [d / total for d in deltas]
-    else:
-        credits = [1.0 / len(tps)] * len(tps)
-    entries = tuple((tp.touchpoint_id, c) for tp, c in zip(tps, credits))
-    return CreditVector(journey.conversion.conversion_id, entries)
+        return CreditVector(journey, tuple(d / total for d in deltas))
+    return CreditVector(journey, (1.0 / len(tps),) * len(tps))
 
 
 def credits_for_model(

@@ -14,6 +14,7 @@ import csv
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -21,7 +22,6 @@ import numpy as np
 
 from .attribution import CreditVector
 from .errors import ConfigError, DataIntegrityError, InsufficientDataError
-from .events import Journey
 from .nnls import nnls
 from .rct import CampaignSpec, RctResult
 
@@ -126,7 +126,6 @@ class CalibrationModel:
 
 
 def aggregate_campaign_features(
-    journeys: Sequence[Journey],
     credits_by_model: Mapping[str, Iterable[CreditVector]],
     campaigns: Sequence[CampaignSpec],
     rct_results: Mapping[str, RctResult] | None = None,
@@ -136,41 +135,23 @@ def aggregate_campaign_features(
     Every campaign in ``campaigns`` yields a row, zero-credit campaigns
     included. Targets are joined from ``rct_results`` for campaigns flagged
     ``is_rct``; other campaigns keep ``target=None`` and are ignored by the
-    fit. A credit referencing a touchpoint or conversion absent from
-    ``journeys`` raises :class:`DataIntegrityError`.
+    fit. A credited touchpoint whose campaign is not in ``campaigns`` raises
+    :class:`DataIntegrityError`.
     """
     rct_results = rct_results or {}
-    tp_campaign: dict[str, str] = {}
-    conv_units: dict[str, float] = {}
-    for journey in journeys:
-        for tp in journey.touchpoints:
-            tp_campaign[tp.touchpoint_id] = tp.campaign_id
-        if journey.conversion is not None:
-            conv_units[journey.conversion.conversion_id] = float(journey.conversion.units)
-
     model_names = sorted(credits_by_model)
     totals: dict[str, dict[str, float]] = {
         spec.campaign_id: {name: 0.0 for name in model_names} for spec in campaigns
     }
     for name in model_names:
         for vector in credits_by_model[name]:
-            units = conv_units.get(vector.conversion_id)
-            if units is None:
-                raise DataIntegrityError(
-                    f"credit vector references unknown conversion {vector.conversion_id!r}"
-                )
-            for tp_id, credit in vector.entries:
-                campaign_id = tp_campaign.get(tp_id)
-                if campaign_id is None:
-                    raise DataIntegrityError(
-                        f"credit for conversion {vector.conversion_id!r} references "
-                        f"unknown touchpoint {tp_id!r}"
-                    )
-                bucket = totals.get(campaign_id)
+            units = float(vector.journey.conversion.units)
+            for tp, credit in zip(vector.journey.touchpoints, vector.credits):
+                bucket = totals.get(tp.campaign_id)
                 if bucket is None:
                     raise DataIntegrityError(
-                        f"touchpoint {tp_id!r} belongs to campaign {campaign_id!r} "
-                        "which is not in the campaign list"
+                        f"touchpoint {tp.touchpoint_id!r} belongs to campaign "
+                        f"{tp.campaign_id!r} which is not in the campaign list"
                     )
                 bucket[name] += credit * units
 
@@ -330,24 +311,31 @@ def fit_calibration(
 
 def predict_campaign(model: CalibrationModel, row: CampaignFeatureRow) -> float:
     """Predicted RCT conversions for one campaign row (clamped at 0)."""
+    value, gaps = _predict(model, row)
+    _warn_gaps(Counter(gaps))
+    return value
+
+
+def _predict(model: CalibrationModel, row: CampaignFeatureRow) -> tuple[float, list[str]]:
+    """The prediction, plus what it counted as 0: a group with no fitted
+    weights, or a feature the row lacks."""
     group = model.group_for(row.channel)
-    if group not in model.weights_by_group:
-        logger.warning(
-            "row %s: no fitted weights for group %r; using zeros", row.campaign_id, group
-        )
-    weights = model.group_weights(row.channel)
+    gaps = [] if group in model.weights_by_group else [f"no fitted weights for group {group!r}"]
     value = 0.0
-    for name, weight in weights.items():
+    for name, weight in model.group_weights(row.channel).items():
         feature = row.features.get(name)
         if feature is None:
-            logger.warning(
-                "row %s lacks feature %r; treating as 0", row.campaign_id, name
-            )
+            gaps.append(f"lacks feature {name!r}")
             feature = 0.0
         value += weight * feature
     if model.intercept_by_group:
-        value += model.intercept_by_group.get(model.group_for(row.channel), 0.0)
-    return max(0.0, value)
+        value += model.intercept_by_group.get(group, 0.0)
+    return max(0.0, value), gaps
+
+
+def _warn_gaps(gaps: Counter) -> None:
+    for gap, count in sorted(gaps.items()):
+        logger.warning("%d campaign row(s): %s; treated as 0", count, gap)
 
 
 def evaluate_oos(
@@ -373,12 +361,15 @@ def evaluate_oos(
     order = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(order, k)
     predictions = np.empty(n)
+    gaps: Counter = Counter()
     for fold in folds:
         held_out = set(int(i) for i in fold)
         train = [usable[i] for i in range(n) if i not in held_out]
         fold_model = fit_calibration(train, options)
         for i in fold:
-            predictions[int(i)] = predict_campaign(fold_model, usable[int(i)])
+            predictions[int(i)], row_gaps = _predict(fold_model, usable[int(i)])
+            gaps.update(row_gaps)
+    _warn_gaps(gaps)
 
     targets = np.array([row.target for row in usable], dtype=float)
     rss = float(np.sum((targets - predictions) ** 2))

@@ -147,6 +147,12 @@ def _section(raw: dict, key: str) -> dict:
     return value
 
 
+def _flag(raw: dict, key: str, default: bool, path: str) -> bool:
+    value = raw.get(key, default)
+    _require(isinstance(value, bool), f"{path} must be true or false, got {json.dumps(value)}")
+    return value
+
+
 def _campaign_from_dict(index: int, data: dict) -> CampaignSpec:
     try:
         return CampaignSpec(
@@ -157,7 +163,7 @@ def _campaign_from_dict(index: int, data: dict) -> CampaignSpec:
             click_rate=float(data.get("click_rate", 0.0)),
             true_lift=float(data["true_lift"]),
             holdout_fraction=float(data.get("holdout_fraction", 0.1)),
-            is_rct=bool(data.get("is_rct", True)),
+            is_rct=_flag(data, "is_rct", True, f"simulation.campaigns[{index}].is_rct"),
             view_window=tuple(data.get("view_window", (0.0, 0.7))),
         )
     except KeyError as exc:
@@ -215,8 +221,10 @@ def _run_config_from_dict(
     calibration = CalibrationOptions(
         feature_models=tuple(features),
         pooling=str(cal_raw.get("pooling", "global")),
-        intercept=bool(cal_raw.get("intercept", False)),
-        inverse_variance_weighting=bool(cal_raw.get("inverse_variance_weighting", False)),
+        intercept=_flag(cal_raw, "intercept", False, "calibration.intercept"),
+        inverse_variance_weighting=_flag(
+            cal_raw, "inverse_variance_weighting", False, "calibration.inverse_variance_weighting"
+        ),
     )
     cv_folds = int(cal_raw.get("cv_folds", 5))
     _require(cv_folds >= 2, f"calibration.cv_folds must be >= 2, got {cv_folds}")
@@ -228,9 +236,12 @@ def _run_config_from_dict(
     sim = None
     if "simulation" in raw:
         sim_raw = _section(raw, "simulation")
-        campaigns = tuple(
-            _campaign_from_dict(i, c) for i, c in enumerate(sim_raw.get("campaigns", []))
+        campaigns_raw = sim_raw.get("campaigns", [])
+        _require(
+            isinstance(campaigns_raw, list),
+            f"simulation.campaigns must be an array, got {json.dumps(campaigns_raw)}",
         )
+        campaigns = tuple(_campaign_from_dict(i, c) for i, c in enumerate(campaigns_raw))
         sim = SimConfig(
             n_customers=int(sim_raw.get("n_customers", 0)),
             campaigns=campaigns,
@@ -375,11 +386,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         attributable, cfg.calibration.feature_models, cfg.decay, mda
     )
     rows = pipeline.calibration_rows(
-        journeys,
-        credits_by_model,
-        cfg.sim.campaigns,
-        rct_results,
-        cfg.calibration.feature_models,
+        credits_by_model, cfg.sim.campaigns, rct_results, cfg.calibration.feature_models
     )
     model = pipeline.fit_with_cv(rows, cfg.calibration, cfg.cv_folds, cfg.cv_seed)
 
@@ -416,7 +423,7 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
     journeys, attributable, unattributed = _load_journeys(cfg)
     credits_by_model = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
     mta_credits = pipeline.score_all(model, attributable, credits_by_model)
-    records = pipeline.model_credit_records(attributable, credits_by_model)
+    records = pipeline.model_credit_records(credits_by_model)
 
     with cfg.artifact("mta_credits").open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")

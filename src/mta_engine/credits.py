@@ -69,8 +69,8 @@ def score_touchpoints(
     campaign-level sums of MTA credits reconcile exactly with the
     calibration model's campaign predictions. A model named in the
     calibration weights but missing here, or a touchpoint whose group has no
-    fitted weights, contributes zero credit (with a warning); credit vectors
-    that disagree on the touchpoint set raise :class:`DataIntegrityError`.
+    fitted weights, contributes zero credit (with a warning); a credit vector
+    of another journey raises :class:`DataIntegrityError`.
     """
     out = _score_journey(model, credits_by_model, journey)
     _warn_zero_credit(model, credits_by_model.keys(), [journey])
@@ -123,30 +123,23 @@ def _score_journey(
     if journey.conversion is None:
         raise DataIntegrityError("cannot score a journey without a conversion")
     conversion_id = journey.conversion.conversion_id
-    journey_tp_ids = {tp.touchpoint_id for tp in journey.touchpoints}
-
-    vectors: dict[str, dict[str, float]] = {}
     for name, vector in credits_by_model.items():
-        if vector.conversion_id != conversion_id:
+        if vector.journey != journey:
             raise DataIntegrityError(
-                f"credit vector for model {name!r} belongs to conversion "
-                f"{vector.conversion_id!r}, not {conversion_id!r}"
+                f"model {name!r} credits belong to another journey than "
+                f"conversion {conversion_id!r}'s"
             )
-        if vector.touchpoint_ids() != journey_tp_ids:
-            raise DataIntegrityError(
-                f"model {name!r} credits disagree with the journey's touchpoint set "
-                f"for conversion {conversion_id!r}"
-            )
-        vectors[name] = vector.as_dict()
+    absent = (0.0,) * len(journey.touchpoints)
+    columns = [
+        credits_by_model[name].credits if name in credits_by_model else absent
+        for name in model.feature_names
+    ]
 
     units = journey.conversion.units
     out: list[MtaCredit] = []
-    for tp in sorted(journey.touchpoints, key=lambda t: (t.timestamp, t.touchpoint_id)):
-        weights = model.group_weights(tp.channel)
-        combined = units * sum(
-            weight * vectors.get(name, {}).get(tp.touchpoint_id, 0.0)
-            for name, weight in weights.items()
-        )
+    for i, tp in enumerate(journey.touchpoints):
+        weights = model.group_weights(tp.channel).values()
+        combined = units * sum(weight * column[i] for weight, column in zip(weights, columns))
         out.append(
             MtaCredit(
                 conversion_id=conversion_id,

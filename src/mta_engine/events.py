@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import islice
+from operator import attrgetter
 from typing import IO, Iterable, Iterator
 
 from .errors import DataIntegrityError, ParseError
@@ -65,19 +66,26 @@ class ConversionEvent:
             raise ValueError(f"conversion units must be >= 0, got {self.units}")
 
 
+_TIME_ORDER = attrgetter("timestamp", "touchpoint_id")
+
+
 @dataclass(frozen=True, slots=True)
 class Journey:
     """A customer's time-ordered touchpoints, optionally ending in a conversion.
 
-    For converting journeys the touchpoints are exactly those inside the
-    lookback window of the conversion; non-converting journeys carry all of
-    the customer's touchpoints and serve as negative examples for MDA
-    training.
+    The touchpoints are sorted by (timestamp, touchpoint_id) when the journey
+    is built, whatever order they are given in. For converting journeys they
+    are exactly those inside the lookback window of the conversion;
+    non-converting journeys carry all of the customer's touchpoints and serve
+    as negative examples for MDA training.
     """
 
     customer_id: str
     touchpoints: tuple[Touchpoint, ...]
     conversion: ConversionEvent | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "touchpoints", tuple(sorted(self.touchpoints, key=_TIME_ORDER)))
 
     @property
     def converted(self) -> bool:
@@ -295,9 +303,9 @@ def build_journeys(
     carrying all their touchpoints. Output order is deterministic: sorted by
     customer_id, then conversion timestamp, ties by conversion_id.
 
-    Every downstream join is keyed by id, so a ``touchpoint_id`` or
-    ``conversion_id`` that occurs twice in the input raises
-    :class:`DataIntegrityError` instead of being credited to the wrong record.
+    A ``touchpoint_id`` or ``conversion_id`` that occurs twice in the input
+    raises :class:`DataIntegrityError`: ids are how credits are reported, and
+    a repeated one would make two records indistinguishable downstream.
     """
     touchpoints = list(touchpoints)
     conversions = list(conversions)
@@ -306,23 +314,21 @@ def build_journeys(
     by_customer: dict[str, list[Touchpoint]] = {}
     for tp in touchpoints:
         by_customer.setdefault(tp.customer_id, []).append(tp)
-    for tps in by_customer.values():
-        tps.sort(key=lambda t: (t.timestamp, t.touchpoint_id))
 
     conv_customers: set[str] = set()
     journeys: list[Journey] = []
     for conv in sorted(conversions, key=lambda c: (c.customer_id, c.timestamp, c.conversion_id)):
         conv_customers.add(conv.customer_id)
-        eligible = tuple(
+        eligible = [
             tp
             for tp in by_customer.get(conv.customer_id, ())
             if window.contains(tp.timestamp, conv.timestamp)
-        )
+        ]
         journeys.append(Journey(conv.customer_id, eligible, conv))
 
     for customer_id in sorted(by_customer):
         if customer_id not in conv_customers:
-            journeys.append(Journey(customer_id, tuple(by_customer[customer_id]), None))
+            journeys.append(Journey(customer_id, by_customer[customer_id], None))
 
     earliest = datetime.min.replace(tzinfo=timezone.utc)
     journeys.sort(

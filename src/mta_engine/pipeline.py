@@ -105,7 +105,6 @@ def ensemble_credits(
 
 
 def calibration_rows(
-    journeys: Sequence[Journey],
     credits_by_model: Mapping[str, Sequence[CreditVector]],
     campaigns: Sequence[CampaignSpec],
     rct_results: Mapping[str, RctResult],
@@ -119,7 +118,7 @@ def calibration_rows(
             "was MDA training skipped for lack of labels?"
         )
     selected = {name: credits_by_model[name] for name in feature_models}
-    return aggregate_campaign_features(journeys, selected, campaigns, rct_results)
+    return aggregate_campaign_features(selected, campaigns, rct_results)
 
 
 def fit_with_cv(
@@ -140,31 +139,24 @@ def fit_with_cv(
 
 
 def model_credit_records(
-    attributable: Sequence[Journey],
     credits_by_model: Mapping[str, Sequence[CreditVector]],
 ) -> list[ModelCredit]:
     """Flat per-model credit table (the pre-calibration analogue of the MTA
     credit table), used for LTA-only / MDA-only comparison reporting."""
-    tp_meta = {
-        tp.touchpoint_id: tp for journey in attributable for tp in journey.touchpoints
-    }
-    units = {
-        j.conversion.conversion_id: j.conversion.units for j in attributable if j.conversion
-    }
     records: list[ModelCredit] = []
     for name in sorted(credits_by_model):
         for vector in credits_by_model[name]:
-            for tp_id, credit in vector.entries:
-                tp = tp_meta[tp_id]
+            conversion = vector.journey.conversion
+            for tp, credit in zip(vector.journey.touchpoints, vector.credits):
                 records.append(
                     ModelCredit(
                         model=name,
-                        conversion_id=vector.conversion_id,
-                        touchpoint_id=tp_id,
+                        conversion_id=conversion.conversion_id,
+                        touchpoint_id=tp.touchpoint_id,
                         campaign_id=tp.campaign_id,
                         channel=tp.channel,
                         ad_product=tp.ad_product,
-                        credit=credit * units.get(vector.conversion_id, 1),
+                        credit=credit * conversion.units,
                     )
                 )
     return records

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -123,6 +124,15 @@ def customer_ids(n: int) -> list[str]:
     return [f"C{i:07d}" for i in range(n)]
 
 
+@lru_cache(maxsize=1)
+def population_hashes(n_customers: int) -> np.ndarray:
+    """Read-only id hashes of ``customer_ids(n_customers)``, computed once
+    for the simulation and the estimates that reconstruct its assignment."""
+    hashes = rng.id_hashes(customer_ids(n_customers))
+    hashes.flags.writeable = False
+    return hashes
+
+
 def assign_treatment(
     customer_ids: Iterable[str],
     holdout_fraction: float,
@@ -160,7 +170,6 @@ class _SimDraws:
     fast replication path."""
 
     config: SimConfig
-    hashes: np.ndarray
     campaigns: list[_CampaignDraws]
     conv_prob: np.ndarray
     converted: np.ndarray
@@ -187,11 +196,10 @@ class _SimDraws:
         return rows
 
 
-def _simulate_core(config: SimConfig, hashes: np.ndarray | None = None) -> _SimDraws:
+def _simulate_core(config: SimConfig) -> _SimDraws:
     n = config.n_customers
     seed = config.seed
-    if hashes is None:
-        hashes = rng.id_hashes(customer_ids(n))
+    hashes = population_hashes(n)
     horizon_ms = int(config.horizon.total_seconds() * 1000)
 
     campaigns: list[_CampaignDraws] = []
@@ -234,7 +242,7 @@ def _simulate_core(config: SimConfig, hashes: np.ndarray | None = None) -> _SimD
         last_touch_ms + lag_lo + np.rint(u_conv_t * (lag_hi - lag_lo)).astype(np.int64),
         np.rint(u_conv_t * horizon_ms).astype(np.int64),
     )
-    return _SimDraws(config, hashes, campaigns, conv_prob, converted, conv_ms, clamped_fraction)
+    return _SimDraws(config, campaigns, conv_prob, converted, conv_ms, clamped_fraction)
 
 
 def simulate(
@@ -360,9 +368,8 @@ def estimate_all(
     config: SimConfig, conversions: Iterable[ConversionEvent], *, rct_only: bool = True
 ) -> dict[str, RctResult]:
     """Reconstruct assignments from the config and estimate every campaign."""
-    ids = customer_ids(config.n_customers)
-    hashes = rng.id_hashes(ids)
-    units = _customer_units(ids, conversions)
+    hashes = population_hashes(config.n_customers)
+    units = _customer_units(customer_ids(config.n_customers), conversions)
     results: dict[str, RctResult] = {}
     for spec in config.campaigns:
         if rct_only and not spec.is_rct:
@@ -394,7 +401,6 @@ def replication_study(
     customers) fast. The estimates are identical to running
     :func:`estimate_lift` on :func:`simulate` output.
     """
-    hashes = rng.id_hashes(customer_ids(config.n_customers))
     wanted = set(campaign_ids) if campaign_ids is not None else None
     outcomes: list[ReplicationOutcome] = []
     for rep in range(n_reps):
@@ -405,7 +411,7 @@ def replication_study(
             seed=config.seed + rep,
             horizon=config.horizon,
         )
-        draws = _simulate_core(cfg, hashes)
+        draws = _simulate_core(cfg)
         truth = {row.campaign_id: row.true_incremental for row in draws.ground_truth()}
         for cd in draws.campaigns:
             campaign_id = cd.spec.campaign_id

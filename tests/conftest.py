@@ -51,7 +51,7 @@ def credit_example():
 
     Customer 2 saw Upper then Lower; last-touch gives Lower the full credit
     while the MDA splits 0.3 / 0.7. Returns journeys, per-model credit
-    vectors aligned with them, the campaign specs, and zero-noise RCT
+    vectors on them, the campaign specs, and zero-noise RCT
     targets constructed to satisfy target = 0.6 * lta + 0.4 * mda.
     """
     campaigns = (
@@ -77,16 +77,8 @@ def credit_example():
         customer="c3",
     )
     journeys = [j1, j2, j3]
-    lta = [
-        CreditVector("x1", (("u1", 1.0),)),
-        CreditVector("x2", (("u2", 0.0), ("l2", 1.0))),
-        CreditVector("x3", (("l3", 1.0),)),
-    ]
-    mda = [
-        CreditVector("x1", (("u1", 1.0),)),
-        CreditVector("x2", (("u2", 0.3), ("l2", 0.7))),
-        CreditVector("x3", (("l3", 1.0),)),
-    ]
+    lta = [CreditVector(j1, (1.0,)), CreditVector(j2, (0.0, 1.0)), CreditVector(j3, (1.0,))]
+    mda = [CreditVector(j1, (1.0,)), CreditVector(j2, (0.3, 0.7)), CreditVector(j3, (1.0,))]
     # Campaign-level sums: lta = {campU: 1, campL: 2}, mda = {campU: 1.3, campL: 1.7}.
     targets = {
         "campU": 0.6 * 1.0 + 0.4 * 1.3,

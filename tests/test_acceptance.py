@@ -53,7 +53,7 @@ def test_criterion_1_single_rct_calibration_factor():
 def test_criterion_2_ensemble_worked_example(credit_example):
     start = time.perf_counter()
     journeys, credits_by_model, campaigns, rct_results = credit_example
-    rows = aggregate_campaign_features(journeys, credits_by_model, campaigns, rct_results)
+    rows = aggregate_campaign_features(credits_by_model, campaigns, rct_results)
     model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
     weights_ok = (
         abs(model.weights["lta"] - 0.6) < 1e-8 and abs(model.weights["mda"] - 0.4) < 1e-8
@@ -66,7 +66,7 @@ def test_criterion_2_ensemble_worked_example(credit_example):
 
     all_mta = pipeline.score_all(model, journeys, credits_by_model)
     mta_shares = aggregate_shares(all_mta).shares()
-    records = pipeline.model_credit_records(journeys, credits_by_model)
+    records = pipeline.model_credit_records(credits_by_model)
     lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
     mda_totals = credit_totals((r for r in records if r.model == "mda"), "channel")
     lta_shares = {k: v / sum(lta_totals.values()) for k, v in lta_totals.items()}
@@ -135,7 +135,7 @@ def test_criterion_4_credit_normalization_property_suite():
             decay_credits(journey, decay_cfg),
             mda_credits(mda_model, journey),
         ):
-            values = [c for _, c in vector.entries]
+            values = vector.credits
             worst = max(worst, abs(sum(values) - 1.0))
             assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -242,13 +242,11 @@ def _run_two_channel_pipeline(seed: int, n_customers: int):
         journeys, MdaHyperparams(0.5, 250, 0), max_negatives=20_000
     )
     credits = pipeline.ensemble_credits(attributable, ("lta", "mda"), DecayConfig(), mda)
-    rows = pipeline.calibration_rows(
-        journeys, credits, config.campaigns, rct_results, ("lta", "mda")
-    )
+    rows = pipeline.calibration_rows(credits, config.campaigns, rct_results, ("lta", "mda"))
     model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
     mta = pipeline.score_all(model, attributable, credits)
     mta_share = aggregate_shares(mta, "channel", unattributed).shares()["Lower"]
-    records = pipeline.model_credit_records(attributable, credits)
+    records = pipeline.model_credit_records(credits)
     lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
     lta_share = lta_totals["Lower"] / sum(lta_totals.values())
     spec_by_id = {c.campaign_id: c for c in config.campaigns}

@@ -270,12 +270,10 @@ class TestCreditInvariants:
             mda_credits(PROPERTY_MODEL, journey),
         ]
         for vector in vectors:
-            credits = [c for _, c in vector.entries]
+            credits = vector.credits
             assert abs(sum(credits) - 1.0) < 1e-9
             assert all(0.0 <= c <= 1.0 for c in credits)
-            assert {tp_id for tp_id, _ in vector.entries} == {
-                tp.touchpoint_id for tp in journey.touchpoints
-            }
+            assert vector.as_dict().keys() == {tp.touchpoint_id for tp in journey.touchpoints}
 
 
 def loo_reference(model: MdaModel, journey: Journey) -> CreditVector:
@@ -294,8 +292,8 @@ def loo_reference(model: MdaModel, journey: Journey) -> CreditVector:
         credits = [d / total for d in deltas]
     else:
         credits = [1.0 / len(tps)] * len(tps)
-    entries = tuple((tp.touchpoint_id, c) for tp, c in zip(tps, credits))
-    return CreditVector(journey.conversion.conversion_id, entries)
+    assert tuple(tps) == journey.touchpoints
+    return CreditVector(journey, tuple(credits))
 
 
 # A few fixed offsets make ties, including ties at the latest timestamp, common.

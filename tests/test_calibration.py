@@ -44,15 +44,13 @@ class TestAggregate:
     def test_single_conversion_single_touchpoint(self):
         journey = mk_journey([mk_tp("t1", campaign="campA")], mk_conv("x1"))
         campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
-        rows = aggregate_campaign_features(
-            [journey], {"lta": [CreditVector("x1", (("t1", 1.0),))]}, campaigns
-        )
+        rows = aggregate_campaign_features({"lta": [CreditVector(journey, (1.0,))]}, campaigns)
         assert rows[0].features == {"lta": 1.0}
         assert rows[0].target is None
 
     def test_figure_fixture_hand_sums(self, credit_example):
-        journeys, credits, campaigns, rct_results = credit_example
-        rows = aggregate_campaign_features(journeys, credits, campaigns, rct_results)
+        _, credits, campaigns, rct_results = credit_example
+        rows = aggregate_campaign_features(credits, campaigns, rct_results)
         by_id = {r.campaign_id: r for r in rows}
         assert by_id["campU"].features["lta"] == pytest.approx(1.0)
         assert by_id["campL"].features["lta"] == pytest.approx(2.0)
@@ -62,35 +60,35 @@ class TestAggregate:
         assert by_id["campL"].target == pytest.approx(1.88)
 
     def test_zero_credit_campaign_row_retained(self, credit_example):
-        journeys, credits, campaigns, rct_results = credit_example
+        _, credits, campaigns, rct_results = credit_example
         extra = campaigns + (CampaignSpec("campZ", "Upper", "display", 0.5, 0.2, 0.0),)
-        rows = aggregate_campaign_features(journeys, credits, extra, rct_results)
+        rows = aggregate_campaign_features(credits, extra, rct_results)
         zero_row = next(r for r in rows if r.campaign_id == "campZ")
         assert zero_row.features == {"lta": 0.0, "mda": 0.0}
 
     def test_units_scale_features(self):
         journey = mk_journey([mk_tp("t1", campaign="campA")], mk_conv("x1", units=4))
         campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
-        rows = aggregate_campaign_features(
-            [journey], {"lta": [CreditVector("x1", (("t1", 1.0),))]}, campaigns
-        )
+        rows = aggregate_campaign_features({"lta": [CreditVector(journey, (1.0,))]}, campaigns)
         assert rows[0].features["lta"] == pytest.approx(4.0)
 
     def test_unknown_touchpoint_rejected(self):
+        # A credit for a touchpoint the journey does not have: one credit too many.
         journey = mk_journey([mk_tp("t1", campaign="campA")], mk_conv("x1"))
-        campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
-        with pytest.raises(DataIntegrityError):
-            aggregate_campaign_features(
-                [journey], {"lta": [CreditVector("x1", (("ghost", 1.0),))]}, campaigns
-            )
+        with pytest.raises(DataIntegrityError, match="2 credit"):
+            CreditVector(journey, (1.0, 1.0))
 
     def test_unknown_conversion_rejected(self):
-        journey = mk_journey([mk_tp("t1", campaign="campA")], mk_conv("x1"))
+        # A credit for a conversion that does not exist: the journey has none.
+        journey = mk_journey([mk_tp("t1", campaign="campA")], None)
+        with pytest.raises(DataIntegrityError, match="no conversion"):
+            CreditVector(journey, (1.0,))
+
+    def test_campaign_outside_the_campaign_list_rejected(self):
+        journey = mk_journey([mk_tp("t1", campaign="campB")], mk_conv("x1"))
         campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
-        with pytest.raises(DataIntegrityError):
-            aggregate_campaign_features(
-                [journey], {"lta": [CreditVector("phantom", (("t1", 1.0),))]}, campaigns
-            )
+        with pytest.raises(DataIntegrityError, match="campB"):
+            aggregate_campaign_features({"lta": [CreditVector(journey, (1.0,))]}, campaigns)
 
 
 class TestFit:
@@ -268,6 +266,14 @@ class TestEvaluateOos:
         rows = make_rows((0.6, 0.4), n=6, seed=13)
         metrics = evaluate_oos(rows, CalibrationOptions(("lta", "mda")), k=len(rows), seed=0)
         assert metrics["folds"] == len(rows)
+
+    def test_rows_lacking_a_feature_warn_once_with_count(self, caplog):
+        rows = make_rows((0.6, 0.4), n=12, seed=3)
+        partial = [row(r.campaign_id, r.features["lta"], target=r.target) for r in rows[:5]]
+        with caplog.at_level(logging.WARNING):
+            evaluate_oos(partial + rows[5:], CalibrationOptions(), k=3, seed=0)
+        (record,) = caplog.records
+        assert "5 campaign row(s)" in record.message and "lacks feature 'mda'" in record.message
 
     def test_fold_count_validation(self):
         rows = make_rows((0.6, 0.4), n=4)

@@ -113,6 +113,7 @@ class TestValidation:
             ),
             lambda c: c["simulation"]["campaigns"][0].update(view_window=[0.1]),
             lambda c: c["simulation"]["campaigns"][0].update(holdout_fraction="x"),
+            lambda c: c["simulation"].update(campaigns={}),
         ],
         ids=[
             "word-lookback-days",
@@ -120,6 +121,7 @@ class TestValidation:
             "campaigns-object",
             "one-element-view-window",
             "word-holdout-fraction",
+            "campaigns-empty-object",
         ],
     )
     def test_ill_typed_value_exits_2_with_one_line(self, tmp_path, capsys, mutate):
@@ -129,6 +131,27 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("ConfigError:")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("simulation", "campaigns", 0, "is_rct"),
+            ("calibration", "intercept"),
+            ("calibration", "inverse_variance_weighting"),
+        ],
+        ids=["is-rct", "intercept", "inverse-variance-weighting"],
+    )
+    def test_string_for_a_boolean_exits_2_with_one_line(self, tmp_path, capsys, path):
+        # "false" is a truthy string: read with bool(), it ran the campaign as an RCT.
+        config = base_config(tmp_path / "out")
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = "false"
+        assert run("simulate", "--config", write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ConfigError:") and path[-1] in err
 
 
 class TestMissingArtifacts:

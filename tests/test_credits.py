@@ -28,10 +28,10 @@ def weight_model(weights: dict[str, float]) -> CalibrationModel:
     return CalibrationModel(names, "global", {"global": tuple(weights.values())}, None)
 
 
-def two_touch_journey():
+def two_touch_journey(units: int = 1):
     from datetime import timedelta
 
-    conv = mk_conv("x1")
+    conv = mk_conv("x1", units=units)
     return mk_journey(
         [
             mk_tp("u1", campaign="campU", channel="Upper", ts=conv.timestamp - timedelta(days=2)),
@@ -41,9 +41,11 @@ def two_touch_journey():
     )
 
 
-def paper_vectors():
-    lta = CreditVector("x1", (("u1", 0.0), ("l1", 1.0)))
-    mda = CreditVector("x1", (("u1", 0.3), ("l1", 0.7)))
+def paper_vectors(journey=None):
+    """The worked example's credits, (u1, l1) in time order."""
+    journey = journey or two_touch_journey()
+    lta = CreditVector(journey, (0.0, 1.0))
+    mda = CreditVector(journey, (0.3, 0.7))
     return {"lta": lta, "mda": mda}
 
 
@@ -68,22 +70,24 @@ class TestScoreTouchpoints:
 
     def test_units_scale_credits(self):
         model = weight_model({"lta": 0.6, "mda": 0.4})
-        journey = two_touch_journey()
-        journey = mk_journey(journey.touchpoints, mk_conv("x1", units=3))
-        credits = score_touchpoints(model, paper_vectors(), journey)
+        journey = two_touch_journey(units=3)
+        credits = score_touchpoints(model, paper_vectors(journey), journey)
         assert per_conversion_total(credits) == pytest.approx(3.0)
 
     def test_touchpoint_set_mismatch_rejected(self):
-        model = weight_model({"lta": 1.0})
-        bad = {"lta": CreditVector("x1", (("u1", 1.0),))}
+        # One credit for a two-touchpoint journey.
         with pytest.raises(DataIntegrityError):
-            score_touchpoints(model, bad, two_touch_journey())
+            CreditVector(two_touch_journey(), (1.0,))
 
     def test_wrong_conversion_rejected(self):
-        model = weight_model({"lta": 1.0})
-        bad = {"lta": CreditVector("other", (("u1", 0.0), ("l1", 1.0)))}
-        with pytest.raises(DataIntegrityError):
-            score_touchpoints(model, bad, two_touch_journey())
+        # Both vectors claim conversion x1, but "mda" was computed on another
+        # journey: x1 with only its Upper touchpoint.
+        model = weight_model({"lta": 0.6, "mda": 0.4})
+        journey = two_touch_journey()
+        other = mk_journey(journey.touchpoints[:1], journey.conversion)
+        bad = {"lta": CreditVector(journey, (0.0, 1.0)), "mda": CreditVector(other, (1.0,))}
+        with pytest.raises(DataIntegrityError, match="'mda'.*another journey"):
+            score_touchpoints(model, bad, journey)
 
     def test_missing_model_warns_and_zeroes(self, caplog):
         model = weight_model({"lta": 0.6, "mda": 0.4})
@@ -174,7 +178,7 @@ class TestAggregateShares:
 class TestConservation:
     def test_campaign_sums_match_predictions(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        rows = aggregate_campaign_features(journeys, credits_by_model, campaigns, rct_results)
+        rows = aggregate_campaign_features(credits_by_model, campaigns, rct_results)
         model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
         totals: dict[str, float] = {}
         for i, journey in enumerate(journeys):
@@ -191,7 +195,7 @@ class TestConservation:
         journey = two_touch_journey()
         base = score_touchpoints(model, paper_vectors(), journey)
         bumped_vectors = paper_vectors()
-        bumped_vectors["mda"] = CreditVector("x1", (("u1", 0.5), ("l1", 0.7)))
+        bumped_vectors["mda"] = CreditVector(journey, (0.5, 0.7))
         bumped = score_touchpoints(model, bumped_vectors, journey)
         base_u1 = next(c.credit for c in base if c.touchpoint_id == "u1")
         bumped_u1 = next(c.credit for c in bumped if c.touchpoint_id == "u1")

@@ -69,7 +69,7 @@ class TestBuildingBlocks:
         with caplog.at_level(logging.WARNING):
             credits = pipeline.ensemble_credits(journeys, ("lta", "linear", "mda"), mda=None)
         assert set(credits) == {"lta", "linear"}
-        assert [v.conversion_id for v in credits["lta"]] == ["x1", "x2"]
+        assert [v.journey for v in credits["lta"]] == journeys
         assert any("MDA" in r.message for r in caplog.records)
 
     def test_fit_with_cv_attaches_metrics(self, credit_example):
@@ -86,9 +86,9 @@ class TestBuildingBlocks:
         model = pipeline.fit_with_cv(rows, CalibrationOptions(("lta", "mda")), cv_folds=4)
         assert model.cv_metrics is not None
         assert model.cv_metrics["r_squared"] >= 0.999
-        journeys, credits_by_model, campaigns, rct_results = credit_example
+        _, credits_by_model, campaigns, rct_results = credit_example
         two_rows = pipeline.calibration_rows(
-            journeys, credits_by_model, campaigns, rct_results, ("lta", "mda")
+            credits_by_model, campaigns, rct_results, ("lta", "mda")
         )
         skipped = pipeline.fit_with_cv(two_rows, CalibrationOptions(("lta", "mda")), cv_folds=5)
         assert skipped.cv_metrics is None
@@ -96,15 +96,15 @@ class TestBuildingBlocks:
     def test_missing_feature_model_is_insufficient_data(self, credit_example):
         from mta_engine.errors import InsufficientDataError
 
-        journeys, credits_by_model, campaigns, rct_results = credit_example
+        _, credits_by_model, campaigns, rct_results = credit_example
         only_lta = {"lta": credits_by_model["lta"]}
         with pytest.raises(InsufficientDataError, match="mda"):
-            pipeline.calibration_rows(journeys, only_lta, campaigns, rct_results, ("lta", "mda"))
+            pipeline.calibration_rows(only_lta, campaigns, rct_results, ("lta", "mda"))
 
     def test_model_credit_records_scale_by_units(self):
         journey = mk_journey([mk_tp("t1", ts=T0 - timedelta(days=1))], mk_conv("x1", units=2))
         credits = pipeline.ensemble_credits([journey], ("lta",))
-        (record,) = pipeline.model_credit_records([journey], credits)
+        (record,) = pipeline.model_credit_records(credits)
         assert record.credit == 2.0
         assert record.model == "lta"
 
@@ -112,13 +112,11 @@ class TestBuildingBlocks:
 class TestFigureFixtureThroughPipeline:
     def test_share_vectors_differ_pairwise(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        rows = pipeline.calibration_rows(
-            journeys, credits_by_model, campaigns, rct_results, ("lta", "mda")
-        )
+        rows = pipeline.calibration_rows(credits_by_model, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
         mta = pipeline.score_all(model, journeys, credits_by_model)
         mta_shares = aggregate_shares(mta).shares()
-        records = pipeline.model_credit_records(journeys, credits_by_model)
+        records = pipeline.model_credit_records(credits_by_model)
         lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
         mda_totals = credit_totals((r for r in records if r.model == "mda"), "channel")
         lta_shares = {k: v / 3.0 for k, v in lta_totals.items()}
@@ -130,9 +128,7 @@ class TestFigureFixtureThroughPipeline:
 
     def test_conservation_per_conversion(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        rows = pipeline.calibration_rows(
-            journeys, credits_by_model, campaigns, rct_results, ("lta", "mda")
-        )
+        rows = pipeline.calibration_rows(credits_by_model, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
         weight_sum = sum(model.weights.values())
         mta = pipeline.score_all(model, journeys, credits_by_model)
@@ -150,7 +146,7 @@ def many_conversions(n=50):
             mk_tp(f"l{i}", customer=f"c{i}", channel="Lower", ts=T0 - timedelta(days=1)),
         ]
         journeys.append(mk_journey(tps, mk_conv(f"x{i}", customer=f"c{i}"), customer=f"c{i}"))
-        lta.append(CreditVector(f"x{i}", ((f"u{i}", 0.0), (f"l{i}", 1.0))))
+        lta.append(CreditVector(journeys[-1], (0.0, 1.0)))
     return journeys, {"lta": lta}
 
 
@@ -200,9 +196,7 @@ class TestEndToEndSmoke:
         )
         assert mda is not None
         credits = pipeline.ensemble_credits(attributable, ("lta", "mda"), DecayConfig(), mda)
-        rows = pipeline.calibration_rows(
-            journeys, credits, cfg.campaigns, rct_results, ("lta", "mda")
-        )
+        rows = pipeline.calibration_rows(credits, cfg.campaigns, rct_results, ("lta", "mda"))
         model = pipeline.fit_with_cv(rows, CalibrationOptions(("lta", "mda")), cv_folds=4)
         assert all(w >= 0.0 for w in model.weights.values())
         mta = pipeline.score_all(model, attributable, credits)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mta_engine import rct, rng
 from mta_engine.errors import ConfigError, DegenerateDesignError
 from mta_engine.events import conversion_to_record, touchpoint_to_record
 from mta_engine.rct import (
@@ -170,6 +171,25 @@ class TestEstimateLift:
         assignment = {"c1": TREATMENT, "c2": HOLDOUT}
         result = estimate_lift(assignment, [mk_conv("x1", "c1", T0, units=3)], "campA")
         assert result.conv_treatment == 3.0
+
+
+class TestPopulationHashes:
+    def test_simulate_then_estimate_all_hashes_the_population_once(self, monkeypatch):
+        calls = []
+        id_hashes = rng.id_hashes
+
+        def counting(values):
+            calls.append(len(values))
+            return id_hashes(values)
+
+        monkeypatch.setattr(rng, "id_hashes", counting)
+        rct.population_hashes.cache_clear()
+        cfg = SimConfig(2_000, (spec(), spec("campB", holdout_fraction=0.4)), 0.03, seed=3)
+        _, conversions, _ = simulate(cfg)
+        results = estimate_all(cfg, conversions)
+        assert calls == [2_000]
+        assert set(results) == {"campA", "campB"}
+        assert not rct.population_hashes(2_000).flags.writeable
 
 
 class TestPathConsistency:
