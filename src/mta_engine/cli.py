@@ -54,13 +54,7 @@ from .errors import (
     MissingArtifactError,
     MtaError,
 )
-from .events import (
-    LookbackWindow,
-    build_journeys,
-    conversion_to_record,
-    parse_event_log,
-    touchpoint_to_record,
-)
+from .events import LookbackWindow, build_journeys, parse_event_log
 from .rct import CampaignSpec, RctResult, SimConfig, estimate_all, lift_from_counts, simulate
 
 logger = logging.getLogger(__name__)
@@ -274,12 +268,13 @@ def _run_config_from_dict(
     )
 
 
-def _write_manifest(cfg: RunConfig, command: str, outputs: Sequence[str]) -> Path:
+def _write_manifest(cfg: RunConfig, command: str, outputs: Sequence[str], **blocks: dict) -> Path:
     manifest = {
         "command": command,
         "seed": cfg.seed,
         "config_sha256": cfg.config_hash(),
         "outputs": {name: str(cfg.artifact(name)) for name in outputs},
+        **blocks,
     }
     path = cfg.out_dir / f"manifest_{command}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -343,14 +338,16 @@ def _emit(args, payload: dict, table: str, csv_text: str | None = None) -> None:
 def cmd_simulate(cfg: RunConfig, args) -> int:
     if cfg.sim is None:
         raise ConfigError("config has no 'simulation' section")
-    touchpoints, conversions, ground_truth = simulate(cfg.sim)
+    simulation = simulate(cfg.sim)
+    touchpoints, conversions, ground_truth = simulation
+    # Everything is computed before the first artifact is opened, so a run
+    # that fails leaves the previous run's artifact set whole.
+    results = estimate_all(cfg.sim, conversions)
 
     with cfg.artifact("touchpoints").open("w") as fh:
-        for tp in touchpoints:
-            fh.write(json.dumps(touchpoint_to_record(tp)) + "\n")
+        touchpoints.write_jsonl(fh)
     with cfg.artifact("conversions").open("w") as fh:
-        for conv in conversions:
-            fh.write(json.dumps(conversion_to_record(conv)) + "\n")
+        conversions.write_jsonl(fh)
     with cfg.artifact("ground_truth").open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["campaign_id", "true_incremental", "n_treatment", "n_holdout"])
@@ -358,18 +355,21 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
             writer.writerow(
                 [row.campaign_id, repr(row.true_incremental), row.n_treatment, row.n_holdout]
             )
-    results = estimate_all(cfg.sim, conversions)
     _write_rct_results(results, cfg.artifact("rct_results"))
-    _write_manifest(
-        cfg, "simulate", ["touchpoints", "conversions", "ground_truth", "rct_results"]
-    )
-
     payload = {
         "touchpoints": len(touchpoints),
         "conversions": len(conversions),
         "campaigns": len(cfg.sim.campaigns),
         "rct_campaigns": len(results),
     }
+    _write_manifest(
+        cfg,
+        "simulate",
+        ["touchpoints", "conversions", "ground_truth", "rct_results"],
+        counts={k: v for k, v in payload.items() if k != "campaigns"},
+        diagnostics={"clamped_fraction": simulation.clamped_fraction},
+    )
+
     table = "\n".join(f"{k}: {v}" for k, v in payload.items())
     _emit(args, payload, table)
     return 0

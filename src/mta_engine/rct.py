@@ -11,11 +11,12 @@ campaign available in closed form as a ground-truth table.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -120,8 +121,14 @@ class GroundTruthRow:
     n_holdout: int
 
 
-def customer_ids(n: int) -> list[str]:
-    return [f"C{i:07d}" for i in range(n)]
+_CUSTOMER_ID = "C{:07d}".format
+
+
+@lru_cache(maxsize=1)
+def customer_ids(n: int) -> tuple[str, ...]:
+    """The ids of a simulated population of ``n`` customers, built once per
+    process and size for the hashes and the estimates that share them."""
+    return tuple(map(_CUSTOMER_ID, range(n)))
 
 
 @lru_cache(maxsize=1)
@@ -245,48 +252,161 @@ def _simulate_core(config: SimConfig) -> _SimDraws:
     return _SimDraws(config, campaigns, conv_prob, converted, conv_ms, clamped_fraction)
 
 
-def simulate(
-    config: SimConfig,
-) -> tuple[list[Touchpoint], list[ConversionEvent], list[GroundTruthRow]]:
+# Lines per write when a log streams its JSONL. Each chunk is held about
+# three times over (its lines, their join, the encoded bytes), so the chunk
+# size bounds what writing adds to the simulate stage's peak RSS.
+_CHUNK_ROWS = 2048
+_EPOCH_MS = np.datetime64(SIM_EPOCH.replace(tzinfo=None), "ms")
+# The JSONL text between the two copies of a line's customer id.
+_ID_TO_CUSTOMER = '", "customer_id": "'
+
+
+@dataclass(frozen=True, slots=True)
+class _Source:
+    """What the events of one source (a campaign's views or its clicks, or
+    the conversions) share: the prefix of their ids, the JSONL text before,
+    between and after a line's customer id and timestamp, and the
+    constructor of an event from its customer id and timestamp."""
+
+    id_prefix: str
+    head: str
+    tail: str
+    end: str
+    event: Callable[[str, datetime], Touchpoint | ConversionEvent]
+
+
+def _touchpoint_source(spec: CampaignSpec, kind: InteractionKind) -> _Source:
+    prefix = f"{'K' if kind is InteractionKind.CLICK else 'V'}-{spec.campaign_id}-"
+    labels = (spec.campaign_id, spec.channel, spec.ad_product)
+    campaign, channel, ad_product = map(json.dumps, labels)
+    return _Source(
+        prefix,
+        '{"touchpoint_id": ' + json.dumps(prefix)[:-1],
+        f'", "campaign_id": {campaign}, "channel": {channel}, "ad_product": {ad_product}, '
+        f'"interaction_kind": "{kind.value}", "timestamp": "',
+        'Z"}\n',
+        lambda cid, ts: Touchpoint(prefix + cid, cid, *labels, kind, ts),
+    )
+
+
+_CONVERSIONS = _Source(
+    "X-",
+    '{"conversion_id": "X-',
+    '", "timestamp": "',
+    'Z", "units": 1}\n',
+    lambda cid, ts: ConversionEvent("X-" + cid, cid, ts, 1),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Simulated events as columns, in log order.
+
+    Row ``r`` is an event of ``sources[source[r]]`` for customer index
+    ``customer[r]``, ``ms[r]`` milliseconds after ``SIM_EPOCH``. Iterating
+    yields the event objects; ``write_jsonl`` writes the lines that
+    ``json.dumps`` of their wire records would, without building them.
+    """
+
+    ms: np.ndarray
+    source: np.ndarray
+    customer: np.ndarray
+    sources: tuple[_Source, ...]
+
+    def __len__(self) -> int:
+        return len(self.ms)
+
+    def __iter__(self) -> Iterator[Touchpoint | ConversionEvent]:
+        sources, epoch = self.sources, SIM_EPOCH
+        for s, i, ms in zip(self.source.tolist(), self.customer.tolist(), self.ms.tolist()):
+            yield sources[s].event(_CUSTOMER_ID(i), epoch + timedelta(milliseconds=ms))
+
+    def write_jsonl(self, fh: IO[str]) -> None:
+        """Write one JSONL line per event, ``_CHUNK_ROWS`` lines at a time."""
+        for start in range(0, len(self), _CHUNK_ROWS):
+            rows = slice(start, start + _CHUNK_ROWS)
+            sources = map(self.sources.__getitem__, self.source[rows].tolist())
+            ids = map(_CUSTOMER_ID, self.customer[rows].tolist())
+            stamps = np.datetime_as_string(_EPOCH_MS + self.ms[rows], unit="ms").tolist()
+            fh.write(
+                "".join(
+                    f"{s.head}{cid}{_ID_TO_CUSTOMER}{cid}{s.tail}{ts}{s.end}"
+                    for s, cid, ts in zip(sources, ids, stamps)
+                )
+            )
+
+
+def _touchpoint_log(draws: _SimDraws) -> EventLog:
+    """Every view and click, sorted by (timestamp, touchpoint_id): by
+    millisecond, then by id string among the rows that share one."""
+    sources: list[_Source] = []
+    columns = [(np.empty(0, np.int64),) * 3]
+    for cd in draws.campaigns:
+        for kind, mask, times in (
+            (InteractionKind.VIEW, cd.exposed, cd.view_ms),
+            (InteractionKind.CLICK, cd.clicked, cd.click_ms),
+        ):
+            rows = np.flatnonzero(mask)
+            columns.append((times[rows], np.full(len(rows), len(sources)), rows))
+            sources.append(_touchpoint_source(cd.spec, kind))
+    ms, source, customer = map(np.concatenate, zip(*columns))
+
+    order = np.argsort(ms, kind="stable")
+    bounds = np.flatnonzero(np.diff(ms[order])) + 1
+    starts, ends = np.r_[0, bounds], np.r_[bounds, len(ms)]
+    tied = ends - starts > 1
+    for start, end in zip(starts[tied].tolist(), ends[tied].tolist()):
+        run = order[start:end].tolist()
+        ids = [
+            sources[s].id_prefix + _CUSTOMER_ID(i)
+            for s, i in zip(source[run].tolist(), customer[run].tolist())
+        ]
+        order[start:end] = [r for _, r in sorted(zip(ids, run))]
+    return EventLog(ms[order], source[order], customer[order], tuple(sources))
+
+
+def _conversion_log(draws: _SimDraws) -> EventLog:
+    """Every conversion, sorted by timestamp, then customer index."""
+    rows = np.flatnonzero(draws.converted)
+    order = np.argsort(draws.conv_ms[rows], kind="stable")
+    return EventLog(
+        draws.conv_ms[rows][order], np.zeros(len(rows), np.int64), rows[order], (_CONVERSIONS,)
+    )
+
+
+class Simulation(tuple):
+    """``(touchpoints, conversions, ground_truth)`` of one simulated run, plus
+    ``clamped_fraction``: the share of customers whose conversion
+    probability exceeded 1 and was clamped."""
+
+    clamped_fraction: float
+
+    def __new__(
+        cls,
+        touchpoints: EventLog,
+        conversions: EventLog,
+        ground_truth: list[GroundTruthRow],
+        clamped_fraction: float,
+    ) -> Simulation:
+        self = super().__new__(cls, (touchpoints, conversions, ground_truth))
+        self.clamped_fraction = clamped_fraction
+        return self
+
+
+def simulate(config: SimConfig) -> Simulation:
     """Generate the event log and the exact ground-truth table for a config.
 
     Holdout customers receive no touchpoints from their held-out campaign.
     Each exposure emits one view touchpoint and, with probability
-    ``click_rate``, a click shortly after. Output is sorted by timestamp,
-    then id, and is byte-stable for a fixed config.
+    ``click_rate``, a click shortly after. The touchpoints and conversions
+    are :class:`EventLog` columns that iterate ``Touchpoint`` and
+    ``ConversionEvent`` objects, sorted by timestamp, then id, and
+    byte-stable for a fixed config.
     """
     draws = _simulate_core(config)
-    cids = customer_ids(config.n_customers)
-
-    staged: list[tuple[int, str, int, str, CampaignSpec, InteractionKind]] = []
-    for cd in draws.campaigns:
-        spec = cd.spec
-        for prefix, mask, times, kind in (
-            ("V", cd.exposed, cd.view_ms, InteractionKind.VIEW),
-            ("K", cd.clicked, cd.click_ms, InteractionKind.CLICK),
-        ):
-            indices = np.flatnonzero(mask).tolist()
-            stamps = times[mask].tolist()
-            for i, ms in zip(indices, stamps):
-                cid = cids[i]
-                staged.append((ms, f"{prefix}-{spec.campaign_id}-{cid}", i, cid, spec, kind))
-    staged.sort(key=lambda item: (item[0], item[1]))
-    epoch = SIM_EPOCH
-    touchpoints = [
-        Touchpoint(
-            tp_id, cid, spec.campaign_id, spec.channel, spec.ad_product, kind,
-            epoch + timedelta(milliseconds=ms),
-        )
-        for ms, tp_id, _, cid, spec, kind in staged
-    ]
-
-    conv_indices = np.flatnonzero(draws.converted).tolist()
-    conv_stamps = draws.conv_ms[draws.converted].tolist()
-    conversions = [
-        ConversionEvent(f"X-{cids[i]}", cids[i], epoch + timedelta(milliseconds=ms), 1)
-        for i, ms in sorted(zip(conv_indices, conv_stamps), key=lambda p: (p[1], p[0]))
-    ]
-    return touchpoints, conversions, draws.ground_truth()
+    return Simulation(
+        _touchpoint_log(draws), _conversion_log(draws), draws.ground_truth(), draws.clamped_fraction
+    )
 
 
 def lift_from_counts(

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from mta_engine import attribution
-from mta_engine.cli import ARTIFACTS, main
+from mta_engine import attribution, rct
+from mta_engine.cli import ARTIFACTS, load_run_config, main
 
 
 def base_config(out_dir: Path, **overrides) -> dict:
@@ -257,6 +257,59 @@ class TestFullPipeline:
         shares = json.loads((out / "attribution_shares.json").read_text())
         assert shares["unattributed_conversions"] == summary["unattributed_conversions"]
         assert summary["conversions"] == summary["attributed_conversions"] + summary["unattributed_conversions"]
+
+
+class TestSimulateStage:
+    def test_failed_run_leaves_the_previous_artifacts(self, workspace, tmp_path, capsys):
+        cfg_path, out = workspace
+        assert run("simulate", "--config", cfg_path) == 0
+        first = {path.name: path.read_bytes() for path in out.iterdir()}
+        config = base_config(out)
+        config["simulation"]["n_customers"] = 2
+        for campaign in config["simulation"]["campaigns"]:
+            campaign["holdout_fraction"] = 0.01
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run("simulate", "--config", bad) == 1
+        assert capsys.readouterr().err.startswith("DegenerateDesignError:")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+    def test_builds_no_touchpoint_objects(self, workspace, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Touchpoint built on the simulate stage")
+
+        monkeypatch.setattr(rct, "Touchpoint", forbidden)
+        cfg_path, out = workspace
+        assert run("simulate", "--config", cfg_path) == 0
+        assert (out / "touchpoints.jsonl").stat().st_size > 0
+
+    @pytest.mark.parametrize("baseline, clamped", [(0.02, False), (0.9, True)])
+    def test_manifest_records_counts_and_clamped_fraction(
+        self, tmp_path, capsys, baseline, clamped
+    ):
+        out = tmp_path / "out"
+        config = base_config(out)
+        config["simulation"]["baseline_conversion_rate"] = baseline
+        config["simulation"]["campaigns"][0].update(exposure_rate=1.0, true_lift=0.5)
+        config["simulation"]["campaigns"][-1]["is_rct"] = False
+        cfg_path = write_config(tmp_path, config)
+        assert run("simulate", "--config", cfg_path, "--format", "json") == 0
+        summary = json.loads(capsys.readouterr().out)
+        manifest = json.loads((out / "manifest_simulate.json").read_text())
+        assert manifest["counts"] == {
+            "touchpoints": len((out / "touchpoints.jsonl").read_bytes().splitlines()),
+            "conversions": len((out / "conversions.jsonl").read_bytes().splitlines()),
+            "rct_campaigns": 5,
+        }
+        assert {k: summary[k] for k in manifest["counts"]} == manifest["counts"]
+        fraction = manifest["diagnostics"]["clamped_fraction"]
+        sim = load_run_config(cfg_path, None, None).sim
+        assert fraction == rct.simulate(sim).clamped_fraction
+        assert (fraction > 0.4) if clamped else (fraction == 0.0)
+        first = (out / "manifest_simulate.json").read_bytes()
+        assert run("simulate", "--config", cfg_path) == 0
+        assert (out / "manifest_simulate.json").read_bytes() == first
 
 
 class TestFitEnsemble:
