@@ -55,9 +55,11 @@ from .events import (
     ConversionEvent,
     InteractionKind,
     Journey,
+    Journeys,
     LookbackWindow,
     ParseResult,
     Touchpoint,
+    TouchpointTable,
     build_journeys,
     parse_event_log,
 )

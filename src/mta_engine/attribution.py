@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataIntegrityError, DegenerateLabelsError, NoTouchpointsError
-from .events import InteractionKind, Journey, Touchpoint
+from .events import InteractionKind, Journey, Journeys, Touchpoint
 
 MODEL_LTA = "lta"
 MODEL_LINEAR = "linear"
@@ -203,8 +203,55 @@ def _feature_vector(
 
 def feature_names_for(journeys: Iterable[Journey]) -> tuple[str, ...]:
     """The canonical MDA feature order induced by a training set."""
-    channels = sorted({tp.channel for j in journeys for tp in j.touchpoints})
+    journeys = Journeys.of(journeys)
+    table = journeys.table
+    channels = [
+        channel
+        for code, channel in enumerate(table.channels)
+        if _row_counts(journeys, table.channel == code).any()
+    ]
     return _BASE_FEATURES + tuple(f"channel_count:{c}" for c in channels)
+
+
+def _row_counts(journeys: Journeys, mask: np.ndarray) -> np.ndarray:
+    """How many of each journey's rows ``mask`` (over table rows) selects,
+    as a difference of prefix sums."""
+    prefix = np.concatenate([[0], np.cumsum(mask[journeys.rows])])
+    return prefix[journeys.stop] - prefix[journeys.start]
+
+
+def _feature_matrix(feature_names: Sequence[str], journeys: Journeys) -> np.ndarray:
+    """Row i is ``_feature_vector`` of journey i, computed from the journeys'
+    rows without building journey objects."""
+    table = journeys.table
+    n_touchpoints = journeys.stop - journeys.start
+    n_clicks = _row_counts(journeys, table.is_click)
+    # A journey's rows are in time order, so its last row is its latest.
+    dated = journeys.converted & (n_touchpoints > 0)
+    recency = np.zeros(len(journeys))
+    if dated.any():
+        last_us = table.ts_us[journeys.rows[journeys.stop[dated] - 1]]
+        age_s = (journeys.conversion_us[dated] - last_us).astype(np.float64) / 1e6
+        recency[dated] = np.maximum(age_s / _SECONDS_PER_DAY, 0.0)
+    channel_code = {c: i for i, c in enumerate(table.channels)}
+
+    X = np.zeros((len(journeys), len(feature_names)))
+    for i, name in enumerate(feature_names):
+        if name == "n_touchpoints":
+            X[:, i] = n_touchpoints
+        elif name == "n_views":
+            X[:, i] = n_touchpoints - n_clicks
+        elif name == "n_clicks":
+            X[:, i] = n_clicks
+        elif name == "recency_days":
+            X[:, i] = recency
+        elif name.startswith("channel_count:"):
+            code = channel_code.get(name.split(":", 1)[1])
+            if code is not None:
+                X[:, i] = _row_counts(journeys, table.channel == code)
+        else:
+            raise ValueError(f"unknown MDA feature {name!r}")
+    return X
 
 
 def _require_touchpoints(journey: Journey) -> None:
@@ -257,13 +304,14 @@ def train_mda(journeys: Sequence[Journey], hyper: MdaHyperparams = MdaHyperparam
     """
     if hyper.learning_rate <= 0 or hyper.iterations < 1:
         raise ValueError("learning_rate must be > 0 and iterations >= 1")
-    labels = np.array([1.0 if j.converted else 0.0 for j in journeys])
+    journeys = Journeys.of(journeys)
+    labels = journeys.converted.astype(np.float64)
     if len(labels) == 0 or labels.min() == labels.max():
         raise DegenerateLabelsError(
             "training needs at least one converting and one non-converting journey"
         )
     names = feature_names_for(journeys)
-    X = np.array([_feature_vector(names, j.touchpoints, j.conversion) for j in journeys])
+    X = _feature_matrix(names, journeys)
     n, k = X.shape
 
     # Smoothness bound for the log-loss: L <= mean ||(x, 1)||^2 / 4, so a step

@@ -287,15 +287,29 @@ def _open_input(path: Path) -> IO[str]:
     return path.open()
 
 
+def _parse_input(path: Path):
+    """Parse an event log, as CSV when its name ends in ``.csv``, else as JSONL."""
+    with _open_input(path) as fh:
+        return parse_event_log(fh, "csv" if path.suffix.lower() == ".csv" else "jsonl")
+
+
 def _load_journeys(cfg: RunConfig):
-    """Every journey of the event log, the attributable ones, and the count of
-    unattributed conversions."""
-    with _open_input(cfg.artifact("touchpoints")) as fh:
-        touchpoints = parse_event_log(fh, "jsonl").touchpoints
-    with _open_input(cfg.artifact("conversions")) as fh:
-        conversions = parse_event_log(fh, "jsonl").conversions
-    journeys = build_journeys(touchpoints, conversions, cfg.lookback)
-    return (journeys, *pipeline.split_attributable(journeys))
+    """Every journey of the event logs, the attributable ones, and the
+    manifest's ``counts`` block: records read, lines skipped, journeys, and
+    attributable and unattributed conversions."""
+    touchpoints = _parse_input(cfg.artifact("touchpoints"))
+    conversions = _parse_input(cfg.artifact("conversions"))
+    journeys = build_journeys(touchpoints.touchpoints, conversions.conversions, cfg.lookback)
+    attributable, unattributed = pipeline.split_attributable(journeys)
+    counts = {
+        "touchpoints": len(touchpoints.touchpoints),
+        "conversions": len(conversions.conversions),
+        "lines_skipped": touchpoints.skipped + conversions.skipped,
+        "journeys": len(journeys),
+        "attributable_conversions": len(attributable),
+        "unattributed_conversions": unattributed,
+    }
+    return journeys, attributable, counts
 
 
 def _write_rct_results(results: dict[str, RctResult], path: Path) -> None:
@@ -379,7 +393,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     if cfg.sim is None:
         raise ConfigError("config has no 'simulation' section (campaign list is required to fit)")
     rct_results = _read_rct_results(cfg.artifact("rct_results"))
-    journeys, attributable, unattributed = _load_journeys(cfg)
+    journeys, attributable, counts = _load_journeys(cfg)
 
     mda = pipeline.train_attributor(journeys, cfg.mda_hyper, cfg.mda_max_negatives)
     credits_by_model = pipeline.ensemble_credits(
@@ -398,13 +412,13 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     outputs = ["calibration_model", "campaign_features"]
     if mda is not None:
         outputs.append("mda_model")
-    _write_manifest(cfg, "fit", outputs)
+    _write_manifest(cfg, "fit", outputs, counts=counts)
 
     payload = {
         "weights": {g: dict(zip(model.feature_names, w)) for g, w in model.weights_by_group.items()},
         "diagnostics": model.fit_diagnostics,
         "cv_metrics": model.cv_metrics,
-        "unattributed_conversions": unattributed,
+        "unattributed_conversions": counts["unattributed_conversions"],
     }
     lines = ["group  model  weight"]
     for group in sorted(model.weights_by_group):
@@ -420,7 +434,8 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
     mda_path = cfg.artifact("mda_model")
     mda = MdaModel.from_json(mda_path.read_text()) if mda_path.exists() else None
 
-    journeys, attributable, unattributed = _load_journeys(cfg)
+    _, attributable, counts = _load_journeys(cfg)
+    unattributed = counts["unattributed_conversions"]
     credits_by_model = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
     mta_credits = pipeline.score_all(model, attributable, credits_by_model)
     records = pipeline.model_credit_records(credits_by_model)
@@ -434,13 +449,15 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
         writer.writerow(["model", *MTA_CREDIT_COLUMNS])
         writer.writerows(map(attrgetter("model", *MTA_CREDIT_COLUMNS), records))
     summary = {
-        "conversions": sum(1 for j in journeys if j.converted),
+        "conversions": len(attributable) + unattributed,
         "attributed_conversions": len(attributable),
         "unattributed_conversions": unattributed,
         "mta_credit_rows": len(mta_credits),
     }
     cfg.artifact("attribution_summary").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    _write_manifest(cfg, "attribute", ["mta_credits", "model_credits", "attribution_summary"])
+    _write_manifest(
+        cfg, "attribute", ["mta_credits", "model_credits", "attribution_summary"], counts=counts
+    )
     _emit(args, summary, "\n".join(f"{k}: {v}" for k, v in summary.items()))
     return 0
 

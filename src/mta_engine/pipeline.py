@@ -33,7 +33,7 @@ from .calibration import (
 )
 from .credits import score_all  # noqa: F401  -- the CLI scores through pipeline.score_all
 from .errors import DegenerateLabelsError, InsufficientDataError
-from .events import Journey
+from .events import Journey, Journeys
 from .rct import CampaignSpec, RctResult
 
 logger = logging.getLogger(__name__)
@@ -54,23 +54,28 @@ class ModelCredit:
 
 def split_attributable(journeys: Sequence[Journey]) -> tuple[list[Journey], int]:
     """Converting journeys with at least one in-window touchpoint, plus the
-    count of conversions left unattributed (no eligible touchpoints)."""
-    attributable = [j for j in journeys if j.converted and j.touchpoints]
-    unattributed = sum(1 for j in journeys if j.converted and not j.touchpoints)
+    count of conversions left unattributed (no eligible touchpoints). Only
+    the attributable journeys are built as objects."""
+    journeys = Journeys.of(journeys)
+    has_touchpoints = journeys.stop > journeys.start
+    attributable = journeys.take(np.flatnonzero(journeys.converted & has_touchpoints))
+    unattributed = int(np.count_nonzero(journeys.converted & ~has_touchpoints))
     return attributable, unattributed
 
 
 def mda_training_set(
     journeys: Sequence[Journey], max_negatives: int | None = None, seed: int = 0
-) -> list[Journey]:
+) -> Journeys:
     """Training rows for the MDA: all converting journeys plus (optionally
-    capped, seeded subsample of) non-converting ones."""
-    positives = [j for j in journeys if j.converted]
-    negatives = [j for j in journeys if not j.converted]
+    capped, seeded subsample of) non-converting ones, selected without
+    building journey objects."""
+    journeys = Journeys.of(journeys)
+    positives = np.flatnonzero(journeys.converted)
+    negatives = np.flatnonzero(~journeys.converted)
     if max_negatives is not None and len(negatives) > max_negatives:
         keep = np.random.default_rng(seed).choice(len(negatives), max_negatives, replace=False)
-        negatives = [negatives[i] for i in sorted(keep)]
-    return positives + negatives
+        negatives = negatives[np.sort(keep)]
+    return journeys.select(np.concatenate([positives, negatives]))
 
 
 def train_attributor(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DegenerateDesignError
-from .events import ConversionEvent, InteractionKind, Touchpoint
+from .events import ConversionEvent, InteractionKind, Touchpoint, TouchpointTable, label_codes
 
 logger = logging.getLogger(__name__)
 
@@ -265,14 +265,17 @@ _ID_TO_CUSTOMER = '", "customer_id": "'
 class _Source:
     """What the events of one source (a campaign's views or its clicks, or
     the conversions) share: the prefix of their ids, the JSONL text before,
-    between and after a line's customer id and timestamp, and the
-    constructor of an event from its customer id and timestamp."""
+    between and after a line's customer id and timestamp, the constructor
+    of an event from its customer id and timestamp, and for touchpoints
+    their (campaign_id, channel, ad_product) and kind."""
 
     id_prefix: str
     head: str
     tail: str
     end: str
     event: Callable[[str, datetime], Touchpoint | ConversionEvent]
+    labels: tuple[str, str, str] = ("", "", "")
+    kind: InteractionKind = InteractionKind.VIEW
 
 
 def _touchpoint_source(spec: CampaignSpec, kind: InteractionKind) -> _Source:
@@ -286,6 +289,8 @@ def _touchpoint_source(spec: CampaignSpec, kind: InteractionKind) -> _Source:
         f'"interaction_kind": "{kind.value}", "timestamp": "',
         'Z"}\n',
         lambda cid, ts: Touchpoint(prefix + cid, cid, *labels, kind, ts),
+        labels,
+        kind,
     )
 
 
@@ -320,6 +325,29 @@ class EventLog:
         sources, epoch = self.sources, SIM_EPOCH
         for s, i, ms in zip(self.source.tolist(), self.customer.tolist(), self.ms.tolist()):
             yield sources[s].event(_CUSTOMER_ID(i), epoch + timedelta(milliseconds=ms))
+
+    def touchpoint_table(self) -> TouchpointTable:
+        """This log's touchpoints as a table, built from the columns without
+        event objects."""
+        sources = self.sources
+        seen = np.bincount(self.customer) > 0
+        person = (np.cumsum(seen) - 1)[self.customer]
+        names = list(map(_CUSTOMER_ID, np.flatnonzero(seen).tolist()))
+        prefixes = [s.id_prefix for s in sources]
+        ids = [prefixes[s] + names[p] for s, p in zip(self.source.tolist(), person.tolist())]
+        customer, customers = label_codes(names)
+        labels = [label_codes([s.labels[k] for s in sources]) for k in range(3)]
+        is_click = np.array([s.kind is InteractionKind.CLICK for s in sources], dtype=bool)
+        stamps = (_EPOCH_MS + self.ms).astype("datetime64[us]")
+        return TouchpointTable(
+            ids,
+            customer[person],
+            *(codes[self.source] for codes, _ in labels),
+            is_click[self.source],
+            stamps.view(np.int64),
+            customers,
+            *(vocabulary for _, vocabulary in labels),
+        )
 
     def write_jsonl(self, fh: IO[str]) -> None:
         """Write one JSONL line per event, ``_CHUNK_ROWS`` lines at a time."""

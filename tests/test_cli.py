@@ -6,6 +6,7 @@ import pytest
 
 from mta_engine import attribution, rct
 from mta_engine.cli import ARTIFACTS, load_run_config, main
+from mta_engine.events import CONVERSION_FIELDS, TOUCHPOINT_FIELDS
 
 
 def base_config(out_dir: Path, **overrides) -> dict:
@@ -328,6 +329,81 @@ class TestFitEnsemble:
         with (out / "model_credits.csv").open() as fh:
             models = {row["model"] for row in csv.DictReader(fh)}
         assert models == {"lta", "linear", "decay", "mda"}
+
+
+def jsonl_to_csv(source: Path, target: Path, fields) -> None:
+    """Rewrite a JSONL event log as a CSV log with the given header."""
+    with target.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        for line in source.read_text().splitlines():
+            record = json.loads(line)
+            writer.writerow([record[f] for f in fields])
+
+
+class TestEventLogInputs:
+    def test_csv_logs_at_the_configured_paths_are_read_as_csv(self, tmp_path):
+        # A CSV touchpoint log used to be parsed as JSONL: every line was
+        # skipped, MDA training had no labels and fit exited 3.
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, base_config(out))
+        for command in ("simulate", "fit", "attribute"):
+            assert run(command, "--config", cfg_path) == 0
+        from_jsonl = {name: (out / name).read_bytes() for name in (
+            "calibration_model.json", "mda_model.json", "campaign_features.csv",
+            "mta_credits.csv", "model_credits.csv", "attribution_summary.json",
+        )}
+        csv_dir = tmp_path / "csv"
+        csv_dir.mkdir()
+        jsonl_to_csv(out / "touchpoints.jsonl", csv_dir / "touchpoints.csv", TOUCHPOINT_FIELDS)
+        jsonl_to_csv(out / "conversions.jsonl", csv_dir / "conversions.CSV", CONVERSION_FIELDS)
+        config = base_config(out)
+        config["paths"] = {
+            "touchpoints": str(csv_dir / "touchpoints.csv"),
+            "conversions": str(csv_dir / "conversions.CSV"),
+        }
+        cfg_path = write_config(tmp_path, config)
+        for path in out.iterdir():
+            if path.name in from_jsonl:
+                path.unlink()
+        for command in ("fit", "attribute"):
+            assert run(command, "--config", cfg_path) == 0, command
+        assert {name: (out / name).read_bytes() for name in from_jsonl} == from_jsonl
+        manifest = json.loads((out / "manifest_fit.json").read_text())
+        assert manifest["counts"]["lines_skipped"] == 0
+
+    def test_fit_and_attribute_manifests_record_counts(self, workspace, capsys):
+        cfg_path, out = workspace
+        assert run("simulate", "--config", cfg_path) == 0
+        with (out / "touchpoints.jsonl").open("a") as fh:
+            fh.write("{not json\n\n")
+        for command in ("fit", "attribute"):
+            assert run(command, "--config", cfg_path) == 0
+        capsys.readouterr()
+        summary = json.loads((out / "attribution_summary.json").read_text())
+        touchpoint_lines = (out / "touchpoints.jsonl").read_text().splitlines()
+        expected = {
+            "touchpoints": len(touchpoint_lines) - 2,
+            "conversions": len((out / "conversions.jsonl").read_bytes().splitlines()),
+            "lines_skipped": 1,
+            "attributable_conversions": summary["attributed_conversions"],
+            "unattributed_conversions": summary["unattributed_conversions"],
+        }
+        customers = {json.loads(line)["customer_id"] for line in touchpoint_lines[:-2]}
+        for command in ("fit", "attribute"):
+            manifest = json.loads((out / f"manifest_{command}.json").read_text())
+            counts = manifest["counts"]
+            assert {k: counts[k] for k in expected} == expected
+            # One journey per conversion plus one per touched customer who never converted.
+            assert counts["journeys"] == summary["conversions"] + len(customers - _converters(out))
+            first = (out / f"manifest_{command}.json").read_bytes()
+            assert run(command, "--config", cfg_path) == 0
+            assert (out / f"manifest_{command}.json").read_bytes() == first
+
+
+def _converters(out: Path) -> set[str]:
+    lines = (out / "conversions.jsonl").read_text().splitlines()
+    return {json.loads(line)["customer_id"] for line in lines}
 
 
 class TestPaperMirrorConfig:

@@ -270,14 +270,14 @@ class TestAgainstIdKeyedReferences:
         shuffled = list(touchpoints)
         random.Random(3).shuffle(shuffled)
         journeys = build_journeys(shuffled, conversions, window)
-        assert journeys == build_journeys(touchpoints, conversions, window)
+        assert list(journeys) == list(build_journeys(touchpoints, conversions, window))
         attributable, _ = pipeline.split_attributable(journeys)
         # The references get each journey's touchpoints in their shuffled order.
-        position = {id(tp): i for i, tp in enumerate(shuffled)}
+        position = {tp.touchpoint_id: i for i, tp in enumerate(shuffled)}
         raw_journeys = [
             RawJourney(
                 j.customer_id,
-                tuple(sorted(j.touchpoints, key=lambda t: position[id(t)])),
+                tuple(sorted(j.touchpoints, key=lambda t: position[t.touchpoint_id])),
                 j.conversion,
             )
             for j in attributable

@@ -67,7 +67,7 @@ class TestTimestamps:
 class TestParseJsonl:
     def test_empty_stream(self):
         result = parse_event_log([])
-        assert result.touchpoints == [] and result.conversions == []
+        assert list(result.touchpoints) == [] and result.conversions == []
         assert result.skipped == 0
 
     def test_missing_timestamp_is_skipped_with_line_number(self):
@@ -89,7 +89,7 @@ class TestParseJsonl:
 
     def test_unknown_interaction_kind_diagnostic(self):
         result = parse_event_log([tp_line("t1", interaction_kind="hover")])
-        assert result.touchpoints == []
+        assert list(result.touchpoints) == []
         assert result.skipped == 1
         assert "interaction_kind" in result.diagnostics[0]
 
@@ -200,14 +200,14 @@ class TestBuildJourneys:
             mk_conv("x1", customer="c0", ts=T0 + timedelta(days=1)),
             mk_conv("x0", customer="c0", ts=T0 + timedelta(days=1)),
         ]
-        a = build_journeys(tps, convs, WEEK)
-        b = build_journeys(list(reversed(tps)), list(reversed(convs)), WEEK)
+        a = list(build_journeys(tps, convs, WEEK))
+        b = list(build_journeys(list(reversed(tps)), list(reversed(convs)), WEEK))
         assert a == b
         keys = [(j.customer_id, j.conversion.conversion_id if j.conversion else "") for j in a]
         assert keys == sorted(keys)
 
     def test_empty_inputs(self):
-        assert build_journeys([], [], WEEK) == []
+        assert list(build_journeys([], [], WEEK)) == []
 
     def test_duplicate_touchpoint_id_rejected(self):
         tps = [mk_tp("t1", customer="c1"), mk_tp("t2"), mk_tp("t1", customer="c2")]
@@ -267,8 +267,8 @@ class TestJourneyProperties:
         shuffled_tps, shuffled_convs = list(tps), list(convs)
         rnd.shuffle(shuffled_tps)
         rnd.shuffle(shuffled_convs)
-        assert build_journeys(tps, convs, WEEK) == build_journeys(
-            shuffled_tps, shuffled_convs, WEEK
+        assert list(build_journeys(tps, convs, WEEK)) == list(
+            build_journeys(shuffled_tps, shuffled_convs, WEEK)
         )
 
 

@@ -53,7 +53,7 @@ class TestBuildingBlocks:
         ]
         a = pipeline.mda_training_set(journeys, max_negatives=10, seed=4)
         b = pipeline.mda_training_set(journeys, max_negatives=10, seed=4)
-        assert a == b
+        assert list(a) == list(b)
         assert sum(1 for j in a if not j.converted) == 10
         assert sum(1 for j in a if j.converted) == 1
 
