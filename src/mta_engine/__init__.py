@@ -37,8 +37,6 @@ from .credits import (
     MtaCredit,
     ShareRow,
     aggregate_shares,
-    per_conversion_total,
-    score_touchpoints,
 )
 from .errors import (
     ConfigError,
@@ -50,6 +48,7 @@ from .errors import (
     MtaError,
     NoTouchpointsError,
     ParseError,
+    UnusableArtifactError,
 )
 from .events import (
     ConversionEvent,
@@ -63,7 +62,7 @@ from .events import (
     build_journeys,
     parse_event_log,
 )
-from .nnls import nnls, nnls_brute_force
+from .nnls import nnls
 from .rct import (
     CampaignSpec,
     GroundTruthRow,

@@ -52,9 +52,6 @@ class CreditVector:
                 f"touchpoint(s) of conversion {self.journey.conversion.conversion_id!r}"
             )
 
-    def as_dict(self) -> dict[str, float]:
-        return {tp.touchpoint_id: c for tp, c in zip(self.journey.touchpoints, self.credits)}
-
 
 @dataclass(frozen=True, slots=True)
 class DecayConfig:
@@ -104,13 +101,6 @@ class MdaModel:
             raise ValueError("feature_names and weights must have equal length")
         if not all(math.isfinite(w) for w in self.weights) or not math.isfinite(self.bias):
             raise ValueError("MDA weights must be finite")
-
-    def features(self, journey: Journey) -> np.ndarray:
-        """Feature vector for a journey."""
-        return _feature_vector(self.feature_names, journey.touchpoints, journey.conversion)
-
-    def predict_proba(self, journey: Journey) -> float:
-        return self._proba(self.features(journey))
 
     def _proba(self, x: np.ndarray) -> float:
         return _sigmoid(float(np.dot(x, self.weights) + self.bias))
@@ -170,87 +160,62 @@ def _recency_days(touchpoints: Sequence[Touchpoint], conversion) -> float:
     return max(0.0, (reference - last_ts).total_seconds() / _SECONDS_PER_DAY)
 
 
-def _feature_vector(
-    feature_names: Sequence[str],
-    touchpoints: Sequence[Touchpoint],
-    conversion,
+def _touchpoint_columns(
+    feature_names: Sequence[str], is_click: np.ndarray, channel: np.ndarray
 ) -> np.ndarray:
-    x = np.zeros(len(feature_names))
-    recency = _recency_days(touchpoints, conversion)
-    channel_counts: dict[str, int] = {}
-    n_views = n_clicks = 0
-    for tp in touchpoints:
-        channel_counts[tp.channel] = channel_counts.get(tp.channel, 0) + 1
-        if tp.interaction_kind is InteractionKind.CLICK:
-            n_clicks += 1
-        else:
-            n_views += 1
+    """Row i is touchpoint i's contribution to each MDA feature: 1 or 0 for
+    every count feature, and 0 for ``recency_days``, which is no sum."""
+    columns = np.zeros((len(is_click), len(feature_names)))
     for i, name in enumerate(feature_names):
         if name == "n_touchpoints":
-            x[i] = len(touchpoints)
+            columns[:, i] = 1.0
         elif name == "n_views":
-            x[i] = n_views
+            columns[:, i] = ~is_click
         elif name == "n_clicks":
-            x[i] = n_clicks
-        elif name == "recency_days":
-            x[i] = recency
+            columns[:, i] = is_click
         elif name.startswith("channel_count:"):
-            x[i] = channel_counts.get(name.split(":", 1)[1], 0)
-        else:
+            columns[:, i] = channel == name.split(":", 1)[1]
+        elif name != "recency_days":
             raise ValueError(f"unknown MDA feature {name!r}")
-    return x
+    return columns
 
 
 def feature_names_for(journeys: Iterable[Journey]) -> tuple[str, ...]:
-    """The canonical MDA feature order induced by a training set."""
+    """The canonical MDA feature order induced by a training set: the base
+    features, then a count of each channel some journey holds."""
     journeys = Journeys.of(journeys)
-    table = journeys.table
-    channels = [
-        channel
-        for code, channel in enumerate(table.channels)
-        if _row_counts(journeys, table.channel == code).any()
-    ]
-    return _BASE_FEATURES + tuple(f"channel_count:{c}" for c in channels)
-
-
-def _row_counts(journeys: Journeys, mask: np.ndarray) -> np.ndarray:
-    """How many of each journey's rows ``mask`` (over table rows) selects,
-    as a difference of prefix sums."""
-    prefix = np.concatenate([[0], np.cumsum(mask[journeys.rows])])
-    return prefix[journeys.stop] - prefix[journeys.start]
+    candidates = tuple(f"channel_count:{c}" for c in journeys.table.channels)
+    held = _feature_matrix(candidates, journeys).any(axis=0)
+    return _BASE_FEATURES + tuple(name for name, h in zip(candidates, held) if h)
 
 
 def _feature_matrix(feature_names: Sequence[str], journeys: Journeys) -> np.ndarray:
-    """Row i is ``_feature_vector`` of journey i, computed from the journeys'
-    rows without building journey objects."""
+    """Row i is the feature vector of journey i: the sum of the touchpoint
+    columns of its rows, plus its recency."""
     table = journeys.table
-    n_touchpoints = journeys.stop - journeys.start
-    n_clicks = _row_counts(journeys, table.is_click)
+    # Every row is one of the table's few (kind, channel) pairs, numbered
+    # is_click * n_channels + channel, so the kernel runs once per pair; a
+    # journey's sum of a column is a difference of prefix sums over its rows.
+    channels = np.array(table.channels, dtype=str)
+    pairs = _touchpoint_columns(
+        feature_names, np.repeat([False, True], len(channels)), np.tile(channels, 2)
+    )
+    pair = table.is_click[journeys.rows] * len(channels) + table.channel[journeys.rows]
+    X = np.zeros((len(journeys), len(feature_names)))
+    prefix = np.zeros(len(pair) + 1)
+    for i, column in enumerate(pairs.T):
+        np.cumsum(column[pair], out=prefix[1:])
+        X[:, i] = prefix[journeys.stop] - prefix[journeys.start]
+
     # A journey's rows are in time order, so its last row is its latest.
-    dated = journeys.converted & (n_touchpoints > 0)
+    dated = journeys.converted & (journeys.stop > journeys.start)
     recency = np.zeros(len(journeys))
     if dated.any():
         last_us = table.ts_us[journeys.rows[journeys.stop[dated] - 1]]
         age_s = (journeys.conversion_us[dated] - last_us).astype(np.float64) / 1e6
         recency[dated] = np.maximum(age_s / _SECONDS_PER_DAY, 0.0)
-    channel_code = {c: i for i, c in enumerate(table.channels)}
-
-    X = np.zeros((len(journeys), len(feature_names)))
-    for i, name in enumerate(feature_names):
-        if name == "n_touchpoints":
-            X[:, i] = n_touchpoints
-        elif name == "n_views":
-            X[:, i] = n_touchpoints - n_clicks
-        elif name == "n_clicks":
-            X[:, i] = n_clicks
-        elif name == "recency_days":
-            X[:, i] = recency
-        elif name.startswith("channel_count:"):
-            code = channel_code.get(name.split(":", 1)[1])
-            if code is not None:
-                X[:, i] = _row_counts(journeys, table.channel == code)
-        else:
-            raise ValueError(f"unknown MDA feature {name!r}")
+    is_recency = np.array([name == "recency_days" for name in feature_names], dtype=bool)
+    X[:, is_recency] = recency[:, None]
     return X
 
 
@@ -352,35 +317,26 @@ def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
     if no removal lowers the probability the credit falls back to uniform.
 
     The features are counts plus the recency of the latest touchpoint, so
-    removing touchpoint i subtracts its indicator row from the full vector;
-    recency changes only when i is the unique latest touchpoint, and is then
-    recomputed from the remaining touchpoints. Every row is scored with
-    the same scalar arithmetic as the full vector, so the credits equal those
-    of rebuilding each leave-one-out vector from scratch, in O(n) per journey.
+    the full vector is the sum of the touchpoint columns and removing
+    touchpoint i subtracts its row of them; recency changes only when i is
+    the unique latest touchpoint, and is then recomputed from the remaining
+    touchpoints. Every row is scored with the same scalar arithmetic as the
+    full vector, so the credits equal those of rebuilding each leave-one-out
+    vector from scratch, in O(n) per journey.
     """
     _require_touchpoints(journey)
     tps = journey.touchpoints
-    names = model.feature_names
-    x = _feature_vector(names, tps, journey.conversion)
-
-    is_click = np.array([tp.interaction_kind is InteractionKind.CLICK for tp in tps])
-    channels = np.array([tp.channel for tp in tps])
-    removed = np.zeros((len(tps), len(names)))
-    recency_columns = []
-    for i, name in enumerate(names):
-        if name == "n_touchpoints":
-            removed[:, i] = 1.0
-        elif name == "n_views":
-            removed[:, i] = ~is_click
-        elif name == "n_clicks":
-            removed[:, i] = is_click
-        elif name == "recency_days":
-            recency_columns.append(i)
-        elif name.startswith("channel_count:"):
-            removed[:, i] = channels == name.split(":", 1)[1]
-    loo = x - removed
+    columns = _touchpoint_columns(
+        model.feature_names,
+        np.array([tp.interaction_kind is InteractionKind.CLICK for tp in tps]),
+        np.array([tp.channel for tp in tps]),
+    )
+    recency = np.array([name == "recency_days" for name in model.feature_names], dtype=bool)
+    x = columns.sum(axis=0)
+    x[recency] = _recency_days(tps, journey.conversion)
+    loo = x - columns
     if len(tps) == 1 or tps[-1].timestamp != tps[-2].timestamp:
-        loo[-1, recency_columns] = _recency_days(tps[:-1], journey.conversion)
+        loo[-1, recency] = _recency_days(tps[:-1], journey.conversion)
 
     # Per-row np.dot, not loo @ weights: a batched product sums in another
     # order and moves credits in their last bits.

@@ -187,26 +187,6 @@ def feature_rows_to_csv(rows: Sequence[CampaignFeatureRow], stream: IO[str]) -> 
         )
 
 
-def feature_rows_from_csv(stream: IO[str]) -> list[CampaignFeatureRow]:
-    reader = csv.reader(stream)
-    header = next(reader)
-    names = header[2:-2]
-    rows = []
-    for record in reader:
-        if not record:
-            continue
-        rows.append(
-            CampaignFeatureRow(
-                campaign_id=record[0],
-                channel=record[1],
-                features={name: float(v) for name, v in zip(names, record[2:-2])},
-                target=float(record[-2]) if record[-2] else None,
-                target_std_error=float(record[-1]) if record[-1] else None,
-            )
-        )
-    return rows
-
-
 def _resolve_feature_names(
     rows: Sequence[CampaignFeatureRow], options: CalibrationOptions
 ) -> tuple[str, ...]:

@@ -16,8 +16,8 @@ seed), --out DIR (overrides the output directory), --format {json,csv,table}
 (error|warn|info|debug).
 
 Exit codes: 0 success; 2 invalid config; 3 insufficient calibration data;
-4 missing input artifact; 1 other pipeline errors. Failures print a single
-``ErrorClass: message`` line to stderr.
+4 missing or unusable input artifact; 1 other pipeline errors. Failures
+print a single ``ErrorClass: message`` line to stderr.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timedelta
 from itertools import groupby
 from operator import attrgetter, getitem, itemgetter
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 from . import pipeline
 from .attribution import MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams, MdaModel
@@ -53,15 +54,20 @@ from .errors import (
     InsufficientDataError,
     MissingArtifactError,
     MtaError,
+    UnusableArtifactError,
 )
 from .events import LookbackWindow, build_journeys, parse_event_log
 from .rct import CampaignSpec, RctResult, SimConfig, estimate_all, lift_from_counts, simulate
 
 logger = logging.getLogger(__name__)
 
-EXIT_CONFIG = 2
-EXIT_INSUFFICIENT_DATA = 3
-EXIT_MISSING_ARTIFACT = 4
+# The exit code of each error a command reports; any other MtaError exits 1.
+EXIT_CODES = {
+    ConfigError: 2,
+    InsufficientDataError: 3,
+    MissingArtifactError: 4,
+    UnusableArtifactError: 4,
+}
 
 ARTIFACTS = {
     "touchpoints": "touchpoints.jsonl",
@@ -287,9 +293,20 @@ def _open_input(path: Path) -> IO[str]:
     return path.open()
 
 
+@contextmanager
+def _decoding(path: Path) -> Iterator[None]:
+    """Report a failure to decode the input artifact at ``path`` as one
+    :class:`UnusableArtifactError` naming the artifact."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise UnusableArtifactError(f"{path}: {what}") from None
+
+
 def _parse_input(path: Path):
     """Parse an event log, as CSV when its name ends in ``.csv``, else as JSONL."""
-    with _open_input(path) as fh:
+    with _open_input(path) as fh, _decoding(path):
         return parse_event_log(fh, "csv" if path.suffix.lower() == ".csv" else "jsonl")
 
 
@@ -322,9 +339,8 @@ def _write_rct_results(results: dict[str, RctResult], path: Path) -> None:
 
 def _read_rct_results(path: Path) -> dict[str, RctResult]:
     results: dict[str, RctResult] = {}
-    with _open_input(path) as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
+    with _open_input(path) as fh, _decoding(path):
+        for record in csv.DictReader(fh):
             results[record["campaign_id"]] = lift_from_counts(
                 record["campaign_id"],
                 n_treatment=int(record["n_treatment"]),
@@ -429,10 +445,13 @@ def cmd_fit(cfg: RunConfig, args) -> int:
 
 
 def cmd_attribute(cfg: RunConfig, args) -> int:
-    with _open_input(cfg.artifact("calibration_model")) as fh:
+    model_path, mda_path = cfg.artifact("calibration_model"), cfg.artifact("mda_model")
+    with _open_input(model_path) as fh, _decoding(model_path):
         model = CalibrationModel.from_json(fh.read())
-    mda_path = cfg.artifact("mda_model")
-    mda = MdaModel.from_json(mda_path.read_text()) if mda_path.exists() else None
+    mda = None
+    if mda_path.exists():
+        with _decoding(mda_path):
+            mda = MdaModel.from_json(mda_path.read_text())
 
     _, attributable, counts = _load_journeys(cfg)
     unattributed = counts["unattributed_conversions"]
@@ -447,7 +466,8 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
     with cfg.artifact("model_credits").open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["model", *MTA_CREDIT_COLUMNS])
-        writer.writerows(map(attrgetter("model", *MTA_CREDIT_COLUMNS), records))
+        fields = attrgetter(*MTA_CREDIT_COLUMNS)
+        writer.writerows((name, *fields(row)) for name, row in records)
     summary = {
         "conversions": len(attributable) + unattributed,
         "attributed_conversions": len(attributable),
@@ -464,7 +484,7 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
 def _read_mta_credits(path: Path) -> list[MtaCredit]:
     labels = itemgetter(*MTA_CREDIT_COLUMNS[:-1])
-    with _open_input(path) as fh:
+    with _open_input(path) as fh, _decoding(path):
         return [MtaCredit(*labels(row), float(row["credit"])) for row in csv.DictReader(fh)]
 
 
@@ -489,13 +509,14 @@ def cmd_report(cfg: RunConfig, args) -> int:
     unattributed = 0
     summary_path = cfg.artifact("attribution_summary")
     if summary_path.exists():
-        unattributed = int(json.loads(summary_path.read_text())["unattributed_conversions"])
+        with _decoding(summary_path):
+            unattributed = int(json.loads(summary_path.read_text())["unattributed_conversions"])
     report = aggregate_shares(credits, cfg.report_dimension, unattributed)
 
     totals: dict[str, dict[str, float]] = {}
     model_credits_path = cfg.artifact("model_credits")
     if model_credits_path.exists():
-        with model_credits_path.open() as fh:
+        with model_credits_path.open() as fh, _decoding(model_credits_path):
             for name, rows in groupby(csv.DictReader(fh), itemgetter("model")):
                 if name in _COMPARED_MODELS:
                     credit_totals(rows, cfg.report_dimension, getitem, totals.setdefault(name, {}))
@@ -556,18 +577,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_run_config(args.config, args.seed, args.out)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"ConfigError: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InsufficientDataError as exc:
-        print(f"InsufficientDataError: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_DATA
-    except MissingArtifactError as exc:
-        print(f"MissingArtifactError: {exc}", file=sys.stderr)
-        return EXIT_MISSING_ARTIFACT
     except MtaError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CODES.get(type(exc), 1)
 
 
 if __name__ == "__main__":

@@ -57,12 +57,13 @@ class AttributionShareReport:
         return {row.value: row.share for row in self.rows}
 
 
-def score_touchpoints(
+def score_all(
     model: CalibrationModel,
-    credits_by_model: Mapping[str, CreditVector],
-    journey: Journey,
+    attributable: Sequence[Journey],
+    credits_by_model: Mapping[str, Sequence[CreditVector]],
 ) -> list[MtaCredit]:
-    """Combine one conversion's per-model credit vectors into MTA credits.
+    """MTA credits for every attributable conversion, with one warning line
+    per cause of zero credit for the whole batch.
 
     credit(tp) = units x sum over models of weight_m x credit_m(tp), where
     units is the conversion's unit count (1 for ordinary conversions), so
@@ -72,19 +73,6 @@ def score_touchpoints(
     fitted weights, contributes zero credit (with a warning); a credit vector
     of another journey raises :class:`DataIntegrityError`.
     """
-    out = _score_journey(model, credits_by_model, journey)
-    _warn_zero_credit(model, credits_by_model.keys(), [journey])
-    return out
-
-
-def score_all(
-    model: CalibrationModel,
-    attributable: Sequence[Journey],
-    credits_by_model: Mapping[str, Sequence[CreditVector]],
-) -> list[MtaCredit]:
-    """MTA credits for every attributable conversion, as
-    :func:`score_touchpoints` gives them, with one warning line per cause of
-    zero credit for the whole batch."""
     out: list[MtaCredit] = []
     for i, journey in enumerate(attributable):
         per_model = {name: vectors[i] for name, vectors in credits_by_model.items()}
@@ -136,27 +124,23 @@ def _score_journey(
     ]
 
     units = journey.conversion.units
-    out: list[MtaCredit] = []
+    combined = []
     for i, tp in enumerate(journey.touchpoints):
         weights = model.group_weights(tp.channel).values()
-        combined = units * sum(weight * column[i] for weight, column in zip(weights, columns))
-        out.append(
-            MtaCredit(
-                conversion_id=conversion_id,
-                touchpoint_id=tp.touchpoint_id,
-                campaign_id=tp.campaign_id,
-                channel=tp.channel,
-                ad_product=tp.ad_product,
-                credit=combined,
-            )
+        combined.append(units * sum(weight * column[i] for weight, column in zip(weights, columns)))
+    return credit_rows(journey, combined)
+
+
+def credit_rows(journey: Journey, credits: Sequence[float]) -> list[MtaCredit]:
+    """One row per touchpoint of a converting journey: ``credits[i]`` is the
+    credit of ``journey.touchpoints[i]``."""
+    conversion_id = journey.conversion.conversion_id
+    return [
+        MtaCredit(
+            conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product, credit
         )
-    return out
-
-
-def per_conversion_total(credits: Iterable[MtaCredit]) -> float:
-    """Sum of MTA credits; equals the sum of calibration weights whenever
-    every model's credit vector sums to 1."""
-    return sum(c.credit for c in credits)
+        for tp, credit in zip(journey.touchpoints, credits)
+    ]
 
 
 def _check_dimension(dimension: str) -> None:

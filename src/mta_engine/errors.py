@@ -35,3 +35,7 @@ class DataIntegrityError(MtaError):
 
 class MissingArtifactError(MtaError):
     """A pipeline stage requires an artifact that has not been produced."""
+
+
+class UnusableArtifactError(MtaError):
+    """A pipeline stage's input artifact exists but cannot be decoded."""

@@ -120,12 +120,6 @@ def parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def format_timestamp(ts: datetime) -> str:
-    """Render a UTC timestamp as RFC 3339 with millisecond precision."""
-    ts = ts.astimezone(timezone.utc)
-    return ts.strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}Z"
-
-
 _UNIX_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 _KINDS = (InteractionKind.VIEW, InteractionKind.CLICK)
@@ -285,20 +279,28 @@ class ParseResult:
         self.diagnostics.append(f"line {line_no}: {reason}")
 
 
+def _text(record: dict, field: str) -> str:
+    """A record's field as text; a JSON array, object or boolean is none."""
+    value = record[field]
+    if isinstance(value, (bool, dict, list)):
+        raise ValueError(f"{field} must be a string or number, got {json.dumps(value)}")
+    return str(value)
+
+
 def _touchpoint_row(record: dict) -> tuple[str, ...]:
     """A touchpoint record's table row; raises ValueError naming what is wrong."""
     missing = [f for f in TOUCHPOINT_FIELDS if record.get(f) in (None, "")]
     if missing:
         raise ValueError(f"missing field(s) {', '.join(missing)}")
-    kind_raw = str(record["interaction_kind"])
+    kind_raw = _text(record, "interaction_kind")
     try:
         kind = InteractionKind(kind_raw)
     except ValueError:
         raise ValueError(f"unknown interaction_kind {kind_raw!r}") from None
     return (
-        *(str(record[f]) for f in TOUCHPOINT_FIELDS[:5]),
+        *(_text(record, f) for f in TOUCHPOINT_FIELDS[:5]),
         kind.value,
-        _utc_iso(parse_timestamp(str(record["timestamp"]))),
+        _utc_iso(parse_timestamp(_text(record, "timestamp"))),
     )
 
 
@@ -306,17 +308,19 @@ def _conversion_from_record(record: dict) -> ConversionEvent:
     missing = [f for f in ("conversion_id", "customer_id", "timestamp") if record.get(f) in (None, "")]
     if missing:
         raise ValueError(f"missing field(s) {', '.join(missing)}")
-    units_raw = record.get("units")
-    if units_raw in (None, ""):
+    units = record.get("units")
+    if units in (None, ""):
         units = 1
-    else:
-        units = int(units_raw)
-        if units < 0:
-            raise ValueError(f"units must be >= 0, got {units}")
+    elif isinstance(units, str) and units.strip().lstrip("+-").isdecimal():
+        units = int(units)
+    if isinstance(units, bool) or not isinstance(units, int):
+        raise ValueError(f"units must be an integer, got {json.dumps(record['units'])}")
+    if units < 0:
+        raise ValueError(f"units must be >= 0, got {units}")
     return ConversionEvent(
-        conversion_id=str(record["conversion_id"]),
-        customer_id=str(record["customer_id"]),
-        timestamp=parse_timestamp(str(record["timestamp"])),
+        conversion_id=_text(record, "conversion_id"),
+        customer_id=_text(record, "customer_id"),
+        timestamp=parse_timestamp(_text(record, "timestamp")),
         units=units,
     )
 
@@ -446,27 +450,6 @@ def parse_event_log(stream: Iterable[str] | IO[str], format: str = "jsonl") -> P
     if result.skipped:
         logger.warning("skipped %d malformed line(s) while parsing", result.skipped)
     return result
-
-
-def touchpoint_to_record(tp: Touchpoint) -> dict:
-    return {
-        "touchpoint_id": tp.touchpoint_id,
-        "customer_id": tp.customer_id,
-        "campaign_id": tp.campaign_id,
-        "channel": tp.channel,
-        "ad_product": tp.ad_product,
-        "interaction_kind": tp.interaction_kind.value,
-        "timestamp": format_timestamp(tp.timestamp),
-    }
-
-
-def conversion_to_record(conv: ConversionEvent) -> dict:
-    return {
-        "conversion_id": conv.conversion_id,
-        "customer_id": conv.customer_id,
-        "timestamp": format_timestamp(conv.timestamp),
-        "units": conv.units,
-    }
 
 
 def _reject_duplicate_ids(ids: Sequence[str], field: str) -> None:

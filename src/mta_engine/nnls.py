@@ -86,32 +86,3 @@ def nnls(A, b, *, tol: float | None = None, max_iter: int | None = None):
 
     x = np.where(passive, x, 0.0)
     return x, float(np.linalg.norm(A @ x - b))
-
-
-def nnls_brute_force(A, b):
-    """Exhaustive active-set oracle for small NNLS instances.
-
-    Solves the unconstrained least-squares problem on every subset of
-    columns, keeps the candidates whose restricted solution is nonnegative,
-    and returns the feasible candidate with the smallest residual. The NNLS
-    optimum is always among these candidates, so this is an independent
-    check for :func:`nnls` (exponential in the column count; intended for
-    n <= ~12).
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    best_x = np.zeros(n)
-    best_rss = float(np.linalg.norm(b))
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        sol = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
-        if np.any(sol < 0.0):
-            continue
-        x = np.zeros(n)
-        x[cols] = sol
-        rss = float(np.linalg.norm(A @ x - b))
-        if rss < best_rss:
-            best_rss = rss
-            best_x = x
-    return best_x, best_rss

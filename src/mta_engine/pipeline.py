@@ -9,7 +9,6 @@ given its inputs and the configured seeds.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,25 +30,13 @@ from .calibration import (
     evaluate_oos,
     fit_calibration,
 )
+from .credits import MtaCredit, credit_rows
 from .credits import score_all  # noqa: F401  -- the CLI scores through pipeline.score_all
 from .errors import DegenerateLabelsError, InsufficientDataError
 from .events import Journey, Journeys
 from .rct import CampaignSpec, RctResult
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, slots=True)
-class ModelCredit:
-    """One attribution model's credit for one touchpoint (pre-calibration)."""
-
-    model: str
-    conversion_id: str
-    touchpoint_id: str
-    campaign_id: str
-    channel: str
-    ad_product: str
-    credit: float
 
 
 def split_attributable(journeys: Sequence[Journey]) -> tuple[list[Journey], int]:
@@ -145,23 +132,15 @@ def fit_with_cv(
 
 def model_credit_records(
     credits_by_model: Mapping[str, Sequence[CreditVector]],
-) -> list[ModelCredit]:
+) -> list[tuple[str, MtaCredit]]:
     """Flat per-model credit table (the pre-calibration analogue of the MTA
-    credit table), used for LTA-only / MDA-only comparison reporting."""
-    records: list[ModelCredit] = []
-    for name in sorted(credits_by_model):
-        for vector in credits_by_model[name]:
-            conversion = vector.journey.conversion
-            for tp, credit in zip(vector.journey.touchpoints, vector.credits):
-                records.append(
-                    ModelCredit(
-                        model=name,
-                        conversion_id=conversion.conversion_id,
-                        touchpoint_id=tp.touchpoint_id,
-                        campaign_id=tp.campaign_id,
-                        channel=tp.channel,
-                        ad_product=tp.ad_product,
-                        credit=credit * conversion.units,
-                    )
-                )
-    return records
+    credit table) as ``(model, row)`` pairs, each credit scaled by its
+    conversion's units; used for LTA-only / MDA-only comparison reporting."""
+    return [
+        (name, row)
+        for name in sorted(credits_by_model)
+        for vector in credits_by_model[name]
+        for row in credit_rows(
+            vector.journey, [c * vector.journey.conversion.units for c in vector.credits]
+        )
+    ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -552,13 +552,7 @@ def replication_study(
     wanted = set(campaign_ids) if campaign_ids is not None else None
     outcomes: list[ReplicationOutcome] = []
     for rep in range(n_reps):
-        cfg = SimConfig(
-            n_customers=config.n_customers,
-            campaigns=config.campaigns,
-            baseline_conversion_rate=config.baseline_conversion_rate,
-            seed=config.seed + rep,
-            horizon=config.horizon,
-        )
+        cfg = replace(config, seed=config.seed + rep)
         draws = _simulate_core(cfg)
         truth = {row.campaign_id: row.true_incremental for row in draws.ground_truth()}
         for cd in draws.campaigns:

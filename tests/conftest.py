@@ -1,8 +1,11 @@
 from datetime import datetime, timedelta, timezone
+from typing import Sequence
 
+import numpy as np
 import pytest
 
-from mta_engine.attribution import CreditVector
+from mta_engine.attribution import CreditVector, MdaModel, _recency_days
+from mta_engine.credits import score_all
 from mta_engine.events import ConversionEvent, InteractionKind, Journey, Touchpoint
 from mta_engine.rct import CampaignSpec, RctResult
 
@@ -28,6 +31,112 @@ def mk_conv(conv_id: str = "x1", customer: str = "c1", ts: datetime = T0, units:
 
 def mk_journey(tps, conv=None, customer: str = "c1") -> Journey:
     return Journey(customer, tuple(tps), conv)
+
+
+def score_one(model, credits_by_model, journey):
+    """``score_all`` on one journey; ``credits_by_model`` maps each model's
+    name to its credit vector for that journey."""
+    return score_all(model, [journey], {name: [v] for name, v in credits_by_model.items()})
+
+
+def feature_vector(
+    feature_names: Sequence[str],
+    touchpoints: Sequence[Touchpoint],
+    conversion,
+) -> np.ndarray:
+    """The MDA feature vector of one journey, by its definition: the oracle
+    for the training matrix and the leave-one-out credits."""
+    x = np.zeros(len(feature_names))
+    recency = _recency_days(touchpoints, conversion)
+    channel_counts: dict[str, int] = {}
+    n_views = n_clicks = 0
+    for tp in touchpoints:
+        channel_counts[tp.channel] = channel_counts.get(tp.channel, 0) + 1
+        if tp.interaction_kind is InteractionKind.CLICK:
+            n_clicks += 1
+        else:
+            n_views += 1
+    for i, name in enumerate(feature_names):
+        if name == "n_touchpoints":
+            x[i] = len(touchpoints)
+        elif name == "n_views":
+            x[i] = n_views
+        elif name == "n_clicks":
+            x[i] = n_clicks
+        elif name == "recency_days":
+            x[i] = recency
+        elif name.startswith("channel_count:"):
+            x[i] = channel_counts.get(name.split(":", 1)[1], 0)
+        else:
+            raise ValueError(f"unknown MDA feature {name!r}")
+    return x
+
+
+def by_touchpoint_id(vector: CreditVector) -> dict[str, float]:
+    """A credit vector as ``{touchpoint_id: credit}``."""
+    return {tp.touchpoint_id: c for tp, c in zip(vector.journey.touchpoints, vector.credits)}
+
+
+def predict_proba(model: MdaModel, journey: Journey) -> float:
+    """The MDA's conversion probability for one journey."""
+    x = feature_vector(model.feature_names, journey.touchpoints, journey.conversion)
+    return model._proba(x)
+
+
+def format_timestamp(ts: datetime) -> str:
+    """Render a UTC timestamp as RFC 3339 with millisecond precision."""
+    ts = ts.astimezone(timezone.utc)
+    return ts.strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}Z"
+
+
+def touchpoint_to_record(tp: Touchpoint) -> dict:
+    return {
+        "touchpoint_id": tp.touchpoint_id,
+        "customer_id": tp.customer_id,
+        "campaign_id": tp.campaign_id,
+        "channel": tp.channel,
+        "ad_product": tp.ad_product,
+        "interaction_kind": tp.interaction_kind.value,
+        "timestamp": format_timestamp(tp.timestamp),
+    }
+
+
+def conversion_to_record(conv: ConversionEvent) -> dict:
+    return {
+        "conversion_id": conv.conversion_id,
+        "customer_id": conv.customer_id,
+        "timestamp": format_timestamp(conv.timestamp),
+        "units": conv.units,
+    }
+
+
+def nnls_brute_force(A, b):
+    """Exhaustive active-set oracle for small NNLS instances.
+
+    Solves the unconstrained least-squares problem on every subset of
+    columns, keeps the candidates whose restricted solution is nonnegative,
+    and returns the feasible candidate with the smallest residual. The NNLS
+    optimum is always among these candidates, so this is an independent
+    check for :func:`mta_engine.nnls.nnls` (exponential in the column count;
+    intended for n <= ~12).
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    best_x = np.zeros(n)
+    best_rss = float(np.linalg.norm(b))
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        sol = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
+        if np.any(sol < 0.0):
+            continue
+        x = np.zeros(n)
+        x[cols] = sol
+        rss = float(np.linalg.norm(A @ x - b))
+        if rss < best_rss:
+            best_rss = rss
+            best_x = x
+    return best_x, best_rss
 
 
 def exact_rct(campaign_id: str, incremental: float) -> RctResult:

@@ -27,12 +27,12 @@ from mta_engine.calibration import (
     fit_calibration,
 )
 from mta_engine.cli import ARTIFACTS, main
-from mta_engine.credits import MtaCredit, aggregate_shares, credit_totals, score_touchpoints
+from mta_engine.credits import MtaCredit, aggregate_shares, credit_totals
 from mta_engine.events import LookbackWindow, build_journeys
-from mta_engine.nnls import nnls, nnls_brute_force
+from mta_engine.nnls import nnls
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, replication_study, simulate
 
-from conftest import T0, mk_conv, mk_journey, mk_tp
+from conftest import T0, by_touchpoint_id, mk_conv, mk_journey, mk_tp, nnls_brute_force, score_one
 
 
 def check(criterion: str, ok: bool, detail: str = "") -> None:
@@ -61,14 +61,14 @@ def test_criterion_2_ensemble_worked_example(credit_example):
 
     dual_journey = journeys[1]  # touched by Upper then Lower
     per_model = {name: credits_by_model[name][1] for name in credits_by_model}
-    mta = {c.channel: c.credit for c in score_touchpoints(model, per_model, dual_journey)}
+    mta = {c.channel: c.credit for c in score_one(model, per_model, dual_journey)}
     credits_ok = abs(mta["Upper"] - 0.12) < 1e-9 and abs(mta["Lower"] - 0.88) < 1e-9
 
     all_mta = pipeline.score_all(model, journeys, credits_by_model)
     mta_shares = aggregate_shares(all_mta).shares()
     records = pipeline.model_credit_records(credits_by_model)
-    lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
-    mda_totals = credit_totals((r for r in records if r.model == "mda"), "channel")
+    lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
+    mda_totals = credit_totals((row for name, row in records if name == "mda"), "channel")
     lta_shares = {k: v / sum(lta_totals.values()) for k, v in lta_totals.items()}
     mda_shares = {k: v / sum(mda_totals.values()) for k, v in mda_totals.items()}
     shares_ok = all(
@@ -146,7 +146,7 @@ def test_criterion_4_credit_normalization_property_suite():
         ],
         mk_conv("rx", ts=T0),
     )
-    ratio_credits = decay_credits(ratio_journey, decay_cfg).as_dict()
+    ratio_credits = by_touchpoint_id(decay_credits(ratio_journey, decay_cfg))
     ratio = ratio_credits["r1"] / ratio_credits["r0"]
     ok = worst < 1e-9 and abs(ratio - 2.0) < 1e-9
     check(
@@ -247,7 +247,7 @@ def _run_two_channel_pipeline(seed: int, n_customers: int):
     mta = pipeline.score_all(model, attributable, credits)
     mta_share = aggregate_shares(mta, "channel", unattributed).shares()["Lower"]
     records = pipeline.model_credit_records(credits)
-    lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
+    lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
     lta_share = lta_totals["Lower"] / sum(lta_totals.values())
     spec_by_id = {c.campaign_id: c for c in config.campaigns}
     true_lower = sum(r.true_incremental for r in truth if spec_by_id[r.campaign_id].channel == "Lower")

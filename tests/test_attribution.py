@@ -22,7 +22,15 @@ from mta_engine.attribution import (
 from mta_engine.errors import DegenerateLabelsError, NoTouchpointsError
 from mta_engine.events import Journey
 
-from conftest import T0, mk_conv, mk_journey, mk_tp
+from conftest import (
+    T0,
+    by_touchpoint_id,
+    feature_vector,
+    mk_conv,
+    mk_journey,
+    mk_tp,
+    predict_proba,
+)
 
 HL3D = DecayConfig(timedelta(days=3))
 
@@ -40,10 +48,10 @@ def simple_journey(*offsets_days, kinds=None, channels=None, conv_at=T0):
 class TestLta:
     def test_last_touch_takes_all(self):
         j = simple_journey(2.0, 0.5, channels=["Upper", "Lower"])
-        assert lta_credits(j).as_dict() == {"t0": 0.0, "t1": 1.0}
+        assert by_touchpoint_id(lta_credits(j)) == {"t0": 0.0, "t1": 1.0}
 
     def test_single_touchpoint(self):
-        assert lta_credits(simple_journey(1.0)).as_dict() == {"t0": 1.0}
+        assert by_touchpoint_id(lta_credits(simple_journey(1.0))) == {"t0": 1.0}
 
     def test_click_beats_view_at_equal_timestamp(self):
         ts = T0 - timedelta(days=1)
@@ -51,7 +59,7 @@ class TestLta:
             [mk_tp("b_view", ts=ts, kind="view"), mk_tp("a_click", ts=ts, kind="click")],
             mk_conv("x1", ts=T0),
         )
-        assert lta_credits(j).as_dict()["a_click"] == 1.0
+        assert by_touchpoint_id(lta_credits(j))["a_click"] == 1.0
 
     def test_id_breaks_remaining_ties(self):
         ts = T0 - timedelta(days=1)
@@ -59,7 +67,7 @@ class TestLta:
             [mk_tp("t_a", ts=ts), mk_tp("t_b", ts=ts)],
             mk_conv("x1", ts=T0),
         )
-        assert lta_credits(j).as_dict()["t_b"] == 1.0
+        assert by_touchpoint_id(lta_credits(j))["t_b"] == 1.0
 
     def test_no_touchpoints(self):
         with pytest.raises(NoTouchpointsError):
@@ -70,35 +78,35 @@ class TestLinear:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_equal_split(self, n):
         j = simple_journey(*[i + 1 for i in range(n)])
-        credits = linear_credits(j).as_dict()
+        credits = by_touchpoint_id(linear_credits(j))
         assert all(c == pytest.approx(1.0 / n) for c in credits.values())
         assert len(credits) == n
 
 
 class TestDecay:
     def test_single_touchpoint_any_age(self):
-        assert decay_credits(simple_journey(6.5), HL3D).as_dict() == {"t0": 1.0}
+        assert by_touchpoint_id(decay_credits(simple_journey(6.5), HL3D)) == {"t0": 1.0}
 
     def test_one_half_life_gives_two_to_one(self):
         j = simple_journey(3.0, 0.0)
-        credits = decay_credits(j, HL3D).as_dict()
+        credits = by_touchpoint_id(decay_credits(j, HL3D))
         assert credits["t1"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert credits["t0"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert abs(credits["t1"] / credits["t0"] - 2.0) < 1e-9
 
     def test_equal_ages_split_evenly(self):
-        credits = decay_credits(simple_journey(2.0, 2.0), HL3D).as_dict()
+        credits = by_touchpoint_id(decay_credits(simple_journey(2.0, 2.0), HL3D))
         assert credits == {"t0": 0.5, "t1": 0.5}
 
     def test_tiny_half_life_approximates_lta(self):
         j = simple_journey(4.0, 2.0, 0.001)  # distinct ms-resolution timestamps
-        credits = decay_credits(j, DecayConfig(timedelta(microseconds=10))).as_dict()
+        credits = by_touchpoint_id(decay_credits(j, DecayConfig(timedelta(microseconds=10))))
         assert credits["t2"] >= 0.999
-        assert lta_credits(j).as_dict()["t2"] == 1.0
+        assert by_touchpoint_id(lta_credits(j))["t2"] == 1.0
 
     def test_huge_age_gap_does_not_underflow(self):
         j = simple_journey(6.9, 0.0)
-        credits = decay_credits(j, DecayConfig(timedelta(microseconds=10))).as_dict()
+        credits = by_touchpoint_id(decay_credits(j, DecayConfig(timedelta(microseconds=10))))
         assert math.isfinite(credits["t1"]) and credits["t1"] == pytest.approx(1.0)
 
     def test_config_validation(self):
@@ -123,13 +131,13 @@ class TestMdaCredits:
             model.training,
         )
         j = simple_journey(2.0, 2.0)
-        credits = mda_credits(model, j).as_dict()
+        credits = by_touchpoint_id(mda_credits(model, j))
         assert credits["t0"] == pytest.approx(0.5)
         assert credits["t1"] == pytest.approx(0.5)
 
     def test_constant_model_falls_back_to_uniform(self):
         j = simple_journey(3.0, 2.0, 1.0)
-        credits = mda_credits(zero_model(), j).as_dict()
+        credits = by_touchpoint_id(mda_credits(zero_model(), j))
         assert all(c == pytest.approx(1.0 / 3.0) for c in credits.values())
 
     def test_asymmetric_split_possible(self):
@@ -140,7 +148,7 @@ class TestMdaCredits:
         model = MdaModel(names, (0.0, 0.0, 1.0, 0.0, 1.2, 0.4), -1.5,
                          TrainingInfo(0, 0.0, 0.0, 0.0))
         j = simple_journey(3.0, 1.0, kinds=["view", "click"], channels=["Upper", "Lower"])
-        credits = mda_credits(model, j).as_dict()
+        credits = by_touchpoint_id(mda_credits(model, j))
         assert credits["t1"] > credits["t0"] > 0.0
         assert credits["t0"] + credits["t1"] == pytest.approx(1.0, abs=1e-9)
 
@@ -175,7 +183,7 @@ class TestTrainMda:
     def test_separable_set_ranks_converters_first(self):
         journeys = training_fixture()
         model = train_mda(journeys, MdaHyperparams(learning_rate=0.5, iterations=800, seed=3))
-        scores = [(model.predict_proba(j), j.converted) for j in journeys]
+        scores = [(predict_proba(model, j), j.converted) for j in journeys]
         worst_converter = min(s for s, conv in scores if conv)
         best_abstainer = max(s for s, conv in scores if not conv)
         assert worst_converter > best_abstainer
@@ -187,13 +195,12 @@ class TestTrainMda:
             conv = mk_conv(f"x{i}", customer=f"c{i}", ts=T0) if i < 2 else None
             journeys.append(mk_journey([tp], conv, customer=f"c{i}"))
         model = train_mda(journeys, MdaHyperparams(iterations=500, seed=0))
-        p = model.predict_proba(journeys[0])
+        p = predict_proba(model, journeys[0])
         base_rate = 2.0 / 5.0
         assert abs(p - base_rate) < 1e-3
         # closed form check: fitted log-odds approach log(0.4 / 0.6)
-        z = sum(
-            w * x for w, x in zip(model.weights, model.features(journeys[0]))
-        ) + model.bias
+        x = feature_vector(model.feature_names, journeys[0].touchpoints, journeys[0].conversion)
+        z = sum(w * v for w, v in zip(model.weights, x)) + model.bias
         assert abs(z - math.log(base_rate / (1 - base_rate))) < 5e-3
 
     def test_deterministic_under_canonical_resort(self):
@@ -273,7 +280,8 @@ class TestCreditInvariants:
             credits = vector.credits
             assert abs(sum(credits) - 1.0) < 1e-9
             assert all(0.0 <= c <= 1.0 for c in credits)
-            assert vector.as_dict().keys() == {tp.touchpoint_id for tp in journey.touchpoints}
+            ids = {tp.touchpoint_id for tp in journey.touchpoints}
+            assert by_touchpoint_id(vector).keys() == ids
 
 
 def loo_reference(model: MdaModel, journey: Journey) -> CreditVector:
@@ -283,7 +291,7 @@ def loo_reference(model: MdaModel, journey: Journey) -> CreditVector:
 
     def proba(touchpoints):
         loo = Journey(journey.customer_id, tuple(touchpoints), journey.conversion)
-        return model.predict_proba(loo)
+        return predict_proba(model, loo)
 
     p_full = proba(tps)
     deltas = [max(0.0, p_full - proba(tps[:i] + tps[i + 1 :])) for i in range(len(tps))]
@@ -352,13 +360,13 @@ class TestMdaClosedForm:
 
     def test_feature_builds_do_not_grow_with_journey_length(self, monkeypatch):
         calls = []
-        build = attribution._feature_vector
+        build = attribution._touchpoint_columns
 
         def counting(*args):
             calls.append(1)
             return build(*args)
 
-        monkeypatch.setattr(attribution, "_feature_vector", counting)
+        monkeypatch.setattr(attribution, "_touchpoint_columns", counting)
         per_call = []
         for n in (1, 2, 10, 100):
             calls.clear()

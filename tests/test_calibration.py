@@ -1,3 +1,4 @@
+import csv
 import io
 import logging
 
@@ -11,7 +12,6 @@ from mta_engine.calibration import (
     CampaignFeatureRow,
     aggregate_campaign_features,
     evaluate_oos,
-    feature_rows_from_csv,
     feature_rows_to_csv,
     fit_calibration,
     predict_campaign,
@@ -20,6 +20,27 @@ from mta_engine.errors import ConfigError, DataIntegrityError, InsufficientDataE
 
 from conftest import mk_conv, mk_journey, mk_tp
 from mta_engine.rct import CampaignSpec
+
+
+def feature_rows_from_csv(stream) -> list[CampaignFeatureRow]:
+    """Read back a campaign feature table written by ``feature_rows_to_csv``."""
+    reader = csv.reader(stream)
+    header = next(reader)
+    names = header[2:-2]
+    rows = []
+    for record in reader:
+        if not record:
+            continue
+        rows.append(
+            CampaignFeatureRow(
+                campaign_id=record[0],
+                channel=record[1],
+                features={name: float(v) for name, v in zip(names, record[2:-2])},
+                target=float(record[-2]) if record[-2] else None,
+                target_std_error=float(record[-1]) if record[-1] else None,
+            )
+        )
+    return rows
 
 
 def row(campaign_id, lta, mda=None, target=None, channel="Upper", se=None):

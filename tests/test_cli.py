@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,73 @@ class TestMissingArtifacts:
     def test_report_without_credits_exits_4(self, workspace):
         cfg_path, _ = workspace
         assert run("report", "--config", cfg_path) == 4
+
+
+@pytest.fixture(scope="module")
+def attributed_run(tmp_path_factory):
+    """The artifacts of simulate, fit and attribute on the base config."""
+    root = tmp_path_factory.mktemp("attributed")
+    cfg_path = write_config(root, base_config(root / "out"))
+    for command in ("simulate", "fit", "attribute"):
+        assert run(command, "--config", cfg_path) == 0, command
+    return cfg_path, root / "out"
+
+
+def truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def empty_object(path: Path) -> None:
+    path.write_text("{}")
+
+
+def drop_columns(*names):
+    def corrupt(path: Path) -> None:
+        with path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        kept = [c for c in rows[0] if c not in names]
+        with path.open("w") as fh:
+            writer = csv.DictWriter(fh, kept, extrasaction="ignore", lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+
+    return corrupt
+
+
+def non_utf8_byte(path: Path) -> None:
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2] + b"\xff" + blob[len(blob) // 2 :])
+
+
+class TestUnusableArtifacts:
+    """An input artifact that exists but cannot be decoded exits 4 with one
+    line naming it; each used to exit 1 with a traceback."""
+
+    @pytest.mark.parametrize(
+        "artifact, corrupt, command",
+        [
+            ("calibration_model.json", truncate, "attribute"),
+            ("mda_model.json", empty_object, "attribute"),
+            ("rct_results.csv", drop_columns("n_treatment", "n_holdout", "conv_treatment",
+                                             "conv_holdout"), "fit"),
+            ("touchpoints.jsonl", non_utf8_byte, "fit"),
+            ("mta_credits.csv", drop_columns("credit"), "report"),
+            ("attribution_summary.json", empty_object, "report"),
+        ],
+        ids=["truncated-calibration-model", "empty-mda-model", "rct-results-without-counts",
+             "non-utf8-touchpoints", "credits-without-credit", "empty-summary"],
+    )
+    def test_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact, corrupt,
+                                   command):
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        corrupt(out / artifact)
+        capsys.readouterr()
+        assert run(command, "--config", cfg_path, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"UnusableArtifactError: {out / artifact}: ")
 
 
 class TestInsufficientData:

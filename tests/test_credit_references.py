@@ -5,8 +5,9 @@ The references below are the former ``aggregate_campaign_features``,
 ``credits._score_journey`` and ``pipeline.model_credit_records``, kept
 verbatim apart from their inputs: a credit vector is given as
 ``(conversion_id, ((touchpoint_id, credit), ...))`` and each stage rebuilds
-its own id -> record maps from the journeys. Every float must come out equal
-with ``==``, not approximately.
+its own id -> record maps from the journeys. The per-model rows are
+``(model, MtaCredit)`` pairs, the form ``model_credit_records`` returns.
+Every float must come out equal with ``==``, not approximately.
 """
 
 import random
@@ -28,7 +29,6 @@ from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, aggrega
 from mta_engine.credits import MtaCredit
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import Journey, LookbackWindow, build_journeys
-from mta_engine.pipeline import ModelCredit
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 
 from conftest import T0, exact_rct, mk_conv, mk_tp
@@ -133,10 +133,10 @@ def model_credit_records_reference(attributable, credits_by_model):
             for tp_id, credit in vector.entries:
                 tp = tp_meta[tp_id]
                 records.append(
-                    ModelCredit(
-                        name, vector.conversion_id, tp_id, tp.campaign_id, tp.channel,
+                    (name, MtaCredit(
+                        vector.conversion_id, tp_id, tp.campaign_id, tp.channel,
                         tp.ad_product, credit * units.get(vector.conversion_id, 1),
-                    )
+                    ))
                 )
     return records
 

@@ -13,19 +13,22 @@ from mta_engine.calibration import (
 from mta_engine.credits import (
     MtaCredit,
     aggregate_shares,
-    per_conversion_total,
     render_share_table,
-    score_touchpoints,
+    score_all,
     shares_from_totals,
 )
 from mta_engine.errors import DataIntegrityError
 
-from conftest import mk_conv, mk_journey, mk_tp
+from conftest import mk_conv, mk_journey, mk_tp, score_one
 
 
 def weight_model(weights: dict[str, float]) -> CalibrationModel:
     names = tuple(weights)
     return CalibrationModel(names, "global", {"global": tuple(weights.values())}, None)
+
+
+def total_credit(credits) -> float:
+    return sum(c.credit for c in credits)
 
 
 def two_touch_journey(units: int = 1):
@@ -52,7 +55,7 @@ def paper_vectors(journey=None):
 class TestScoreTouchpoints:
     def test_weighted_combination_from_worked_example(self):
         model = weight_model({"lta": 0.6, "mda": 0.4})
-        credits = score_touchpoints(model, paper_vectors(), two_touch_journey())
+        credits = score_one(model, paper_vectors(), two_touch_journey())
         by_tp = {c.touchpoint_id: c.credit for c in credits}
         assert abs(by_tp["u1"] - 0.12) < 1e-9
         assert abs(by_tp["l1"] - 0.88) < 1e-9
@@ -60,19 +63,19 @@ class TestScoreTouchpoints:
 
     def test_identity_weights_reproduce_lta(self):
         model = weight_model({"lta": 1.0})
-        credits = score_touchpoints(model, {"lta": paper_vectors()["lta"]}, two_touch_journey())
+        credits = score_one(model, {"lta": paper_vectors()["lta"]}, two_touch_journey())
         assert {c.touchpoint_id: c.credit for c in credits} == {"u1": 0.0, "l1": 1.0}
 
     def test_zero_weights_zero_credits(self):
         model = weight_model({"lta": 0.0, "mda": 0.0})
-        credits = score_touchpoints(model, paper_vectors(), two_touch_journey())
+        credits = score_one(model, paper_vectors(), two_touch_journey())
         assert all(c.credit == 0.0 for c in credits)
 
     def test_units_scale_credits(self):
         model = weight_model({"lta": 0.6, "mda": 0.4})
         journey = two_touch_journey(units=3)
-        credits = score_touchpoints(model, paper_vectors(journey), journey)
-        assert per_conversion_total(credits) == pytest.approx(3.0)
+        credits = score_one(model, paper_vectors(journey), journey)
+        assert total_credit(credits) == pytest.approx(3.0)
 
     def test_touchpoint_set_mismatch_rejected(self):
         # One credit for a two-touchpoint journey.
@@ -87,31 +90,31 @@ class TestScoreTouchpoints:
         other = mk_journey(journey.touchpoints[:1], journey.conversion)
         bad = {"lta": CreditVector(journey, (0.0, 1.0)), "mda": CreditVector(other, (1.0,))}
         with pytest.raises(DataIntegrityError, match="'mda'.*another journey"):
-            score_touchpoints(model, bad, journey)
+            score_one(model, bad, journey)
 
     def test_missing_model_warns_and_zeroes(self, caplog):
         model = weight_model({"lta": 0.6, "mda": 0.4})
         with caplog.at_level(logging.WARNING):
-            credits = score_touchpoints(
+            credits = score_one(
                 model, {"lta": paper_vectors()["lta"]}, two_touch_journey()
             )
-        assert per_conversion_total(credits) == pytest.approx(0.6)
+        assert total_credit(credits) == pytest.approx(0.6)
         assert any("mda" in r.message for r in caplog.records)
 
 
 class TestPerConversionTotal:
     def test_totals_match_weight_sums(self):
         model = weight_model({"lta": 0.6, "mda": 0.4})
-        credits = score_touchpoints(model, paper_vectors(), two_touch_journey())
-        assert per_conversion_total(credits) == pytest.approx(1.0, abs=1e-9)
+        credits = score_one(model, paper_vectors(), two_touch_journey())
+        assert total_credit(credits) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_model_total(self):
         model = weight_model({"lta": 0.9})
-        credits = score_touchpoints(model, {"lta": paper_vectors()["lta"]}, two_touch_journey())
-        assert per_conversion_total(credits) == pytest.approx(0.9, abs=1e-9)
+        credits = score_one(model, {"lta": paper_vectors()["lta"]}, two_touch_journey())
+        assert total_credit(credits) == pytest.approx(0.9, abs=1e-9)
 
     def test_empty(self):
-        assert per_conversion_total([]) == 0.0
+        assert total_credit(score_all(weight_model({"lta": 0.9}), [], {"lta": []})) == 0.0
 
 
 def credit(value: str, amount: float, dimension: str = "channel") -> MtaCredit:
@@ -169,7 +172,7 @@ class TestAggregateShares:
             all_credits = []
             for i, journey in enumerate(journeys):
                 per_model = {m: credits_by_model[m][i] for m in credits_by_model}
-                all_credits.extend(score_touchpoints(model, per_model, journey))
+                all_credits.extend(score_one(model, per_model, journey))
             report = aggregate_shares(all_credits)
             assert report.shares()["Upper"] == pytest.approx(1.12 / 3.0, abs=1e-9)
             assert report.shares()["Lower"] == pytest.approx(1.88 / 3.0, abs=1e-9)
@@ -183,7 +186,7 @@ class TestConservation:
         totals: dict[str, float] = {}
         for i, journey in enumerate(journeys):
             per_model = {m: credits_by_model[m][i] for m in credits_by_model}
-            for c in score_touchpoints(model, per_model, journey):
+            for c in score_one(model, per_model, journey):
                 totals[c.campaign_id] = totals.get(c.campaign_id, 0.0) + c.credit
         for row in rows:
             assert totals.get(row.campaign_id, 0.0) == pytest.approx(
@@ -193,10 +196,10 @@ class TestConservation:
     def test_monotone_in_single_model_credit(self):
         model = weight_model({"lta": 0.6, "mda": 0.4})
         journey = two_touch_journey()
-        base = score_touchpoints(model, paper_vectors(), journey)
+        base = score_one(model, paper_vectors(), journey)
         bumped_vectors = paper_vectors()
         bumped_vectors["mda"] = CreditVector(journey, (0.5, 0.7))
-        bumped = score_touchpoints(model, bumped_vectors, journey)
+        bumped = score_one(model, bumped_vectors, journey)
         base_u1 = next(c.credit for c in base if c.touchpoint_id == "u1")
         bumped_u1 = next(c.credit for c in bumped if c.touchpoint_id == "u1")
         assert bumped_u1 >= base_u1

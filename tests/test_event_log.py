@@ -14,14 +14,10 @@ import numpy as np
 import pytest
 
 from mta_engine import rct
-from mta_engine.events import (
-    ConversionEvent,
-    InteractionKind,
-    Touchpoint,
-    conversion_to_record,
-    touchpoint_to_record,
-)
+from mta_engine.events import ConversionEvent, InteractionKind, Touchpoint
 from mta_engine.rct import SIM_EPOCH, CampaignSpec, SimConfig, estimate_all, simulate
+
+from conftest import conversion_to_record, touchpoint_to_record
 
 
 def reference_events(config: SimConfig) -> tuple[list[Touchpoint], list[ConversionEvent]]:

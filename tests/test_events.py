@@ -6,18 +6,23 @@ from hypothesis import given, strategies as st
 
 from mta_engine.errors import DataIntegrityError, ParseError
 from mta_engine.events import (
+    CONVERSION_FIELDS,
     ConversionEvent,
     InteractionKind,
     LookbackWindow,
     build_journeys,
-    conversion_to_record,
-    format_timestamp,
     parse_event_log,
     parse_timestamp,
-    touchpoint_to_record,
 )
 
-from conftest import T0, mk_conv, mk_tp
+from conftest import (
+    T0,
+    conversion_to_record,
+    format_timestamp,
+    mk_conv,
+    mk_tp,
+    touchpoint_to_record,
+)
 
 WEEK = LookbackWindow(timedelta(days=7))
 
@@ -139,6 +144,50 @@ class TestParseCsv:
     def test_unrecognized_header_is_fatal(self):
         with pytest.raises(ParseError):
             parse_event_log(["id,when,what", "1,2,3"], format="csv")
+
+
+def conv_csv(units: str) -> list[str]:
+    return [",".join(CONVERSION_FIELDS), f"x1,c1,2025-03-01T12:00:00.000Z,{units}"]
+
+
+class TestFormatsAgree:
+    """A record reads the same from a JSONL and a CSV log. JSON units of 1.5,
+    true or 2.0 used to be truncated to an integer, where the CSV text was
+    skipped, and a JSON array id was stored as its Python repr."""
+
+    @pytest.mark.parametrize(
+        "json_units, csv_units",
+        [(1.5, "1.5"), (True, "true"), (2.0, "2.0"), ("1.5", "1.5")],
+        ids=["float", "bool", "integral-float", "string-float"],
+    )
+    def test_non_integer_units_are_skipped(self, json_units, csv_units):
+        for result in (
+            parse_event_log([conv_line("x1", units=json_units)]),
+            parse_event_log(conv_csv(csv_units), format="csv"),
+        ):
+            assert result.conversions == [] and result.skipped == 1
+            assert "units must be an integer" in result.diagnostics[0]
+
+    @pytest.mark.parametrize("json_units, csv_units", [(3, "3"), ("3", " 3"), (0, "0"), (None, "")])
+    def test_integer_units_read_the_same(self, json_units, csv_units):
+        from_jsonl = parse_event_log([conv_line("x1", units=json_units)]).conversions
+        from_csv = parse_event_log(conv_csv(csv_units), format="csv").conversions
+        assert from_jsonl == from_csv and len(from_jsonl) == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            conv_line("x1", customer=["c1"]),
+            conv_line({"id": "x1"}),
+            tp_line("t1", customer=["c1"]),
+            tp_line("t1", channel=True),
+        ],
+        ids=["array-customer", "object-conversion-id", "array-touchpoint-customer", "bool-channel"],
+    )
+    def test_an_array_object_or_boolean_field_skips_the_record(self, line):
+        result = parse_event_log([line])
+        assert list(result.touchpoints) == [] and result.conversions == []
+        assert result.skipped == 1 and "must be a string" in result.diagnostics[0]
 
 
 class TestBuildJourneys:

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
-from mta_engine.nnls import nnls, nnls_brute_force
+from mta_engine.nnls import nnls
+
+from conftest import nnls_brute_force
 
 
 def random_instance(rng, max_features=3):

@@ -12,7 +12,7 @@ from mta_engine.calibration import (
     fit_calibration,
     predict_campaign,
 )
-from mta_engine.credits import aggregate_shares, credit_totals, per_conversion_total
+from mta_engine.credits import aggregate_shares, credit_totals
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
@@ -104,9 +104,9 @@ class TestBuildingBlocks:
     def test_model_credit_records_scale_by_units(self):
         journey = mk_journey([mk_tp("t1", ts=T0 - timedelta(days=1))], mk_conv("x1", units=2))
         credits = pipeline.ensemble_credits([journey], ("lta",))
-        (record,) = pipeline.model_credit_records(credits)
+        ((model, record),) = pipeline.model_credit_records(credits)
         assert record.credit == 2.0
-        assert record.model == "lta"
+        assert model == "lta"
 
 
 class TestFigureFixtureThroughPipeline:
@@ -117,8 +117,8 @@ class TestFigureFixtureThroughPipeline:
         mta = pipeline.score_all(model, journeys, credits_by_model)
         mta_shares = aggregate_shares(mta).shares()
         records = pipeline.model_credit_records(credits_by_model)
-        lta_totals = credit_totals((r for r in records if r.model == "lta"), "channel")
-        mda_totals = credit_totals((r for r in records if r.model == "mda"), "channel")
+        lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
+        mda_totals = credit_totals((row for name, row in records if name == "mda"), "channel")
         lta_shares = {k: v / 3.0 for k, v in lta_totals.items()}
         mda_shares = {k: v / 3.0 for k, v in mda_totals.items()}
         for channel in ("Upper", "Lower"):
@@ -134,7 +134,7 @@ class TestFigureFixtureThroughPipeline:
         mta = pipeline.score_all(model, journeys, credits_by_model)
         for journey in journeys:
             conv_id = journey.conversion.conversion_id
-            total = per_conversion_total([c for c in mta if c.conversion_id == conv_id])
+            total = sum(c.credit for c in mta if c.conversion_id == conv_id)
             assert total == pytest.approx(weight_sum * journey.conversion.units, abs=1e-9)
 
 
@@ -156,7 +156,7 @@ class TestScoreAllWarnings:
         model = CalibrationModel(("lta", "mda"), "global", {"global": (0.6, 0.4)}, None)
         with caplog.at_level(logging.WARNING):
             mta = pipeline.score_all(model, journeys, credits)
-        assert per_conversion_total(mta) == pytest.approx(0.6 * 50)
+        assert sum(c.credit for c in mta) == pytest.approx(0.6 * 50)
         (record,) = caplog.records
         assert "50 conversion(s)" in record.message and "'mda'" in record.message
 

@@ -5,7 +5,6 @@ import pytest
 
 from mta_engine import rct, rng
 from mta_engine.errors import ConfigError, DegenerateDesignError
-from mta_engine.events import conversion_to_record, touchpoint_to_record
 from mta_engine.rct import (
     HOLDOUT,
     TREATMENT,
@@ -20,7 +19,7 @@ from mta_engine.rct import (
     simulate,
 )
 
-from conftest import T0, mk_conv
+from conftest import T0, conversion_to_record, mk_conv, touchpoint_to_record
 
 
 def spec(campaign_id="campA", **overrides) -> CampaignSpec:

@@ -4,7 +4,7 @@
   skip count and diagnostics as decoding every line with ``json.loads`` and
   the record validator.
 * The MDA training matrix built from a journey table equals, row for row,
-  the stacked per-journey ``attribution._feature_vector``.
+  the stacked per-journey ``conftest.feature_vector``.
 * ``build_journeys`` on an ``rct.EventLog`` builds no ``Touchpoint`` and
   gives the journeys of the JSONL round trip.
 """
@@ -29,7 +29,7 @@ from mta_engine.events import (
 )
 from mta_engine.rct import CampaignSpec, SimConfig, simulate
 
-from conftest import T0, mk_conv, mk_journey, mk_tp
+from conftest import T0, feature_vector, mk_conv, mk_journey, mk_tp
 
 WEEK = LookbackWindow(timedelta(days=7))
 
@@ -212,7 +212,7 @@ def journey_lists(draw):
 
 
 def stacked_feature_vectors(names, journeys) -> np.ndarray:
-    rows = [attribution._feature_vector(names, j.touchpoints, j.conversion) for j in journeys]
+    rows = [feature_vector(names, j.touchpoints, j.conversion) for j in journeys]
     return np.array(rows).reshape(len(journeys), len(names))
 
 
