@@ -34,6 +34,7 @@ from .calibration import (
 )
 from .credits import (
     AttributionShareReport,
+    CreditTable,
     MtaCredit,
     ShareRow,
     aggregate_shares,

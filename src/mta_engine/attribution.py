@@ -317,31 +317,31 @@ def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
     if no removal lowers the probability the credit falls back to uniform.
 
     The features are counts plus the recency of the latest touchpoint, so
-    the full vector is the sum of the touchpoint columns and removing
-    touchpoint i subtracts its row of them; recency changes only when i is
-    the unique latest touchpoint, and is then recomputed from the remaining
-    touchpoints. Every row is scored with the same scalar arithmetic as the
-    full vector, so the credits equal those of rebuilding each leave-one-out
-    vector from scratch, in O(n) per journey.
+    removing touchpoint i subtracts the column row of its (is_click, channel)
+    pair from the full vector; recency changes only when i is the unique
+    latest touchpoint, and is then recomputed. One vector is scored per
+    distinct pair (the unique latest touchpoint's on its own) with the same
+    scalar arithmetic as rebuilding it, so the credits are the O(n^2) ones.
     """
     _require_touchpoints(journey)
     tps = journey.touchpoints
-    columns = _touchpoint_columns(
-        model.feature_names,
-        np.array([tp.interaction_kind is InteractionKind.CLICK for tp in tps]),
-        np.array([tp.channel for tp in tps]),
-    )
+    pairs = [(tp.interaction_kind is InteractionKind.CLICK, tp.channel) for tp in tps]
+    columns = _touchpoint_columns(model.feature_names, *map(np.array, zip(*pairs)))
     recency = np.array([name == "recency_days" for name in model.feature_names], dtype=bool)
     x = columns.sum(axis=0)
     x[recency] = _recency_days(tps, journey.conversion)
-    loo = x - columns
     if len(tps) == 1 or tps[-1].timestamp != tps[-2].timestamp:
+        pairs[-1] = None  # the unique latest: a key of its own, and the last one added
+    row_of = {pair: i for i, pair in enumerate(pairs)}
+    loo = x - columns[list(row_of.values())]
+    if pairs[-1] is None:
         loo[-1, recency] = _recency_days(tps[:-1], journey.conversion)
 
     # Per-row np.dot, not loo @ weights: a batched product sums in another
     # order and moves credits in their last bits.
     p_full = model._proba(x)
-    deltas = [max(0.0, p_full - model._proba(row)) for row in loo]
+    drop = {pair: max(0.0, p_full - model._proba(row)) for pair, row in zip(row_of, loo)}
+    deltas = [drop[pair] for pair in pairs]
     total = sum(deltas)
     if total > 0.0:
         return CreditVector(journey, tuple(d / total for d in deltas))

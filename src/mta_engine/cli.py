@@ -32,10 +32,10 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timedelta
-from itertools import groupby
-from operator import attrgetter, getitem, itemgetter
+from itertools import chain, groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 from . import pipeline
 from .attribution import MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams, MdaModel
@@ -43,8 +43,8 @@ from .calibration import CalibrationModel, CalibrationOptions, feature_rows_to_c
 from .credits import (
     DIMENSIONS,
     AttributionShareReport,
-    MtaCredit,
-    aggregate_shares,
+    CreditTable,
+    aggregate_shares,  # noqa: F401  -- perfbench/tracing.py times report through it
     credit_totals,
     render_share_table,
     shares_from_totals,
@@ -287,26 +287,24 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: Sequence[str], **bloc
     return path
 
 
-def _open_input(path: Path) -> IO[str]:
+@contextmanager
+def _reading(path: Path, *errors: type[Exception]) -> Iterator[IO[str]]:
+    """The artifact at ``path``, open; failing to open or decode it (or ``errors``) names it."""
     if not path.exists():
         raise MissingArtifactError(f"required input {path} does not exist; run the earlier stage first")
-    return path.open()
-
-
-@contextmanager
-def _decoding(path: Path) -> Iterator[None]:
-    """Report a failure to decode the input artifact at ``path`` as one
-    :class:`UnusableArtifactError` naming the artifact."""
     try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        with path.open() as fh:
+            yield fh
+    except OSError as exc:
+        raise UnusableArtifactError(f"{path}: {exc.strerror or exc}") from None
+    except (AttributeError, KeyError, TypeError, ValueError, *errors) as exc:
         what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise UnusableArtifactError(f"{path}: {what}") from None
 
 
 def _parse_input(path: Path):
     """Parse an event log, as CSV when its name ends in ``.csv``, else as JSONL."""
-    with _open_input(path) as fh, _decoding(path):
+    with _reading(path) as fh:
         return parse_event_log(fh, "csv" if path.suffix.lower() == ".csv" else "jsonl")
 
 
@@ -339,7 +337,7 @@ def _write_rct_results(results: dict[str, RctResult], path: Path) -> None:
 
 def _read_rct_results(path: Path) -> dict[str, RctResult]:
     results: dict[str, RctResult] = {}
-    with _open_input(path) as fh, _decoding(path):
+    with _reading(path) as fh:
         for record in csv.DictReader(fh):
             results[record["campaign_id"]] = lift_from_counts(
                 record["campaign_id"],
@@ -444,14 +442,45 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     return 0
 
 
+# Lines of a credit CSV built per write: bounds the text held at once.
+_WRITE_ROWS = 4096
+
+
+def _plain_prefixes(rows: Sequence[tuple[str, ...]]) -> list[str] | None:
+    """Each row's fields joined by commas, with a comma after the last: the
+    text csv.writer writes for them, or None when some field needs quoting."""
+    prefixes = [",".join((*row, "")) for row in rows]
+    text = "".join(prefixes)
+    if any(c in text for c in '"\r\n') or text.count(",") != sum(map(len, rows)):
+        return None
+    return prefixes
+
+
+def _write_credit_csv(fh: IO[str], header: Sequence[str], table: CreditTable, prefixes) -> None:
+    """Write a table as csv.writer writes it, ``model`` first when paired: each line
+    a prefix (``_plain_prefixes(table.labels)``) and a repr, if no field needs quoting."""
+    leads = _plain_prefixes([(name,) if table.paired else () for name in table.columns])
+    if prefixes is None or leads is None:
+        fields = attrgetter(*MTA_CREDIT_COLUMNS)
+        rows = ((n, *fields(r)) for n, r in table) if table.paired else map(fields, table)
+        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
+        return
+    fh.write(",".join(header) + "\n")
+    for lead, column in zip(leads, table.columns.values()):
+        for start in range(0, len(prefixes), _WRITE_ROWS):
+            chunk = slice(start, start + _WRITE_ROWS)
+            lines = zip(prefixes[chunk], column[chunk].tolist())
+            fh.write("".join([f"{lead}{prefix}{credit!r}\n" for prefix, credit in lines]))
+
+
 def cmd_attribute(cfg: RunConfig, args) -> int:
     model_path, mda_path = cfg.artifact("calibration_model"), cfg.artifact("mda_model")
-    with _open_input(model_path) as fh, _decoding(model_path):
+    with _reading(model_path) as fh:
         model = CalibrationModel.from_json(fh.read())
     mda = None
     if mda_path.exists():
-        with _decoding(mda_path):
-            mda = MdaModel.from_json(mda_path.read_text())
+        with _reading(mda_path) as fh:
+            mda = MdaModel.from_json(fh.read())
 
     _, attributable, counts = _load_journeys(cfg)
     unattributed = counts["unattributed_conversions"]
@@ -459,15 +488,12 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
     mta_credits = pipeline.score_all(model, attributable, credits_by_model)
     records = pipeline.model_credit_records(credits_by_model)
 
+    # score_all checked all vectors' journeys, so the tables share labels.
+    prefixes = _plain_prefixes(mta_credits.labels)
     with cfg.artifact("mta_credits").open("w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MTA_CREDIT_COLUMNS)
-        writer.writerows(map(attrgetter(*MTA_CREDIT_COLUMNS), mta_credits))
+        _write_credit_csv(fh, MTA_CREDIT_COLUMNS, mta_credits, prefixes)
     with cfg.artifact("model_credits").open("w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", *MTA_CREDIT_COLUMNS])
-        fields = attrgetter(*MTA_CREDIT_COLUMNS)
-        writer.writerows((name, *fields(row)) for name, row in records)
+        _write_credit_csv(fh, ("model", *MTA_CREDIT_COLUMNS), records, prefixes)
     summary = {
         "conversions": len(attributable) + unattributed,
         "attributed_conversions": len(attributable),
@@ -482,10 +508,11 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _read_mta_credits(path: Path) -> list[MtaCredit]:
-    labels = itemgetter(*MTA_CREDIT_COLUMNS[:-1])
-    with _open_input(path) as fh, _decoding(path):
-        return [MtaCredit(*labels(row), float(row["credit"])) for row in csv.DictReader(fh)]
+def _credit_csv(fh: IO[str]) -> tuple[Iterator[list[str]], Callable]:
+    """A credit CSV's non-blank rows after its header, and each column's getter by name."""
+    rows = filter(None, csv.reader(fh))
+    index = {name: i for i, name in enumerate(next(rows, ()))}
+    return rows, lambda name: itemgetter(index[name])
 
 
 def _report_to_dict(report: AttributionShareReport) -> dict:
@@ -505,21 +532,26 @@ _COMPARED_MODELS = (MODEL_LTA, MODEL_MDA)
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    credits = _read_mta_credits(cfg.artifact("mta_credits"))
     unattributed = 0
     summary_path = cfg.artifact("attribution_summary")
     if summary_path.exists():
-        with _decoding(summary_path):
-            unattributed = int(json.loads(summary_path.read_text())["unattributed_conversions"])
-    report = aggregate_shares(credits, cfg.report_dimension, unattributed)
+        with _reading(summary_path) as fh:
+            unattributed = json.load(fh)["unattributed_conversions"]
+            if type(unattributed) is not int or unattributed < 0:
+                raise ValueError(f"unattributed_conversions {unattributed!r} is no integer >= 0")
+    with _reading(cfg.artifact("mta_credits"), IndexError) as fh:
+        rows, column = _credit_csv(fh)
+        mta_totals = credit_totals(rows, cfg.report_dimension, column)
+    report = shares_from_totals(mta_totals, cfg.report_dimension, unattributed)
 
     totals: dict[str, dict[str, float]] = {}
     model_credits_path = cfg.artifact("model_credits")
     if model_credits_path.exists():
-        with model_credits_path.open() as fh, _decoding(model_credits_path):
-            for name, rows in groupby(csv.DictReader(fh), itemgetter("model")):
+        with _reading(model_credits_path, IndexError) as fh:
+            rows, column = _credit_csv(fh)
+            for name, group in groupby(rows, column("model")):
                 if name in _COMPARED_MODELS:
-                    credit_totals(rows, cfg.report_dimension, getitem, totals.setdefault(name, {}))
+                    credit_totals(group, cfg.report_dimension, column, totals.setdefault(name, {}))
     comparisons = {
         name: shares_from_totals(totals[name], cfg.report_dimension, unattributed)
         for name in _COMPARED_MODELS

@@ -6,12 +6,15 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .attribution import CreditVector
 from .calibration import CalibrationModel
 from .errors import DataIntegrityError
-from .events import Journey
+from .events import Journey, label_codes
 
 logger = logging.getLogger(__name__)
 
@@ -57,11 +60,56 @@ class AttributionShareReport:
         return {row.value: row.share for row in self.rows}
 
 
+@dataclass(frozen=True, eq=False)
+class CreditTable(Sequence):
+    """Credit rows as columns. Row ``k * len(labels) + i`` is built on access from
+    ``labels[i]`` and the k-th column: an MtaCredit, or ``(name, MtaCredit)`` if paired."""
+
+    labels: list[tuple[str, ...]]
+    columns: dict[str, np.ndarray]
+    paired: bool = True
+
+    def __len__(self) -> int:
+        return len(self.labels) * len(self.columns)
+
+    def __getitem__(self, index: int):
+        k, i = divmod(range(len(self))[index], len(self.labels))
+        name, column = list(self.columns.items())[k]
+        row = MtaCredit(*self.labels[i], column.item(i))
+        return (name, row) if self.paired else row
+
+
+def _columns(
+    journeys: Sequence[Journey], credits_by_model: Mapping[str, Sequence[CreditVector]]
+) -> tuple[list[tuple[str, ...]], np.ndarray, dict[str, np.ndarray]]:
+    """Every touchpoint's labels and conversion units, and each model's credits
+    as a column; a credit vector of another journey raises DataIntegrityError."""
+    for i, journey in enumerate(journeys):
+        if journey.conversion is None:
+            raise DataIntegrityError("cannot score a journey without a conversion")
+        for name, vectors in credits_by_model.items():
+            if vectors[i].journey is not journey and vectors[i].journey != journey:
+                raise DataIntegrityError(
+                    f"model {name!r} credits belong to another journey than "
+                    f"conversion {journey.conversion.conversion_id!r}'s"
+                )
+    labels = [
+        (j.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product)
+        for j in journeys for tp in j.touchpoints
+    ]
+    units = np.array([float(j.conversion.units) for j in journeys for _ in j.touchpoints])
+    columns = {
+        name: np.array([c for v in vectors for c in v.credits], dtype=np.float64)
+        for name, vectors in credits_by_model.items()
+    }
+    return labels, units, columns
+
+
 def score_all(
     model: CalibrationModel,
     attributable: Sequence[Journey],
     credits_by_model: Mapping[str, Sequence[CreditVector]],
-) -> list[MtaCredit]:
+) -> CreditTable:
     """MTA credits for every attributable conversion, with one warning line
     per cause of zero credit for the whole batch.
 
@@ -72,13 +120,29 @@ def score_all(
     calibration weights but missing here, or a touchpoint whose group has no
     fitted weights, contributes zero credit (with a warning); a credit vector
     of another journey raises :class:`DataIntegrityError`.
+
+    The products are numpy's and each touchpoint's terms go through Python's
+    ``sum``, so the bits are those of the per-touchpoint definition.
     """
-    out: list[MtaCredit] = []
-    for i, journey in enumerate(attributable):
-        per_model = {name: vectors[i] for name, vectors in credits_by_model.items()}
-        out.extend(_score_journey(model, per_model, journey))
+    labels, units, columns = _columns(attributable, credits_by_model)
+    codes, channels = label_codes([label[3] for label in labels])
+    weights = [model.group_weights(c) for c in channels]
+    terms = [
+        (np.array([w[name] for w in weights])[codes] * columns.get(name, 0.0)).tolist()
+        for name in model.feature_names
+    ]
+    total = np.array([sum(t) for t in zip(*terms)] if terms else [0.0] * len(labels))
     _warn_zero_credit(model, credits_by_model.keys(), attributable)
-    return out
+    return CreditTable(labels, {"mta": units * total}, paired=False)
+
+
+def model_credit_records(credits_by_model: Mapping[str, Sequence[CreditVector]]) -> CreditTable:
+    """Per-model credits scaled by conversion units, a column per model in name
+    order, for LTA-only / MDA-only comparisons; all models' vectors share journeys."""
+    names = sorted(credits_by_model)
+    journeys = [v.journey for v in credits_by_model[names[0]]] if names else []
+    labels, units, columns = _columns(journeys, credits_by_model)
+    return CreditTable(labels, {name: columns[name] * units for name in names})
 
 
 def _warn_zero_credit(
@@ -103,46 +167,6 @@ def _warn_zero_credit(
         )
 
 
-def _score_journey(
-    model: CalibrationModel,
-    credits_by_model: Mapping[str, CreditVector],
-    journey: Journey,
-) -> list[MtaCredit]:
-    if journey.conversion is None:
-        raise DataIntegrityError("cannot score a journey without a conversion")
-    conversion_id = journey.conversion.conversion_id
-    for name, vector in credits_by_model.items():
-        if vector.journey != journey:
-            raise DataIntegrityError(
-                f"model {name!r} credits belong to another journey than "
-                f"conversion {conversion_id!r}'s"
-            )
-    absent = (0.0,) * len(journey.touchpoints)
-    columns = [
-        credits_by_model[name].credits if name in credits_by_model else absent
-        for name in model.feature_names
-    ]
-
-    units = journey.conversion.units
-    combined = []
-    for i, tp in enumerate(journey.touchpoints):
-        weights = model.group_weights(tp.channel).values()
-        combined.append(units * sum(weight * column[i] for weight, column in zip(weights, columns)))
-    return credit_rows(journey, combined)
-
-
-def credit_rows(journey: Journey, credits: Sequence[float]) -> list[MtaCredit]:
-    """One row per touchpoint of a converting journey: ``credits[i]`` is the
-    credit of ``journey.touchpoints[i]``."""
-    conversion_id = journey.conversion.conversion_id
-    return [
-        MtaCredit(
-            conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product, credit
-        )
-        for tp, credit in zip(journey.touchpoints, credits)
-    ]
-
-
 def _check_dimension(dimension: str) -> None:
     if dimension not in DIMENSION_FIELDS:
         raise ValueError(f"unknown report dimension {dimension!r}")
@@ -151,20 +175,20 @@ def _check_dimension(dimension: str) -> None:
 def credit_totals(
     rows: Iterable,
     dimension: str,
-    get: Callable = getattr,
+    getter: Callable = attrgetter,
     totals: dict[str, float] | None = None,
 ) -> dict[str, float]:
     """Sum each row's ``credit`` by reporting dimension, in first-seen order.
 
-    ``get`` reads a field: ``getattr`` for credit objects, ``operator.getitem``
-    for rows of a credit CSV. Sums accumulate into ``totals`` when given.
+    ``getter(field)`` reads a field: ``attrgetter`` for credit objects, a
+    column's ``itemgetter`` for CSV rows. Sums accumulate into ``totals`` when given.
     """
     _check_dimension(dimension)
-    field = DIMENSION_FIELDS[dimension]
+    value_of, credit_of = getter(DIMENSION_FIELDS[dimension]), getter("credit")
     totals = {} if totals is None else totals
     for row in rows:
-        value = get(row, field)
-        totals[value] = totals.get(value, 0.0) + float(get(row, "credit"))
+        value = value_of(row)
+        totals[value] = totals.get(value, 0.0) + float(credit_of(row))
     return totals
 
 

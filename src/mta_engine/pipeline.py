@@ -30,8 +30,7 @@ from .calibration import (
     evaluate_oos,
     fit_calibration,
 )
-from .credits import MtaCredit, credit_rows
-from .credits import score_all  # noqa: F401  -- the CLI scores through pipeline.score_all
+from .credits import model_credit_records, score_all  # noqa: F401  -- the CLI calls them here
 from .errors import DegenerateLabelsError, InsufficientDataError
 from .events import Journey, Journeys
 from .rct import CampaignSpec, RctResult
@@ -128,19 +127,3 @@ def fit_with_cv(
     else:
         logger.warning("skipping CV: %d RCT row(s) < %d folds", n_rct, cv_folds)
     return model
-
-
-def model_credit_records(
-    credits_by_model: Mapping[str, Sequence[CreditVector]],
-) -> list[tuple[str, MtaCredit]]:
-    """Flat per-model credit table (the pre-calibration analogue of the MTA
-    credit table) as ``(model, row)`` pairs, each credit scaled by its
-    conversion's units; used for LTA-only / MDA-only comparison reporting."""
-    return [
-        (name, row)
-        for name in sorted(credits_by_model)
-        for vector in credits_by_model[name]
-        for row in credit_rows(
-            vector.journey, [c * vector.journey.conversion.units for c in vector.credits]
-        )
-    ]

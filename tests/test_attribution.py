@@ -1,5 +1,6 @@
 import math
 from datetime import timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,6 +339,43 @@ def loo_models(draw):
     return MdaModel(names, weights, bias, TrainingInfo(0, 0.0, 0.0, 0.0))
 
 
+@st.composite
+def shared_vector_journeys(draw):
+    """Journeys whose leave-one-out vectors repeat: a single touchpoint, ties
+    at the latest stamp, or every touchpoint of one (kind, channel) pair."""
+    shape = draw(st.sampled_from(["single", "tied-latest", "one-pair"]))
+    n = 1 if shape == "single" else draw(st.integers(2, 12))
+    pair = (draw(st.sampled_from(["view", "click"])), draw(st.sampled_from(["Upper", "Lower", "Other"])))
+    ages = sorted((draw(st.sampled_from(TIED_MS)) for _ in range(n)), reverse=True)
+    if shape == "tied-latest":
+        ages[-1] = ages[-2]
+    tps = []
+    for i, ms in enumerate(ages):
+        kind, channel = pair if shape == "one-pair" else (
+            draw(st.sampled_from(["view", "click"])), draw(st.sampled_from(["Upper", "Lower"]))
+        )
+        tps.append(mk_tp(f"t{i:02d}", ts=T0 - timedelta(milliseconds=ms), kind=kind, channel=channel))
+    return mk_journey(tps, mk_conv("x1", ts=T0))
+
+
+def credit_bits(vector: CreditVector) -> bytes:
+    return np.array(vector.credits, dtype=np.float64).tobytes()
+
+
+def proba_calls(model: MdaModel, journey: Journey) -> int:
+    """How many vectors ``mda_credits`` scores for one journey."""
+    calls = []
+    proba = MdaModel._proba
+
+    def counting(self, x):
+        calls.append(1)
+        return proba(self, x)
+
+    with mock.patch.object(MdaModel, "_proba", counting):
+        mda_credits(model, journey)
+    return len(calls)
+
+
 class TestMdaClosedForm:
     @settings(max_examples=400)
     @given(loo_models(), loo_journeys())
@@ -357,6 +395,26 @@ class TestMdaClosedForm:
     @pytest.mark.parametrize("model", [zero_model(), PROPERTY_MODEL], ids=["uniform", "weighted"])
     def test_equals_brute_force_on_edge_cases(self, model, journey):
         assert mda_credits(model, journey) == loo_reference(model, journey)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loo_models(), shared_vector_journeys())
+    def test_equals_brute_force_bitwise_when_vectors_repeat(self, model, journey):
+        assert credit_bits(mda_credits(model, journey)) == credit_bits(loo_reference(model, journey))
+
+    @settings(max_examples=200, deadline=None)
+    @given(loo_models(), st.one_of(loo_journeys(), shared_vector_journeys()))
+    def test_one_score_per_distinct_vector(self, model, journey):
+        channels = {tp.channel for tp in journey.touchpoints}
+        assert proba_calls(model, journey) <= 2 * len(channels) + 2
+
+    def test_scores_do_not_grow_with_journey_length(self):
+        kinds = ["view", "click"] * 75
+        channels = ["Upper", "Lower", "Mid"] * 50
+        journey = simple_journey(*[0.01 * (i + 1) for i in range(150)], kinds=kinds, channels=channels)
+        assert proba_calls(PROPERTY_MODEL, journey) <= 2 * 3 + 2
+        assert credit_bits(mda_credits(PROPERTY_MODEL, journey)) == credit_bits(
+            loo_reference(PROPERTY_MODEL, journey)
+        )
 
     def test_feature_builds_do_not_grow_with_journey_length(self, monkeypatch):
         calls = []

@@ -1,12 +1,18 @@
 import csv
+import io
 import json
 import shutil
+from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mta_engine import attribution, rct
-from mta_engine.cli import ARTIFACTS, load_run_config, main
+from mta_engine import attribution, cli, rct
+from mta_engine.cli import ARTIFACTS, MTA_CREDIT_COLUMNS, load_run_config, main
+from mta_engine.credits import CreditTable
 from mta_engine.events import CONVERSION_FIELDS, TOUCHPOINT_FIELDS
 
 
@@ -208,6 +214,18 @@ def non_utf8_byte(path: Path) -> None:
     path.write_bytes(blob[: len(blob) // 2] + b"\xff" + blob[len(blob) // 2 :])
 
 
+def unattributed(value):
+    def corrupt(path: Path) -> None:
+        path.write_text(json.dumps({"unattributed_conversions": value}))
+
+    return corrupt
+
+
+def short_row(path: Path) -> None:
+    with path.open("a") as fh:
+        fh.write("lta,x1\n")
+
+
 class TestUnusableArtifacts:
     """An input artifact that exists but cannot be decoded exits 4 with one
     line naming it; each used to exit 1 with a traceback."""
@@ -222,9 +240,16 @@ class TestUnusableArtifacts:
             ("touchpoints.jsonl", non_utf8_byte, "fit"),
             ("mta_credits.csv", drop_columns("credit"), "report"),
             ("attribution_summary.json", empty_object, "report"),
+            ("attribution_summary.json", unattributed(-5), "report"),
+            ("attribution_summary.json", unattributed(2.5), "report"),
+            ("attribution_summary.json", unattributed(True), "report"),
+            ("mta_credits.csv", short_row, "report"),
+            ("model_credits.csv", short_row, "report"),
         ],
         ids=["truncated-calibration-model", "empty-mda-model", "rct-results-without-counts",
-             "non-utf8-touchpoints", "credits-without-credit", "empty-summary"],
+             "non-utf8-touchpoints", "credits-without-credit", "empty-summary",
+             "negative-unattributed", "fractional-unattributed", "boolean-unattributed",
+             "credits-short-row", "model-credits-short-row"],
     )
     def test_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact, corrupt,
                                    command):
@@ -237,6 +262,137 @@ class TestUnusableArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"UnusableArtifactError: {out / artifact}: ")
+
+
+class TestUnreadableInputs:
+    """An input path that exists but cannot be opened exits 4 with one line
+    naming it; a directory used to exit 1 with an IsADirectoryError traceback."""
+
+    @pytest.mark.parametrize(
+        "artifact, command",
+        [("calibration_model", "attribute"), ("mda_model", "attribute"),
+         ("mta_credits", "report"), ("attribution_summary", "report")],
+    )
+    def test_directory_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact,
+                                             command):
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        config = json.loads(cfg_path.read_text())
+        config["paths"] = {artifact: str(tmp_path)}
+        capsys.readouterr()
+        assert run(command, "--config", write_config(tmp_path, config), "--out", out) == 4
+        assert capsys.readouterr().err == f"UnusableArtifactError: {tmp_path}: Is a directory\n"
+
+    def test_unreadable_file_exits_4_with_one_line(self, attributed_run, tmp_path, capsys):
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        denied = out / ARTIFACTS["calibration_model"]
+        open_path = Path.open
+
+        def open_unless_denied(path, *args, **kwargs):
+            if path == denied:
+                raise PermissionError(13, "Permission denied", str(path))
+            return open_path(path, *args, **kwargs)
+
+        capsys.readouterr()
+        with mock.patch.object(Path, "open", open_unless_denied):
+            assert run("attribute", "--config", cfg_path, "--out", out) == 4
+        assert capsys.readouterr().err == f"UnusableArtifactError: {denied}: Permission denied\n"
+
+
+class TestReportReader:
+    def test_blank_lines_in_credit_csvs_are_skipped(self, attributed_run, tmp_path):
+        cfg_path, source = attributed_run
+        for name, blanks in (("plain", False), ("blank", True)):
+            out = tmp_path / name
+            shutil.copytree(source, out)
+            if blanks:
+                for artifact in ("mta_credits.csv", "model_credits.csv"):
+                    lines = (out / artifact).read_text().splitlines(keepends=True)
+                    (out / artifact).write_text("\n".join(lines[:2]) + "\n" + "".join(lines[2:]))
+            assert run("report", "--config", cfg_path, "--out", out) == 0
+        for artifact in ("attribution_shares.json", "attribution_shares.txt"):
+            assert (tmp_path / "blank" / artifact).read_bytes() == (
+                tmp_path / "plain" / artifact
+            ).read_bytes()
+
+
+# Labels and credits that csv.writer quotes or spells in a special way.
+LABEL_TEXT = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", "\r\n", "a,b", 'say "hi"', "é", "ü,\n", " x "]),
+    st.text(max_size=6),
+)
+CREDITS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 1.0, 3.0,
+                     1e16, 0.1, 1 / 3]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def credit_tables(draw):
+    n = draw(st.integers(0, 6))
+    labels = [tuple(draw(LABEL_TEXT) for _ in range(5)) for _ in range(n)]
+    paired = draw(st.booleans())
+    names = draw(
+        st.lists(st.sampled_from(["lta", "mda", "decay", "a,b", 'q"']), unique=True,
+                 min_size=0 if paired else 1, max_size=4 if paired else 1)
+    )
+    columns = {name: np.array([draw(CREDITS) for _ in labels], dtype=np.float64) for name in names}
+    return CreditTable(labels, columns, paired)
+
+
+def csv_writer_text(header, table: CreditTable) -> str:
+    """The table written row by row through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    fields = attrgetter(*MTA_CREDIT_COLUMNS)
+    for value in table:
+        writer.writerow((value[0], *fields(value[1])) if table.paired else fields(value))
+    return buf.getvalue()
+
+
+class TestCreditWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(credit_tables(), st.integers(1, 4))
+    def test_text_equals_csv_writer(self, table, chunk_rows):
+        header = ("model", *MTA_CREDIT_COLUMNS) if table.paired else MTA_CREDIT_COLUMNS
+        buf = io.StringIO()
+        with mock.patch.object(cli, "_WRITE_ROWS", chunk_rows):
+            cli._write_credit_csv(buf, header, table, cli._plain_prefixes(table.labels))
+        assert buf.getvalue() == csv_writer_text(header, table)
+
+    def test_equal_credits_keep_their_own_text(self):
+        labels = [("x1", f"t{i}", "c", "Upper", "display") for i in range(4)]
+        table = CreditTable(labels, {"lta": np.array([0.0, -0.0, 0.0, 1.0])})
+        header = ("model", *MTA_CREDIT_COLUMNS)
+        buf = io.StringIO()
+        cli._write_credit_csv(buf, header, table, cli._plain_prefixes(labels))
+        assert buf.getvalue() == csv_writer_text(header, table)
+        assert [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()[1:]] == [
+            "0.0", "-0.0", "0.0", "1.0"
+        ]
+
+    def test_campaign_id_with_a_comma_is_quoted(self, tmp_path):
+        out = tmp_path / "out"
+        config = base_config(out, report_dimension="campaign")
+        for campaign in config["simulation"]["campaigns"]:
+            campaign["campaign_id"] = campaign["campaign_id"].replace("up", "up,")
+        cfg_path = write_config(tmp_path, config)
+        for command in ("simulate", "fit", "attribute", "report"):
+            assert run(command, "--config", cfg_path) == 0, command
+        for artifact in ("mta_credits.csv", "model_credits.csv"):
+            text = (out / artifact).read_text()
+            rows = list(csv.reader(io.StringIO(text)))
+            assert any(row[-4].startswith("up,") for row in rows[1:])
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            assert buf.getvalue() == text
+        shares = json.loads((out / "attribution_shares.json").read_text())
+        assert {row["value"] for row in shares["rows"]} >= {"up,0", "low0"}
 
 
 class TestInsufficientData:

@@ -167,7 +167,7 @@ def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rc
     assert aggregate_campaign_features(credits, campaigns, rct_results) == aggregate_reference(
         raw_journeys, keyed, campaigns, rct_results
     )
-    assert pipeline.model_credit_records(credits) == model_credit_records_reference(
+    assert list(pipeline.model_credit_records(credits)) == model_credit_records_reference(
         raw_journeys, keyed
     )
     without_decay = [name for name in credits if name != "decay"]
@@ -179,7 +179,7 @@ def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rc
                 expected += score_journey_reference(
                     model, {name: keyed[name][i] for name in names}, raw
                 )
-            assert pipeline.score_all(model, attributable, selected) == expected
+            assert list(pipeline.score_all(model, attributable, selected)) == expected
 
 
 def all_credits(attributable, mda=MDA):

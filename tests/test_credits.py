@@ -1,6 +1,9 @@
 import logging
+from datetime import timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mta_engine.attribution import CreditVector
 from mta_engine.calibration import (
@@ -19,7 +22,7 @@ from mta_engine.credits import (
 )
 from mta_engine.errors import DataIntegrityError
 
-from conftest import mk_conv, mk_journey, mk_tp, score_one
+from conftest import T0, mk_conv, mk_journey, mk_tp, score_one
 
 
 def weight_model(weights: dict[str, float]) -> CalibrationModel:
@@ -115,6 +118,98 @@ class TestPerConversionTotal:
 
     def test_empty(self):
         assert total_credit(score_all(weight_model({"lta": 0.9}), [], {"lta": []})) == 0.0
+
+
+def score_reference(model, attributable, credits_by_model):
+    """Per-touchpoint scoring by its definition: units times Python's ``sum``,
+    over the calibration's models, of weight times credit."""
+    out = []
+    for i, journey in enumerate(attributable):
+        absent = (0.0,) * len(journey.touchpoints)
+        columns = [
+            credits_by_model[name][i].credits if name in credits_by_model else absent
+            for name in model.feature_names
+        ]
+        for k, tp in enumerate(journey.touchpoints):
+            weights = model.group_weights(tp.channel).values()
+            total = sum(weight * column[k] for weight, column in zip(weights, columns))
+            out.append(
+                MtaCredit(
+                    journey.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id,
+                    tp.channel, tp.ad_product, journey.conversion.units * total,
+                )
+            )
+    return out
+
+
+@st.composite
+def scoring_inputs(draw):
+    """Journeys of 1-5 touchpoints over three channels with conversions of
+    0-7 units, arbitrary credits (not normalized) for some of three models,
+    and global or per-channel weights; under per-channel pooling "Mid" has
+    no fitted weights."""
+    journeys = []
+    for j in range(draw(st.integers(0, 5))):
+        conv = mk_conv(f"x{j}", customer=f"c{j}", units=draw(st.integers(0, 7)))
+        tps = [
+            mk_tp(
+                f"t{j}-{i}", customer=f"c{j}", campaign=f"camp{i % 2}",
+                channel=draw(st.sampled_from(["Upper", "Lower", "Mid"])),
+                ts=T0 - timedelta(hours=i + 1),
+            )
+            for i in range(draw(st.integers(1, 5)))
+        ]
+        journeys.append(mk_journey(tps, conv, customer=f"c{j}"))
+    credit = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 1 / 3]), st.floats(0.0, 1.0))
+    present = draw(st.lists(st.sampled_from(["lta", "mda", "decay"]), unique=True))
+    credits_by_model = {
+        name: [
+            CreditVector(j, tuple(draw(credit) for _ in j.touchpoints)) for j in journeys
+        ]
+        for name in present
+    }
+    weight = st.floats(0.0, 5.0)
+    names = ("lta", "decay", "mda")
+    if draw(st.booleans()):
+        model = CalibrationModel(names, "global", {"global": tuple(draw(weight) for _ in names)}, None)
+    else:
+        groups = {g: tuple(draw(weight) for _ in names) for g in ("Upper", "Lower")}
+        model = CalibrationModel(names, "per_channel", groups, None)
+    return model, journeys, credits_by_model
+
+
+def bits(credits) -> bytes:
+    return np.array([c.credit for c in credits], dtype=np.float64).tobytes()
+
+
+class TestScoreAllTable:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_inputs())
+    def test_equals_per_touchpoint_sum_bitwise(self, inputs):
+        model, journeys, credits_by_model = inputs
+        table = score_all(model, journeys, credits_by_model)
+        expected = score_reference(model, journeys, credits_by_model)
+        assert list(table) == expected
+        assert bits(table) == bits(expected)
+        assert len(table) == len(expected)
+        assert [table[i] for i in range(-len(table), 0)] == expected
+
+    def test_multi_unit_conversion_and_unfitted_group(self, caplog):
+        conv = mk_conv("x1", units=4)
+        journey = mk_journey(
+            [
+                mk_tp("u1", channel="Upper", ts=T0 - timedelta(days=2)),
+                mk_tp("m1", channel="Mid", ts=T0 - timedelta(days=1)),
+            ],
+            conv,
+        )
+        model = CalibrationModel(("lta", "mda"), "per_channel", {"Upper": (0.7, 0.2)}, None)
+        vectors = {"lta": [CreditVector(journey, (0.0, 1.0))], "mda": [CreditVector(journey, (0.3, 0.7))]}
+        with caplog.at_level(logging.WARNING):
+            table = score_all(model, [journey], vectors)
+        assert [c.credit for c in table] == [4 * (0.7 * 0.0 + 0.2 * 0.3), 0.0]
+        assert list(table) == score_reference(model, [journey], vectors)
+        assert "'Mid'; 1 touchpoint(s) get zero credit" in caplog.text
 
 
 def credit(value: str, amount: float, dimension: str = "channel") -> MtaCredit:
