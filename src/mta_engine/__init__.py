@@ -30,7 +30,6 @@ from .calibration import (
     aggregate_campaign_features,
     evaluate_oos,
     fit_calibration,
-    predict_campaign,
 )
 from .credits import (
     AttributionShareReport,

@@ -289,13 +289,6 @@ def fit_calibration(
     )
 
 
-def predict_campaign(model: CalibrationModel, row: CampaignFeatureRow) -> float:
-    """Predicted RCT conversions for one campaign row (clamped at 0)."""
-    value, gaps = _predict(model, row)
-    _warn_gaps(Counter(gaps))
-    return value
-
-
 def _predict(model: CalibrationModel, row: CampaignFeatureRow) -> tuple[float, list[str]]:
     """The prediction, plus what it counted as 0: a group with no fitted
     weights, or a feature the row lacks."""

@@ -16,8 +16,9 @@ seed), --out DIR (overrides the output directory), --format {json,csv,table}
 (error|warn|info|debug).
 
 Exit codes: 0 success; 2 invalid config; 3 insufficient calibration data;
-4 missing or unusable input artifact; 1 other pipeline errors. Failures
-print a single ``ErrorClass: message`` line to stderr.
+4 missing or unusable input artifact; 1 any other error. Failures print a
+single ``ErrorClass: message`` line to stderr, and the traceback only at
+MTA_LOG_LEVEL=debug.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from datetime import timedelta
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 from . import pipeline
 from .attribution import MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams, MdaModel
@@ -53,7 +54,6 @@ from .errors import (
     ConfigError,
     InsufficientDataError,
     MissingArtifactError,
-    MtaError,
     UnusableArtifactError,
 )
 from .events import LookbackWindow, build_journeys, parse_event_log
@@ -61,7 +61,7 @@ from .rct import CampaignSpec, RctResult, SimConfig, estimate_all, lift_from_cou
 
 logger = logging.getLogger(__name__)
 
-# The exit code of each error a command reports; any other MtaError exits 1.
+# The exit code of each error a command reports; any other exception exits 1.
 EXIT_CODES = {
     ConfigError: 2,
     InsufficientDataError: 3,
@@ -110,7 +110,7 @@ MTA_CREDIT_COLUMNS = (
 
 @dataclass
 class RunConfig:
-    """Validated run configuration (see README for the JSON schema)."""
+    """Validated run configuration, read from JSON against ``CONFIG_KEYS``."""
 
     seed: int
     out_dir: Path
@@ -136,141 +136,140 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+# json.loads's type for each JSON type but number, tested exactly: a boolean is no integer.
+_JSON_TYPES = {"integer": int, "string": str, "boolean": bool, "array": list, "object": dict}
 
 
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    _require(isinstance(value, dict), f"{key} must be an object, got {json.dumps(value)}")
+def _is(value: Any, json_type: str) -> bool:
+    """Whether ``value``, from json.loads, has ``json_type``; a number is finite."""
+    if json_type == "number":
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is _JSON_TYPES[json_type]
+
+
+@dataclass(frozen=True)
+class Key:
+    """A config key: JSON type, default (``...``: must be given; ``None`` also admits null),
+    range and its test, and the keys of an object, or of each object of an array."""
+
+    type: str
+    default: Any = ...
+    range: str = ""
+    valid: Callable[[Any], bool] = lambda value: True
+    keys: dict[str, Key] | None = None
+
+
+_DAYS = dict(range=f"> 0 and <= {timedelta.max.days}",
+             valid=lambda d: 0 < d <= timedelta.max.days and timedelta(days=d) > timedelta(0))
+
+# The ranges that SimConfig, CampaignSpec and CalibrationOptions check are left to them.
+CAMPAIGN_KEYS = {
+    "campaign_id": Key("string"),
+    "channel": Key("string"),
+    "ad_product": Key("string", "default"),
+    "exposure_rate": Key("number"),
+    "click_rate": Key("number", 0.0),
+    "true_lift": Key("number"),
+    "holdout_fraction": Key("number", 0.1),
+    "is_rct": Key("boolean", True),
+    "view_window": Key("array", [0.0, 0.7], "two numbers", lambda v: len(v) == 2
+                       and all(_is(x, "number") for x in v)),
+}
+
+CONFIG_KEYS = {
+    "seed": Key("integer", 0),
+    "out_dir": Key("string", "out"),
+    "lookback_days": Key("number", 7.0, **_DAYS),
+    "decay_half_life_days": Key("number", 3.0, **_DAYS),
+    "report_dimension": Key("string", "channel", f"one of {', '.join(DIMENSIONS)}",
+                            lambda v: v in DIMENSIONS),
+    "mda": Key("object", {}, keys={
+        "learning_rate": Key("number", 0.5, "> 0", lambda v: v > 0),
+        "iterations": Key("integer", 400, ">= 1", lambda v: v >= 1),
+        "seed": Key("integer", 0, ">= 0", lambda v: v >= 0),
+        "max_negatives": Key("integer", None, ">= 0", lambda v: v >= 0),
+    }),
+    "calibration": Key("object", {}, keys={
+        "features": Key("array", [MODEL_LTA, MODEL_MDA], f"a non-empty list of {', '.join(MODEL_NAMES)}",
+                        lambda v: v != [] and all(name in MODEL_NAMES for name in v)),
+        "pooling": Key("string", "global"),
+        "intercept": Key("boolean", False),
+        "inverse_variance_weighting": Key("boolean", False),
+        "cv_folds": Key("integer", 5, ">= 2", lambda v: v >= 2),
+        "cv_seed": Key("integer", 0, ">= 0", lambda v: v >= 0),
+    }),
+    "simulation": Key("object", None, keys={
+        "n_customers": Key("integer"),
+        "baseline_conversion_rate": Key("number", 0.02),
+        "horizon_days": Key("number", 14.0, **_DAYS),
+        "campaigns": Key("array", [], keys=CAMPAIGN_KEYS),
+    }),
+    "paths": Key("object", {}, keys={name: Key("string", None) for name in ARTIFACTS}),
+}
+
+
+def _read(value: Any, key: Key, path: str) -> Any:
+    """``value``, the JSON value at dotted ``path``, checked against ``key``: an
+    object as its keys' values, an array as a tuple, a number as a float."""
+    if value is ...:
+        raise ConfigError(f"{path} is required")
+    if value is None and key.default is None:
+        return None
+    if not _is(value, key.type):
+        null = " or null" if key.default is None else ""
+        raise ConfigError(f"{path} must be a JSON {key.type}{null}, got {json.dumps(value)}")
+    if not key.valid(value):
+        raise ConfigError(f"{path} must be {key.range}, got {json.dumps(value)}")
+    if key.type == "object":
+        return _read_object(value, key.keys, f"{path}.")
+    if key.type == "array":
+        item = Key("object", keys=key.keys)
+        return tuple(_read(v, item, f"{path}[{i}]") if key.keys else v for i, v in enumerate(value))
+    if key.type == "number" and type(value) is int:
+        return 1.0 * value  # the float the integer equals
     return value
 
 
-def _flag(raw: dict, key: str, default: bool, path: str) -> bool:
-    value = raw.get(key, default)
-    _require(isinstance(value, bool), f"{path} must be true or false, got {json.dumps(value)}")
-    return value
-
-
-def _campaign_from_dict(index: int, data: dict) -> CampaignSpec:
-    try:
-        return CampaignSpec(
-            campaign_id=str(data["campaign_id"]),
-            channel=str(data["channel"]),
-            ad_product=str(data.get("ad_product", "default")),
-            exposure_rate=float(data["exposure_rate"]),
-            click_rate=float(data.get("click_rate", 0.0)),
-            true_lift=float(data["true_lift"]),
-            holdout_fraction=float(data.get("holdout_fraction", 0.1)),
-            is_rct=_flag(data, "is_rct", True, f"simulation.campaigns[{index}].is_rct"),
-            view_window=tuple(data.get("view_window", (0.0, 0.7))),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"simulation.campaigns[{index}] is missing field {exc.args[0]!r}") from None
+def _read_object(obj: dict, keys: dict[str, Key], prefix: str = "") -> dict[str, Any]:
+    """The value of each of ``keys`` in the JSON object ``obj``, or its default."""
+    unknown = [name for name in obj if name not in keys]
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]} is not a config key")
+    return {name: _read(obj.get(name, key.default), key, prefix + name) for name, key in keys.items()}
 
 
 def load_run_config(path: Path, seed_override: int | None, out_override: Path | None) -> RunConfig:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    """The run config at ``path``, read against ``CONFIG_KEYS``; a ConfigError names what is wrong."""
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    try:
-        return _run_config_from_dict(raw, seed_override, out_override)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from None
-
-
-def _run_config_from_dict(
-    raw: dict, seed_override: int | None, out_override: Path | None
-) -> RunConfig:
-    seed = int(seed_override if seed_override is not None else raw.get("seed", 0))
-    out_dir = Path(out_override if out_override is not None else raw.get("out_dir", "out"))
-
-    lookback_days = float(raw.get("lookback_days", 7.0))
-    _require(lookback_days > 0, f"lookback_days must be positive, got {lookback_days}")
-    half_life_days = float(raw.get("decay_half_life_days", 3.0))
-    _require(half_life_days > 0, f"decay_half_life_days must be positive, got {half_life_days}")
-
-    mda_raw = _section(raw, "mda")
-    mda_hyper = MdaHyperparams(
-        learning_rate=float(mda_raw.get("learning_rate", 0.5)),
-        iterations=int(mda_raw.get("iterations", 400)),
-        seed=int(mda_raw.get("seed", 0)),
-    )
-    _require(mda_hyper.learning_rate > 0, "mda.learning_rate must be positive")
-    _require(mda_hyper.iterations >= 1, "mda.iterations must be >= 1")
-    max_negatives = mda_raw.get("max_negatives")
-    max_negatives = int(max_negatives) if max_negatives is not None else None
-    _require(
-        max_negatives is None or max_negatives >= 0,
-        f"mda.max_negatives must be >= 0, got {max_negatives}",
-    )
-
-    cal_raw = _section(raw, "calibration")
-    features = cal_raw.get("features", ["lta", "mda"])
-    _require(
-        isinstance(features, list) and features,
-        "calibration.features must be a non-empty list",
-    )
-    for name in features:
-        _require(name in MODEL_NAMES, f"calibration.features: unknown model {name!r}")
-    calibration = CalibrationOptions(
-        feature_models=tuple(features),
-        pooling=str(cal_raw.get("pooling", "global")),
-        intercept=_flag(cal_raw, "intercept", False, "calibration.intercept"),
-        inverse_variance_weighting=_flag(
-            cal_raw, "inverse_variance_weighting", False, "calibration.inverse_variance_weighting"
-        ),
-    )
-    cv_folds = int(cal_raw.get("cv_folds", 5))
-    _require(cv_folds >= 2, f"calibration.cv_folds must be >= 2, got {cv_folds}")
-    cv_seed = int(cal_raw.get("cv_seed", 0))
-
-    dimension = str(raw.get("report_dimension", "channel"))
-    _require(dimension in DIMENSIONS, f"report_dimension must be one of {DIMENSIONS}, got {dimension!r}")
-
-    sim = None
-    if "simulation" in raw:
-        sim_raw = _section(raw, "simulation")
-        campaigns_raw = sim_raw.get("campaigns", [])
-        _require(
-            isinstance(campaigns_raw, list),
-            f"simulation.campaigns must be an array, got {json.dumps(campaigns_raw)}",
-        )
-        campaigns = tuple(_campaign_from_dict(i, c) for i, c in enumerate(campaigns_raw))
-        sim = SimConfig(
-            n_customers=int(sim_raw.get("n_customers", 0)),
-            campaigns=campaigns,
-            baseline_conversion_rate=float(sim_raw.get("baseline_conversion_rate", 0.02)),
-            seed=seed,
-            horizon=timedelta(days=float(sim_raw.get("horizon_days", 14.0))),
-        )
-
-    paths = {
-        name: Path(value) for name, value in _section(raw, "paths").items() if name in ARTIFACTS
-    }
-
-    effective = dict(raw)
-    effective["seed"] = seed
-    effective["out_dir"] = str(out_dir)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"config {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    if type(raw) is not dict:
+        raise ConfigError("config must be a JSON object")
+    values = _read_object(raw, CONFIG_KEYS)
+    mda, cal, sim = values["mda"], values["calibration"], values["simulation"]
+    seed = values["seed"] if seed_override is None else seed_override
+    out_dir = Path(values["out_dir"] if out_override is None else out_override)
+    if sim is not None:
+        campaigns = tuple(CampaignSpec(**c) for c in sim["campaigns"])
+        sim = SimConfig(sim["n_customers"], campaigns, sim["baseline_conversion_rate"], seed,
+                        timedelta(days=sim["horizon_days"]))
     return RunConfig(
         seed=seed,
         out_dir=out_dir,
-        lookback=LookbackWindow(timedelta(days=lookback_days)),
-        decay=DecayConfig(timedelta(days=half_life_days)),
-        mda_hyper=mda_hyper,
-        mda_max_negatives=max_negatives,
-        calibration=calibration,
-        cv_folds=cv_folds,
-        cv_seed=cv_seed,
-        report_dimension=dimension,
+        lookback=LookbackWindow(timedelta(days=values["lookback_days"])),
+        decay=DecayConfig(timedelta(days=values["decay_half_life_days"])),
+        mda_hyper=MdaHyperparams(mda["learning_rate"], mda["iterations"], mda["seed"]),
+        mda_max_negatives=mda["max_negatives"],
+        calibration=CalibrationOptions(
+            cal["features"], cal["pooling"], cal["intercept"], cal["inverse_variance_weighting"]
+        ),
+        cv_folds=cal["cv_folds"],
+        cv_seed=cal["cv_seed"],
+        report_dimension=values["report_dimension"],
         sim=sim,
-        paths=paths,
-        raw=effective,
+        paths={name: Path(value) for name, value in values["paths"].items() if value is not None},
+        raw={**raw, "seed": seed, "out_dir": str(out_dir)},
     )
 
 
@@ -609,8 +608,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = load_run_config(args.config, args.seed, args.out)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args)
-    except MtaError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    except Exception as exc:  # one line, whatever failed; the traceback only at debug
+        logger.debug("%s failed", args.command, exc_info=True)
+        print(f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), 1)
 
 

@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -512,15 +512,13 @@ def estimate_lift(
     return _lift(campaign_id, arms == TREATMENT, arms == HOLDOUT, units)
 
 
-def estimate_all(
-    config: SimConfig, conversions: Iterable[ConversionEvent], *, rct_only: bool = True
-) -> dict[str, RctResult]:
-    """Reconstruct assignments from the config and estimate every campaign."""
+def estimate_all(config: SimConfig, conversions: Iterable[ConversionEvent]) -> dict[str, RctResult]:
+    """Reconstruct assignments from the config and estimate every RCT campaign."""
     hashes = population_hashes(config.n_customers)
     units = _customer_units(customer_ids(config.n_customers), conversions)
     results: dict[str, RctResult] = {}
     for spec in config.campaigns:
-        if rct_only and not spec.is_rct:
+        if not spec.is_rct:
             continue
         holdout = (
             rng.keyed_uniforms(config.seed, f"assign|{spec.campaign_id}", hashes)
@@ -538,9 +536,7 @@ class ReplicationOutcome:
     true_incremental: float
 
 
-def replication_study(
-    config: SimConfig, n_reps: int, campaign_ids: Sequence[str] | None = None
-) -> list[ReplicationOutcome]:
+def replication_study(config: SimConfig, n_reps: int) -> list[ReplicationOutcome]:
     """Re-simulate the config under seeds seed..seed+n_reps-1 and pair each
     campaign's estimate with its exact ground truth.
 
@@ -549,7 +545,6 @@ def replication_study(
     customers) fast. The estimates are identical to running
     :func:`estimate_lift` on :func:`simulate` output.
     """
-    wanted = set(campaign_ids) if campaign_ids is not None else None
     outcomes: list[ReplicationOutcome] = []
     for rep in range(n_reps):
         cfg = replace(config, seed=config.seed + rep)
@@ -557,8 +552,6 @@ def replication_study(
         truth = {row.campaign_id: row.true_incremental for row in draws.ground_truth()}
         for cd in draws.campaigns:
             campaign_id = cd.spec.campaign_id
-            if wanted is not None and campaign_id not in wanted:
-                continue
             outcomes.append(
                 ReplicationOutcome(
                     seed=cfg.seed,

@@ -1,3 +1,4 @@
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 
 from mta_engine.attribution import CreditVector, MdaModel, _recency_days
+from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, _predict, _warn_gaps
+from mta_engine.cli import CONFIG_KEYS
 from mta_engine.credits import score_all
 from mta_engine.events import ConversionEvent, InteractionKind, Journey, Touchpoint
 from mta_engine.rct import CampaignSpec, RctResult
@@ -108,6 +111,22 @@ def conversion_to_record(conv: ConversionEvent) -> dict:
         "timestamp": format_timestamp(conv.timestamp),
         "units": conv.units,
     }
+
+
+def predict_campaign(model: CalibrationModel, row: CampaignFeatureRow) -> float:
+    """Predicted RCT conversions for one campaign row (clamped at 0), warning
+    of what the prediction counted as 0, as cross-validation does."""
+    value, gaps = _predict(model, row)
+    _warn_gaps(Counter(gaps))
+    return value
+
+
+def config_keys(keys=CONFIG_KEYS, prefix=""):
+    """(dotted path, Key) of every config key; ``campaigns[]`` is each campaign."""
+    for name, key in keys.items():
+        yield prefix + name, key
+        if key.keys is not None:
+            yield from config_keys(key.keys, prefix + name + ("." if key.type == "object" else "[]."))
 
 
 def nnls_brute_force(A, b):

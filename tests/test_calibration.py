@@ -14,11 +14,10 @@ from mta_engine.calibration import (
     evaluate_oos,
     feature_rows_to_csv,
     fit_calibration,
-    predict_campaign,
 )
 from mta_engine.errors import ConfigError, DataIntegrityError, InsufficientDataError
 
-from conftest import mk_conv, mk_journey, mk_tp
+from conftest import mk_conv, mk_journey, mk_tp, predict_campaign
 from mta_engine.rct import CampaignSpec
 
 

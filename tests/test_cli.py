@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import shutil
 from operator import attrgetter
 from pathlib import Path
@@ -14,6 +15,8 @@ from mta_engine import attribution, cli, rct
 from mta_engine.cli import ARTIFACTS, MTA_CREDIT_COLUMNS, load_run_config, main
 from mta_engine.credits import CreditTable
 from mta_engine.events import CONVERSION_FIELDS, TOUCHPOINT_FIELDS
+
+from conftest import config_keys
 
 
 def base_config(out_dir: Path, **overrides) -> dict:
@@ -67,6 +70,32 @@ def workspace(tmp_path):
     return cfg_path, out
 
 
+# A value of each JSON type but number; a key gets each one of a type not its own.
+TYPE_EXAMPLES = {"string": "x", "boolean": True, "array": [], "object": {}}
+
+
+def wrong_values():
+    """(path, value) for each config key: a value of each other JSON type, null where
+    null is not allowed, 2.5 for an integer, and Infinity and 1e300 for a number,
+    bar a learning rate of 1e300, which is in range (the trainer caps its step)."""
+    for path, key in config_keys():
+        values = [v for json_type, v in TYPE_EXAMPLES.items() if json_type != key.type]
+        values += [None] if key.default is not None else []
+        values += [2.5] if key.type == "integer" else []
+        values += [float("inf"), 1e300] if key.type == "number" else []
+        yield from ((path, v) for v in values if (path, v) != ("mda.learning_rate", 1e300))
+
+
+WRONG_VALUES = list(wrong_values())
+
+
+def set_key(config: dict, path: str, value) -> None:
+    *sections, name = path.replace("[]", ".0").split(".")
+    for section in sections:
+        config = config[int(section)] if section.isdigit() else config.setdefault(section, {})
+    config[name] = value
+
+
 class TestValidation:
     def test_bad_holdout_fraction_exits_2_naming_field(self, tmp_path, capsys):
         config = base_config(tmp_path / "out")
@@ -98,8 +127,23 @@ class TestValidation:
             ("mda", "max_negatives", -5, "fit"),
             ("calibration", "cv_folds", 1, "fit"),
             (None, "mda", None, "simulate"),
+            ("mda", "iterations", 2.5, "simulate"),
+            (None, "seed", True, "simulate"),
+            ("calibration", "cv_folds", 5.7, "simulate"),
+            ("mda", "max_negatives", 10.5, "simulate"),
+            ("simulation", "n_customers", 6000.9, "simulate"),
+            (None, "seed", "300", "simulate"),
+            (None, "lookback_day", 1.0, "simulate"),
+            (None, "paths", {"touchpoint": "touchpoints.jsonl"}, "simulate"),
+            (None, "lookback_days", float("inf"), "simulate"),
+            ("simulation", "horizon_days", 1e300, "simulate"),
+            ("mda", "seed", -1, "simulate"),
+            ("calibration", "cv_seed", -1, "simulate"),
         ],
-        ids=["negative-max-negatives", "one-cv-fold", "null-mda"],
+        ids=["negative-max-negatives", "one-cv-fold", "null-mda", "fractional-iterations",
+             "boolean-seed", "fractional-cv-folds", "fractional-max-negatives",
+             "fractional-n-customers", "string-seed", "misspelled-key", "misspelled-path-name",
+             "infinite-lookback", "huge-horizon", "negative-mda-seed", "negative-cv-seed"],
     )
     def test_invalid_value_exits_2_with_one_line(
         self, tmp_path, capsys, section, key, value, command
@@ -122,6 +166,9 @@ class TestValidation:
             lambda c: c["simulation"]["campaigns"][0].update(view_window=[0.1]),
             lambda c: c["simulation"]["campaigns"][0].update(holdout_fraction="x"),
             lambda c: c["simulation"].update(campaigns={}),
+            lambda c: c["simulation"]["campaigns"][0].update(campaign_id=["x"]),
+            lambda c: c["simulation"]["campaigns"][0].update(exposure=0.3),
+            lambda c: c.update({"lookback\ndays": 1.0}),
         ],
         ids=[
             "word-lookback-days",
@@ -130,6 +177,9 @@ class TestValidation:
             "one-element-view-window",
             "word-holdout-fraction",
             "campaigns-empty-object",
+            "array-campaign-id",
+            "misspelled-campaign-field",
+            "key-with-a-newline",
         ],
     )
     def test_ill_typed_value_exits_2_with_one_line(self, tmp_path, capsys, mutate):
@@ -160,6 +210,47 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("ConfigError:") and path[-1] in err
+
+    @pytest.mark.parametrize("path, value", WRONG_VALUES,
+                             ids=[f"{path}={json.dumps(value)}" for path, value in WRONG_VALUES])
+    def test_wrong_value_for_each_key_exits_2_naming_it(self, tmp_path, capsys, path, value):
+        config = base_config(tmp_path / "out")
+        set_key(config, path, value)
+        assert run("simulate", "--config", write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        if value == 1e300 and "days" not in path:
+            # In the table's range; SimConfig or CampaignSpec rejects it, naming the field.
+            assert err.startswith("ConfigError:") and path.rsplit(".", 1)[-1] in err
+        else:
+            assert err.startswith(f"ConfigError: {path.replace('[]', '[0]')} ")
+
+    @pytest.mark.parametrize(
+        "write",
+        [lambda path: path.mkdir(), lambda path: path.write_bytes(b'{"seed": 7\xff}')],
+        ids=["directory", "non-utf8-byte"],
+    )
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys, write):
+        path = tmp_path / "run.json"
+        write(path)
+        assert run("report", "--config", path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"ConfigError: config {path}: ")
+
+
+class TestFailureOutput:
+    def test_output_path_that_is_a_directory_exits_1_with_one_line(self, workspace, capsys,
+                                                                   caplog):
+        cfg_path, out = workspace
+        (out / ARTIFACTS["touchpoints"]).mkdir(parents=True)
+        with caplog.at_level(logging.DEBUG, logger="mta_engine.cli"):
+            assert run("simulate", "--config", cfg_path) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("IsADirectoryError: ") and str(out / ARTIFACTS["touchpoints"]) in err
+        # The traceback goes to the debug log only.
+        assert any(r.exc_info and r.exc_info[0] is IsADirectoryError for r in caplog.records)
 
 
 class TestMissingArtifacts:

@@ -11,7 +11,6 @@ from mta_engine.calibration import (
     CalibrationOptions,
     aggregate_campaign_features,
     fit_calibration,
-    predict_campaign,
 )
 from mta_engine.credits import (
     MtaCredit,
@@ -22,7 +21,7 @@ from mta_engine.credits import (
 )
 from mta_engine.errors import DataIntegrityError
 
-from conftest import T0, mk_conv, mk_journey, mk_tp, score_one
+from conftest import T0, mk_conv, mk_journey, mk_tp, predict_campaign, score_one
 
 
 def weight_model(weights: dict[str, float]) -> CalibrationModel:

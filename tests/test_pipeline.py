@@ -10,14 +10,13 @@ from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
     fit_calibration,
-    predict_campaign,
 )
 from mta_engine.credits import aggregate_shares, credit_totals
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 
-from conftest import T0, mk_conv, mk_journey, mk_tp
+from conftest import T0, mk_conv, mk_journey, mk_tp, predict_campaign
 
 
 def two_channel_config(n_customers=20_000, seed=11, n_per_channel=4):

@@ -1,7 +1,12 @@
 """The README's examples run as written."""
 
+import json
 import re
 from pathlib import Path
+
+from mta_engine.cli import load_run_config
+
+from conftest import config_keys
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +19,30 @@ def test_library_use_block_runs():
     vector = namespace["vector"]
     assert len(vector.credits) == len(vector.journey.touchpoints) > 0
     assert sum(vector.credits) == 1.0
+
+
+def config_reference() -> dict[str, tuple[str, str, str]]:
+    """Each row of README's config reference: key -> (type, default, range)."""
+    section = README.read_text().split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \| ([^|]+) \|([^|]*)\|$", section, re.MULTILINE)
+    return {key: (type_.strip(), default.strip(), range_.strip()) for key, type_, default, range_ in rows}
+
+
+def test_config_reference_lists_every_key_with_its_type_and_default():
+    declared = {}
+    for path, key in config_keys():
+        type_ = key.type + (" or null" if key.default is None else "")
+        default = "required" if key.default is ... else f"`{json.dumps(key.default)}`"
+        declared[path] = (type_, default)
+    documented = config_reference()
+    assert {key: row[:2] for key, row in documented.items()} == declared
+    for path, key in config_keys():
+        assert key.range in documented[path][2], path
+
+
+def test_quickstart_config_loads(tmp_path):
+    section = README.read_text().split("## Quickstart", 1)[1]
+    path = tmp_path / "run.json"
+    path.write_text(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+    cfg = load_run_config(path, None, None)
+    assert cfg.seed == 7 and len(cfg.sim.campaigns) == 2
