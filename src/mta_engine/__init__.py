@@ -12,6 +12,7 @@ from .attribution import (
     DecayConfig,
     MdaHyperparams,
     MdaModel,
+    ModelCredits,
     MODEL_DECAY,
     MODEL_LINEAR,
     MODEL_LTA,

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,44 @@ class CreditVector:
                 f"{len(self.credits)} credit(s) for the {len(self.journey.touchpoints)} "
                 f"touchpoint(s) of conversion {self.journey.conversion.conversion_id!r}"
             )
+
+
+@dataclass(frozen=True, eq=False)
+class ModelCredits:
+    """Each model's credits for the touchpoints of some converting journeys, as
+    columns. Row ``i`` is a touchpoint: ``labels[i]`` is its conversion_id,
+    touchpoint_id, campaign_id, channel and ad_product, ``units[i]`` its
+    conversion's units, and ``columns[name][i]`` its credit under model ``name``."""
+
+    labels: list[tuple[str, ...]]
+    units: np.ndarray
+    columns: dict[str, np.ndarray]
+
+    @classmethod
+    def of(
+        cls, journeys: Sequence[Journey], credits_by_model: Mapping[str, Sequence[CreditVector]]
+    ) -> ModelCredits:
+        """The table of each model's vectors, one per journey in ``journeys``
+        order; a journey without a conversion, or a vector of another journey,
+        raises DataIntegrityError, and a vector too many or too few ValueError."""
+        if any(journey.conversion is None for journey in journeys):
+            raise DataIntegrityError("cannot credit a journey without a conversion")
+        for name, vectors in credits_by_model.items():
+            for journey, vector in zip(journeys, vectors, strict=True):
+                if vector.journey is not journey and vector.journey != journey:
+                    raise DataIntegrityError(
+                        f"model {name!r} credits belong to another journey than "
+                        f"conversion {journey.conversion.conversion_id!r}'s"
+                    )
+        labels = [
+            (j.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product)
+            for j in journeys for tp in j.touchpoints
+        ]
+        units = np.array([float(j.conversion.units) for j in journeys for _ in j.touchpoints])
+        return cls(labels, units, {
+            name: np.array([c for v in vectors for c in v.credits], dtype=np.float64)
+            for name, vectors in credits_by_model.items()
+        })
 
 
 @dataclass(frozen=True, slots=True)

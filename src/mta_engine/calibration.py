@@ -16,11 +16,11 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .attribution import CreditVector
+from .attribution import ModelCredits
 from .errors import ConfigError, DataIntegrityError, InsufficientDataError
 from .nnls import nnls
 from .rct import CampaignSpec, RctResult
@@ -60,7 +60,9 @@ class CalibrationOptions:
 
     def __post_init__(self) -> None:
         if self.pooling not in (POOLING_GLOBAL, POOLING_PER_CHANNEL):
-            raise ConfigError(f"unknown pooling {self.pooling!r}")
+            raise ConfigError(f"pooling must be global or per_channel, got {self.pooling!r}")
+        if len(set(self.feature_models or ())) < len(self.feature_models or ()):
+            raise ConfigError(f"feature_models must be distinct, got {list(self.feature_models)}")
 
 
 @dataclass(frozen=True)
@@ -126,34 +128,30 @@ class CalibrationModel:
 
 
 def aggregate_campaign_features(
-    credits_by_model: Mapping[str, Iterable[CreditVector]],
+    table: ModelCredits,
     campaigns: Sequence[CampaignSpec],
     rct_results: Mapping[str, RctResult] | None = None,
 ) -> list[CampaignFeatureRow]:
-    """Sum touchpoint credits (times conversion units) up to campaign level.
+    """Sum each column's touchpoint credits (times conversion units) by campaign.
 
     Every campaign in ``campaigns`` yields a row, zero-credit campaigns
     included. Targets are joined from ``rct_results`` for campaigns flagged
     ``is_rct``; other campaigns keep ``target=None`` and are ignored by the
-    fit. A credited touchpoint whose campaign is not in ``campaigns`` raises
-    :class:`DataIntegrityError`.
+    fit. A touchpoint whose campaign is not in ``campaigns`` raises
+    :class:`DataIntegrityError`. Each campaign's sum adds its touchpoints'
+    terms in row order.
     """
     rct_results = rct_results or {}
-    model_names = sorted(credits_by_model)
-    totals: dict[str, dict[str, float]] = {
-        spec.campaign_id: {name: 0.0 for name in model_names} for spec in campaigns
+    index = {cid: i for i, cid in enumerate(sorted({spec.campaign_id for spec in campaigns}))}
+    campaign = np.array([index.get(label[2], -1) for label in table.labels], dtype=np.intp)
+    if np.any(campaign < 0):
+        _, tp_id, campaign_id, *_ = table.labels[int(np.argmax(campaign < 0))]
+        raise DataIntegrityError(f"touchpoint {tp_id!r} belongs to campaign {campaign_id!r} "
+                                 "which is not in the campaign list")
+    totals = {
+        name: np.bincount(campaign, table.columns[name] * table.units, len(index)).tolist()
+        for name in sorted(table.columns)
     }
-    for name in model_names:
-        for vector in credits_by_model[name]:
-            units = float(vector.journey.conversion.units)
-            for tp, credit in zip(vector.journey.touchpoints, vector.credits):
-                bucket = totals.get(tp.campaign_id)
-                if bucket is None:
-                    raise DataIntegrityError(
-                        f"touchpoint {tp.touchpoint_id!r} belongs to campaign "
-                        f"{tp.campaign_id!r} which is not in the campaign list"
-                    )
-                bucket[name] += credit * units
 
     rows = []
     for spec in sorted(campaigns, key=lambda s: s.campaign_id):
@@ -162,7 +160,7 @@ def aggregate_campaign_features(
             CampaignFeatureRow(
                 campaign_id=spec.campaign_id,
                 channel=spec.channel,
-                features=totals[spec.campaign_id],
+                features={name: t[index[spec.campaign_id]] for name, t in totals.items()},
                 target=result.incremental_conversions if result else None,
                 target_std_error=result.std_error if result else None,
             )

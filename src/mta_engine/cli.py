@@ -190,8 +190,9 @@ CONFIG_KEYS = {
         "max_negatives": Key("integer", None, ">= 0", lambda v: v >= 0),
     }),
     "calibration": Key("object", {}, keys={
-        "features": Key("array", [MODEL_LTA, MODEL_MDA], f"a non-empty list of {', '.join(MODEL_NAMES)}",
-                        lambda v: v != [] and all(name in MODEL_NAMES for name in v)),
+        "features": Key("array", [MODEL_LTA, MODEL_MDA],
+                        f"a non-empty list of distinct names among {', '.join(MODEL_NAMES)}",
+                        lambda v: v != [] and all(n in MODEL_NAMES and v.count(n) == 1 for n in v)),
         "pooling": Key("string", "global"),
         "intercept": Key("boolean", False),
         "inverse_variance_weighting": Key("boolean", False),
@@ -238,6 +239,14 @@ def _read_object(obj: dict, keys: dict[str, Key], prefix: str = "") -> dict[str,
     return {name: _read(obj.get(name, key.default), key, prefix + name) for name, key in keys.items()}
 
 
+def _build(path: str, cls: Callable, *args: Any, **kwargs: Any) -> Any:
+    """Build the config object at dotted ``path``; a ConfigError it raises gets ``path.`` first."""
+    try:
+        return cls(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
+
+
 def load_run_config(path: Path, seed_override: int | None, out_override: Path | None) -> RunConfig:
     """The run config at ``path``, read against ``CONFIG_KEYS``; a ConfigError names what is wrong."""
     try:
@@ -251,9 +260,10 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
     seed = values["seed"] if seed_override is None else seed_override
     out_dir = Path(values["out_dir"] if out_override is None else out_override)
     if sim is not None:
-        campaigns = tuple(CampaignSpec(**c) for c in sim["campaigns"])
-        sim = SimConfig(sim["n_customers"], campaigns, sim["baseline_conversion_rate"], seed,
-                        timedelta(days=sim["horizon_days"]))
+        campaigns = tuple(_build(f"simulation.campaigns[{i}]", CampaignSpec, **c)
+                          for i, c in enumerate(sim["campaigns"]))
+        sim = _build("simulation", SimConfig, sim["n_customers"], campaigns,
+                     sim["baseline_conversion_rate"], seed, timedelta(days=sim["horizon_days"]))
     return RunConfig(
         seed=seed,
         out_dir=out_dir,
@@ -261,9 +271,8 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
         decay=DecayConfig(timedelta(days=values["decay_half_life_days"])),
         mda_hyper=MdaHyperparams(mda["learning_rate"], mda["iterations"], mda["seed"]),
         mda_max_negatives=mda["max_negatives"],
-        calibration=CalibrationOptions(
-            cal["features"], cal["pooling"], cal["intercept"], cal["inverse_variance_weighting"]
-        ),
+        calibration=_build("calibration", CalibrationOptions, cal["features"], cal["pooling"],
+                           cal["intercept"], cal["inverse_variance_weighting"]),
         cv_folds=cal["cv_folds"],
         cv_seed=cal["cv_seed"],
         report_dimension=values["report_dimension"],
@@ -409,11 +418,9 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     journeys, attributable, counts = _load_journeys(cfg)
 
     mda = pipeline.train_attributor(journeys, cfg.mda_hyper, cfg.mda_max_negatives)
-    credits_by_model = pipeline.ensemble_credits(
-        attributable, cfg.calibration.feature_models, cfg.decay, mda
-    )
+    credits = pipeline.ensemble_credits(attributable, cfg.calibration.feature_models, cfg.decay, mda)
     rows = pipeline.calibration_rows(
-        credits_by_model, cfg.sim.campaigns, rct_results, cfg.calibration.feature_models
+        credits, cfg.sim.campaigns, rct_results, cfg.calibration.feature_models
     )
     model = pipeline.fit_with_cv(rows, cfg.calibration, cfg.cv_folds, cfg.cv_seed)
 
@@ -483,12 +490,11 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
     _, attributable, counts = _load_journeys(cfg)
     unattributed = counts["unattributed_conversions"]
-    credits_by_model = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
-    mta_credits = pipeline.score_all(model, attributable, credits_by_model)
-    records = pipeline.model_credit_records(credits_by_model)
+    credits = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
+    mta_credits = pipeline.score_all(model, credits)
+    records = pipeline.model_credit_records(credits)
 
-    # score_all checked all vectors' journeys, so the tables share labels.
-    prefixes = _plain_prefixes(mta_credits.labels)
+    prefixes = _plain_prefixes(credits.labels)
     with cfg.artifact("mta_credits").open("w") as fh:
         _write_credit_csv(fh, MTA_CREDIT_COLUMNS, mta_credits, prefixes)
     with cfg.artifact("model_credits").open("w") as fh:

@@ -4,17 +4,15 @@ and aggregation of those credits into normalized attribution shares."""
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .attribution import CreditVector
+from .attribution import ModelCredits
 from .calibration import CalibrationModel
-from .errors import DataIntegrityError
-from .events import Journey, label_codes
+from .events import label_codes
 
 logger = logging.getLogger(__name__)
 
@@ -79,91 +77,57 @@ class CreditTable(Sequence):
         return (name, row) if self.paired else row
 
 
-def _columns(
-    journeys: Sequence[Journey], credits_by_model: Mapping[str, Sequence[CreditVector]]
-) -> tuple[list[tuple[str, ...]], np.ndarray, dict[str, np.ndarray]]:
-    """Every touchpoint's labels and conversion units, and each model's credits
-    as a column; a credit vector of another journey raises DataIntegrityError."""
-    for i, journey in enumerate(journeys):
-        if journey.conversion is None:
-            raise DataIntegrityError("cannot score a journey without a conversion")
-        for name, vectors in credits_by_model.items():
-            if vectors[i].journey is not journey and vectors[i].journey != journey:
-                raise DataIntegrityError(
-                    f"model {name!r} credits belong to another journey than "
-                    f"conversion {journey.conversion.conversion_id!r}'s"
-                )
-    labels = [
-        (j.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product)
-        for j in journeys for tp in j.touchpoints
-    ]
-    units = np.array([float(j.conversion.units) for j in journeys for _ in j.touchpoints])
-    columns = {
-        name: np.array([c for v in vectors for c in v.credits], dtype=np.float64)
-        for name, vectors in credits_by_model.items()
-    }
-    return labels, units, columns
-
-
-def score_all(
-    model: CalibrationModel,
-    attributable: Sequence[Journey],
-    credits_by_model: Mapping[str, Sequence[CreditVector]],
-) -> CreditTable:
-    """MTA credits for every attributable conversion, with one warning line
-    per cause of zero credit for the whole batch.
+def score_all(model: CalibrationModel, table: ModelCredits) -> CreditTable:
+    """MTA credits for every touchpoint of the ensemble's table, with one
+    warning line per cause of zero credit for the whole batch.
 
     credit(tp) = units x sum over models of weight_m x credit_m(tp), where
     units is the conversion's unit count (1 for ordinary conversions), so
     campaign-level sums of MTA credits reconcile exactly with the
     calibration model's campaign predictions. A model named in the
-    calibration weights but missing here, or a touchpoint whose group has no
-    fitted weights, contributes zero credit (with a warning); a credit vector
-    of another journey raises :class:`DataIntegrityError`.
+    calibration weights but missing from the table, or a touchpoint whose
+    group has no fitted weights, contributes zero credit (with a warning).
 
     The products are numpy's and each touchpoint's terms go through Python's
     ``sum``, so the bits are those of the per-touchpoint definition.
     """
-    labels, units, columns = _columns(attributable, credits_by_model)
-    codes, channels = label_codes([label[3] for label in labels])
+    codes, channels = label_codes([label[3] for label in table.labels])
     weights = [model.group_weights(c) for c in channels]
     terms = [
-        (np.array([w[name] for w in weights])[codes] * columns.get(name, 0.0)).tolist()
+        (np.array([w[name] for w in weights])[codes] * table.columns.get(name, 0.0)).tolist()
         for name in model.feature_names
     ]
-    total = np.array([sum(t) for t in zip(*terms)] if terms else [0.0] * len(labels))
-    _warn_zero_credit(model, credits_by_model.keys(), attributable)
-    return CreditTable(labels, {"mta": units * total}, paired=False)
+    total = np.array([sum(t) for t in zip(*terms)] if terms else [0.0] * len(table.labels))
+    _warn_zero_credit(model, table, codes, channels)
+    return CreditTable(table.labels, {"mta": table.units * total}, paired=False)
 
 
-def model_credit_records(credits_by_model: Mapping[str, Sequence[CreditVector]]) -> CreditTable:
+def model_credit_records(table: ModelCredits) -> CreditTable:
     """Per-model credits scaled by conversion units, a column per model in name
-    order, for LTA-only / MDA-only comparisons; all models' vectors share journeys."""
-    names = sorted(credits_by_model)
-    journeys = [v.journey for v in credits_by_model[names[0]]] if names else []
-    labels, units, columns = _columns(journeys, credits_by_model)
-    return CreditTable(labels, {name: columns[name] * units for name in names})
+    order, for LTA-only / MDA-only comparisons."""
+    columns = {name: table.columns[name] * table.units for name in sorted(table.columns)}
+    return CreditTable(table.labels, columns)
 
 
 def _warn_zero_credit(
-    model: CalibrationModel, model_names: Iterable[str], journeys: Sequence[Journey]
+    model: CalibrationModel, table: ModelCredits, codes: np.ndarray, channels: Sequence[str]
 ) -> None:
     """Report, as counts, the credit that scoring set to zero: weighted models
-    with no credit vectors, and touchpoints in groups with no fitted weights."""
-    missing = [name for name in model.feature_names if name not in model_names]
-    if missing and journeys:
+    missing from the table, and touchpoints in groups with no fitted weights."""
+    missing = [name for name in model.feature_names if name not in table.columns]
+    if missing and table.labels:
         logger.warning(
             "%d conversion(s) have no %s credits; treating them as zero",
-            len(journeys),
+            len({label[0] for label in table.labels}),
             ", ".join(map(repr, missing)),
         )
-    channels = Counter(tp.channel for journey in journeys for tp in journey.touchpoints)
+    touchpoints = np.bincount(codes, minlength=len(channels)).tolist()
     unfitted = {model.group_for(c) for c in channels} - model.weights_by_group.keys()
     if unfitted:
         logger.warning(
             "no fitted weights for group(s) %s; %d touchpoint(s) get zero credit",
             ", ".join(map(repr, sorted(unfitted))),
-            sum(n for c, n in channels.items() if model.group_for(c) in unfitted),
+            sum(n for c, n in zip(channels, touchpoints) if model.group_for(c) in unfitted),
         )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def nnls(A, b, *, tol: float | None = None, max_iter: int | None = None):
+def nnls(A, b):
     """Solve ``min ||A x - b||_2`` subject to ``x >= 0``.
 
     Parameters
@@ -14,13 +14,6 @@ def nnls(A, b, *, tol: float | None = None, max_iter: int | None = None):
         Design matrix.
     b : array_like, shape (m,)
         Target vector.
-    tol : float, optional
-        KKT tolerance on the dual vector ``w = A.T (b - A x)``. At the
-        solution every free component satisfies ``w_i <= tol`` and every
-        positive component has ``|w_i| <= tol``. Defaults to
-        ``1e-10 * max(1, ||A.T b||_inf)``.
-    max_iter : int, optional
-        Cap on active-set changes (default ``10 * n``).
 
     Returns
     -------
@@ -31,6 +24,10 @@ def nnls(A, b, *, tol: float | None = None, max_iter: int | None = None):
 
     Notes
     -----
+    The KKT tolerance on the dual vector ``w = A.T (b - A x)`` is
+    ``1e-10 * max(1, ||A.T b||_inf)``, and after ``10 * n`` backtracking
+    steps the current feasible point is returned.
+
     Classic algorithm of Lawson and Hanson, *Solving Least Squares
     Problems*, SIAM 1974, chapter 23. The passive-set subproblems are
     solved with ``numpy.linalg.lstsq``, so rank-deficient passive sets take
@@ -41,11 +38,8 @@ def nnls(A, b, *, tol: float | None = None, max_iter: int | None = None):
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} and {b.shape}")
     m, n = A.shape
-    if max_iter is None:
-        max_iter = 10 * max(n, 1)
     grad0 = A.T @ b
-    if tol is None:
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(grad0))) if n else 1.0)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(grad0))) if n else 1.0)
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
@@ -69,7 +63,7 @@ def nnls(A, b, *, tol: float | None = None, max_iter: int | None = None):
         # dropping coordinates that hit the boundary.
         while np.any(z[passive] <= 0.0):
             iters += 1
-            if iters > max_iter:
+            if iters > 10 * max(n, 1):
                 return x, float(np.linalg.norm(A @ x - b))
             blocking = np.flatnonzero(passive & (z <= 0.0))
             denom = x[blocking] - z[blocking]

@@ -9,16 +9,17 @@ given its inputs and the configured seeds.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import attribution
 from .attribution import (
-    CreditVector,
     DecayConfig,
     MdaHyperparams,
     MdaModel,
+    ModelCredits,
     MODEL_MDA,
     MODEL_NAMES,
 )
@@ -84,31 +85,32 @@ def ensemble_credits(
     model_names: Sequence[str] = MODEL_NAMES,
     decay: DecayConfig = DecayConfig(),
     mda: MdaModel | None = None,
-) -> dict[str, list[CreditVector]]:
-    """Credit vectors for every requested model, aligned with the journeys."""
+) -> ModelCredits:
+    """Every requested model's credits for the journeys' touchpoints, as one
+    table; each journey's vector comes from its model's per-journey kernel."""
     names = [n for n in model_names if n != MODEL_MDA or mda is not None]
     if MODEL_MDA in model_names and mda is None:
         logger.warning("no MDA model available; skipping MDA credits")
-    return {
+    return ModelCredits.of(attributable, {
         name: [attribution.credits_for_model(name, j, decay=decay, mda=mda) for j in attributable]
         for name in names
-    }
+    })
 
 
 def calibration_rows(
-    credits_by_model: Mapping[str, Sequence[CreditVector]],
+    table: ModelCredits,
     campaigns: Sequence[CampaignSpec],
     rct_results: Mapping[str, RctResult],
     feature_models: Sequence[str],
 ) -> list[CampaignFeatureRow]:
     """Campaign feature rows over the calibration's feature models only."""
-    missing = [name for name in feature_models if name not in credits_by_model]
+    missing = [name for name in feature_models if name not in table.columns]
     if missing:
         raise InsufficientDataError(
             f"no credit vectors for calibration feature(s) {missing}; "
             "was MDA training skipped for lack of labels?"
         )
-    selected = {name: credits_by_model[name] for name in feature_models}
+    selected = replace(table, columns={name: table.columns[name] for name in feature_models})
     return aggregate_campaign_features(selected, campaigns, rct_results)
 
 

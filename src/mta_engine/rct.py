@@ -63,14 +63,12 @@ class CampaignSpec:
         for name in ("exposure_rate", "click_rate", "true_lift"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{self.campaign_id}: {name} must be in [0, 1], got {value}")
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError(
-                f"{self.campaign_id}: holdout_fraction must be in (0, 1), got {self.holdout_fraction}"
-            )
+            raise ConfigError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
         lo, hi = self.view_window
         if not 0.0 <= lo <= hi <= 1.0:
-            raise ConfigError(f"{self.campaign_id}: view_window must satisfy 0 <= lo <= hi <= 1")
+            raise ConfigError(f"view_window must satisfy 0 <= lo <= hi <= 1, got {[lo, hi]}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +90,7 @@ class SimConfig:
             raise ConfigError("horizon must be positive")
         ids = [c.campaign_id for c in self.campaigns]
         if len(set(ids)) != len(ids):
-            raise ConfigError("campaign_id values must be unique")
+            raise ConfigError("campaigns must have unique campaign_id values")
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +106,6 @@ class RctResult:
     std_error: float
     ci_low: float
     ci_high: float
-
-    def covers(self, value: float) -> bool:
-        return self.ci_low <= value <= self.ci_high
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,10 +150,13 @@ def assign_treatment(
     if not 0.0 < holdout_fraction < 1.0:
         raise ConfigError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     ids = list(customer_ids)
-    uniforms = rng.keyed_uniforms(seed, f"assign|{campaign_id}", rng.id_hashes(ids))
-    return {
-        cid: (HOLDOUT if u < holdout_fraction else TREATMENT) for cid, u in zip(ids, uniforms)
-    }
+    holdout = _held_out(seed, campaign_id, rng.id_hashes(ids), holdout_fraction)
+    return {cid: HOLDOUT if h else TREATMENT for cid, h in zip(ids, holdout.tolist())}
+
+
+def _held_out(seed: int, campaign_id: str, hashes: np.ndarray, fraction: float) -> np.ndarray:
+    """The assignment rule: whether each customer, by id hash, is in the campaign's holdout."""
+    return rng.keyed_uniforms(seed, f"assign|{campaign_id}", hashes) < fraction
 
 
 @dataclass
@@ -214,7 +212,7 @@ def _simulate_core(config: SimConfig) -> _SimDraws:
     last_touch_ms = np.full(n, -1, dtype=np.int64)
     for spec in config.campaigns:
         cid = spec.campaign_id
-        holdout = rng.keyed_uniforms(seed, f"assign|{cid}", hashes) < spec.holdout_fraction
+        holdout = _held_out(seed, cid, hashes, spec.holdout_fraction)
         exposed = ~holdout & (rng.keyed_uniforms(seed, f"expose|{cid}", hashes) < spec.exposure_rate)
         clicked = exposed & (rng.keyed_uniforms(seed, f"click|{cid}", hashes) < spec.click_rate)
 
@@ -520,10 +518,7 @@ def estimate_all(config: SimConfig, conversions: Iterable[ConversionEvent]) -> d
     for spec in config.campaigns:
         if not spec.is_rct:
             continue
-        holdout = (
-            rng.keyed_uniforms(config.seed, f"assign|{spec.campaign_id}", hashes)
-            < spec.holdout_fraction
-        )
+        holdout = _held_out(config.seed, spec.campaign_id, hashes, spec.holdout_fraction)
         results[spec.campaign_id] = _lift(spec.campaign_id, ~holdout, holdout, units)
     return results
 

@@ -5,7 +5,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
-from mta_engine.attribution import CreditVector, MdaModel, _recency_days
+from mta_engine.attribution import CreditVector, MdaModel, ModelCredits, _recency_days
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, _predict, _warn_gaps
 from mta_engine.cli import CONFIG_KEYS
 from mta_engine.credits import score_all
@@ -39,7 +39,7 @@ def mk_journey(tps, conv=None, customer: str = "c1") -> Journey:
 def score_one(model, credits_by_model, journey):
     """``score_all`` on one journey; ``credits_by_model`` maps each model's
     name to its credit vector for that journey."""
-    return score_all(model, [journey], {name: [v] for name, v in credits_by_model.items()})
+    return score_all(model, ModelCredits.of([journey], {n: [v] for n, v in credits_by_model.items()}))
 
 
 def feature_vector(

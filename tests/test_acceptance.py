@@ -14,6 +14,7 @@ from mta_engine import pipeline
 from mta_engine.attribution import (
     DecayConfig,
     MdaHyperparams,
+    ModelCredits,
     decay_credits,
     linear_credits,
     lta_credits,
@@ -53,7 +54,8 @@ def test_criterion_1_single_rct_calibration_factor():
 def test_criterion_2_ensemble_worked_example(credit_example):
     start = time.perf_counter()
     journeys, credits_by_model, campaigns, rct_results = credit_example
-    rows = aggregate_campaign_features(credits_by_model, campaigns, rct_results)
+    table = ModelCredits.of(journeys, credits_by_model)
+    rows = aggregate_campaign_features(table, campaigns, rct_results)
     model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
     weights_ok = (
         abs(model.weights["lta"] - 0.6) < 1e-8 and abs(model.weights["mda"] - 0.4) < 1e-8
@@ -64,9 +66,9 @@ def test_criterion_2_ensemble_worked_example(credit_example):
     mta = {c.channel: c.credit for c in score_one(model, per_model, dual_journey)}
     credits_ok = abs(mta["Upper"] - 0.12) < 1e-9 and abs(mta["Lower"] - 0.88) < 1e-9
 
-    all_mta = pipeline.score_all(model, journeys, credits_by_model)
+    all_mta = pipeline.score_all(model, table)
     mta_shares = aggregate_shares(all_mta).shares()
-    records = pipeline.model_credit_records(credits_by_model)
+    records = pipeline.model_credit_records(table)
     lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
     mda_totals = credit_totals((row for name, row in records if name == "mda"), "channel")
     lta_shares = {k: v / sum(lta_totals.values()) for k, v in lta_totals.items()}
@@ -172,7 +174,8 @@ def test_criterion_5_rct_estimator_calibration():
     outcomes = replication_study(config, 500)
     errors = np.array([o.result.incremental_conversions - o.true_incremental for o in outcomes])
     se_of_mean = errors.std(ddof=1) / np.sqrt(len(errors))
-    coverage = float(np.mean([o.result.covers(o.true_incremental) for o in outcomes]))
+    coverage = float(np.mean([o.result.ci_low <= o.true_incremental <= o.result.ci_high
+                              for o in outcomes]))
     elapsed = time.perf_counter() - start
     ok = abs(errors.mean()) < 2 * se_of_mean and 0.92 <= coverage <= 0.98 and elapsed < 120.0
     check(
@@ -244,7 +247,7 @@ def _run_two_channel_pipeline(seed: int, n_customers: int):
     credits = pipeline.ensemble_credits(attributable, ("lta", "mda"), DecayConfig(), mda)
     rows = pipeline.calibration_rows(credits, config.campaigns, rct_results, ("lta", "mda"))
     model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
-    mta = pipeline.score_all(model, attributable, credits)
+    mta = pipeline.score_all(model, credits)
     mta_share = aggregate_shares(mta, "channel", unattributed).shares()["Lower"]
     records = pipeline.model_credit_records(credits)
     lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")

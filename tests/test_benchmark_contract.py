@@ -5,6 +5,8 @@ them breaks that run. Installing the tracer proves every target exists."""
 import json
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -18,7 +20,8 @@ def test_every_traced_attribute_exists_and_is_restored(monkeypatch):
     assert [getattr(module, attr) for module, attr, _, _ in tracing.TARGETS] == before
 
 
-def test_traced_pass_counts_every_layer(monkeypatch, tmp_path):
+@pytest.mark.parametrize("workload", ["two-channel-20k", "long-journeys"])
+def test_traced_pass_counts_every_layer(monkeypatch, tmp_path, workload):
     """The observers read call shapes as well as names: ``mda_credits(model,
     journey)`` per journey, sized results of ``score_all`` and
     ``model_credit_records``, and attributable journeys with ``.touchpoints``."""
@@ -32,7 +35,7 @@ def test_traced_pass_counts_every_layer(monkeypatch, tmp_path):
 
     out = tmp_path / "out"
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps(WORKLOADS["two-channel-20k"].config(1, str(out), 0.1)))
+    config_path.write_text(json.dumps(WORKLOADS[workload].config(1, str(out), 0.1)))
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         result = run.inprocess_pass(config_path, out, tracer)

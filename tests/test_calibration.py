@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from mta_engine.attribution import CreditVector
+from mta_engine.attribution import CreditVector, ModelCredits
 from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -60,17 +60,22 @@ def make_rows(weights, n=8, seed=0, noise=0.0, channel="Upper"):
     return rows
 
 
+def lta_table(journey, credits):
+    """The credit table of one journey's LTA vector."""
+    return ModelCredits.of([journey], {"lta": [CreditVector(journey, credits)]})
+
+
 class TestAggregate:
     def test_single_conversion_single_touchpoint(self):
         journey = mk_journey([mk_tp("t1", campaign="campA")], mk_conv("x1"))
         campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
-        rows = aggregate_campaign_features({"lta": [CreditVector(journey, (1.0,))]}, campaigns)
+        rows = aggregate_campaign_features(lta_table(journey, (1.0,)), campaigns)
         assert rows[0].features == {"lta": 1.0}
         assert rows[0].target is None
 
     def test_figure_fixture_hand_sums(self, credit_example):
-        _, credits, campaigns, rct_results = credit_example
-        rows = aggregate_campaign_features(credits, campaigns, rct_results)
+        journeys, credits, campaigns, rct_results = credit_example
+        rows = aggregate_campaign_features(ModelCredits.of(journeys, credits), campaigns, rct_results)
         by_id = {r.campaign_id: r for r in rows}
         assert by_id["campU"].features["lta"] == pytest.approx(1.0)
         assert by_id["campL"].features["lta"] == pytest.approx(2.0)
@@ -80,16 +85,16 @@ class TestAggregate:
         assert by_id["campL"].target == pytest.approx(1.88)
 
     def test_zero_credit_campaign_row_retained(self, credit_example):
-        _, credits, campaigns, rct_results = credit_example
+        journeys, credits, campaigns, rct_results = credit_example
         extra = campaigns + (CampaignSpec("campZ", "Upper", "display", 0.5, 0.2, 0.0),)
-        rows = aggregate_campaign_features(credits, extra, rct_results)
+        rows = aggregate_campaign_features(ModelCredits.of(journeys, credits), extra, rct_results)
         zero_row = next(r for r in rows if r.campaign_id == "campZ")
         assert zero_row.features == {"lta": 0.0, "mda": 0.0}
 
     def test_units_scale_features(self):
         journey = mk_journey([mk_tp("t1", campaign="campA")], mk_conv("x1", units=4))
         campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
-        rows = aggregate_campaign_features({"lta": [CreditVector(journey, (1.0,))]}, campaigns)
+        rows = aggregate_campaign_features(lta_table(journey, (1.0,)), campaigns)
         assert rows[0].features["lta"] == pytest.approx(4.0)
 
     def test_unknown_touchpoint_rejected(self):
@@ -108,7 +113,7 @@ class TestAggregate:
         journey = mk_journey([mk_tp("t1", campaign="campB")], mk_conv("x1"))
         campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
         with pytest.raises(DataIntegrityError, match="campB"):
-            aggregate_campaign_features({"lta": [CreditVector(journey, (1.0,))]}, campaigns)
+            aggregate_campaign_features(lta_table(journey, (1.0,)), campaigns)
 
 
 class TestFit:
@@ -125,6 +130,11 @@ class TestFit:
         assert model.weights["lta"] == pytest.approx(0.6, abs=1e-8)
         assert model.weights["mda"] == pytest.approx(0.4, abs=1e-8)
         assert model.fit_diagnostics["r_squared"] == pytest.approx(1.0)
+
+    def test_repeated_feature_model_rejected(self):
+        # ("lta", "lta") used to fit weights (0.803, 0.0), one of them shadowed.
+        with pytest.raises(ConfigError, match="distinct"):
+            CalibrationOptions(feature_models=("lta", "lta"))
 
     def test_negative_relationship_clamped(self):
         rows = [row(f"c{i}", lta=100.0 * (i + 1), target=-100.0 * (i + 1)) for i in range(3)]

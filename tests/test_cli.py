@@ -219,11 +219,45 @@ class TestValidation:
         assert run("simulate", "--config", write_config(tmp_path, config)) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        if value == 1e300 and "days" not in path:
-            # In the table's range; SimConfig or CampaignSpec rejects it, naming the field.
-            assert err.startswith("ConfigError:") and path.rsplit(".", 1)[-1] in err
-        else:
-            assert err.startswith(f"ConfigError: {path.replace('[]', '[0]')} ")
+        assert err.startswith(f"ConfigError: {path.replace('[]', '[0]')} ")
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("simulation.n_customers", 1),
+            ("simulation.baseline_conversion_rate", -0.5),
+            ("simulation.campaigns[1].view_window", [0.9, 0.1]),
+            ("simulation.campaigns[1].holdout_fraction", 0.0),
+            ("calibration.pooling", "by_product"),
+        ],
+        ids=["one-customer", "negative-baseline", "reversed-view-window", "empty-holdout",
+             "unknown-pooling"],
+    )
+    def test_range_a_dataclass_checks_names_the_dotted_path(self, tmp_path, capsys, path, value):
+        config = base_config(tmp_path / "out")
+        set_key(config, path.replace("[1]", ".1"), value)
+        assert run("simulate", "--config", write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"ConfigError: {path} must ")
+
+    def test_duplicate_campaign_ids_name_the_campaigns_path(self, tmp_path, capsys):
+        config = base_config(tmp_path / "out")
+        campaigns = config["simulation"]["campaigns"]
+        campaigns[1]["campaign_id"] = campaigns[0]["campaign_id"]
+        assert run("simulate", "--config", write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ConfigError: simulation.campaigns must ")
+
+    def test_repeated_calibration_feature_exits_2(self, tmp_path, capsys):
+        # ["lta", "lta"] used to fit weights [0.803, 0.0] and report {"lta": 0.0}.
+        config = base_config(tmp_path / "out")
+        config["calibration"]["features"] = ["lta", "lta"]
+        assert run("fit", "--config", write_config(tmp_path, config)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("ConfigError: calibration.features must ") and "distinct" in err
 
     @pytest.mark.parametrize(
         "write",

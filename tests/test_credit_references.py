@@ -1,5 +1,5 @@
-"""Credit consumers that read through ``CreditVector.journey`` against the
-id-keyed joins they replaced.
+"""Credit consumers that read the ensemble's credit table (``ModelCredits``)
+against the id-keyed joins they replaced.
 
 The references below are the former ``aggregate_campaign_features``,
 ``credits._score_journey`` and ``pipeline.model_credit_records``, kept
@@ -22,6 +22,7 @@ from mta_engine.attribution import (
     DecayConfig,
     MdaHyperparams,
     MdaModel,
+    ModelCredits,
     TrainingInfo,
     credits_for_model,
 )
@@ -164,22 +165,23 @@ def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rc
     """The three consumers equal their references exactly, with every model
     present and with one weighted model missing."""
     keyed = {name: [id_keyed(v) for v in vectors] for name, vectors in credits.items()}
-    assert aggregate_campaign_features(credits, campaigns, rct_results) == aggregate_reference(
+    table = ModelCredits.of(attributable, credits)
+    assert aggregate_campaign_features(table, campaigns, rct_results) == aggregate_reference(
         raw_journeys, keyed, campaigns, rct_results
     )
-    assert list(pipeline.model_credit_records(credits)) == model_credit_records_reference(
+    assert list(pipeline.model_credit_records(table)) == model_credit_records_reference(
         raw_journeys, keyed
     )
     without_decay = [name for name in credits if name != "decay"]
     for model in CALIBRATIONS:
         for names in (list(credits), without_decay):
-            selected = {name: credits[name] for name in names}
+            selected = ModelCredits.of(attributable, {name: credits[name] for name in names})
             expected = []
             for i, raw in enumerate(raw_journeys):
                 expected += score_journey_reference(
                     model, {name: keyed[name][i] for name in names}, raw
                 )
-            assert list(pipeline.score_all(model, attributable, selected)) == expected
+            assert list(pipeline.score_all(model, selected)) == expected
 
 
 def all_credits(attributable, mda=MDA):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mta_engine.attribution import CreditVector
+from mta_engine.attribution import CreditVector, ModelCredits
 from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -87,12 +87,18 @@ class TestScoreTouchpoints:
     def test_wrong_conversion_rejected(self):
         # Both vectors claim conversion x1, but "mda" was computed on another
         # journey: x1 with only its Upper touchpoint.
-        model = weight_model({"lta": 0.6, "mda": 0.4})
         journey = two_touch_journey()
         other = mk_journey(journey.touchpoints[:1], journey.conversion)
-        bad = {"lta": CreditVector(journey, (0.0, 1.0)), "mda": CreditVector(other, (1.0,))}
+        bad = {"lta": [CreditVector(journey, (0.0, 1.0))], "mda": [CreditVector(other, (1.0,))]}
         with pytest.raises(DataIntegrityError, match="'mda'.*another journey"):
-            score_one(model, bad, journey)
+            ModelCredits.of([journey], bad)
+
+    def test_table_needs_a_conversion_and_one_vector_per_journey(self):
+        journey = two_touch_journey()
+        with pytest.raises(DataIntegrityError, match="without a conversion"):
+            ModelCredits.of([mk_journey(journey.touchpoints)], {})
+        with pytest.raises(ValueError):
+            ModelCredits.of([journey, journey], {"lta": [CreditVector(journey, (0.0, 1.0))]})
 
     def test_missing_model_warns_and_zeroes(self, caplog):
         model = weight_model({"lta": 0.6, "mda": 0.4})
@@ -116,7 +122,8 @@ class TestPerConversionTotal:
         assert total_credit(credits) == pytest.approx(0.9, abs=1e-9)
 
     def test_empty(self):
-        assert total_credit(score_all(weight_model({"lta": 0.9}), [], {"lta": []})) == 0.0
+        empty = ModelCredits.of([], {"lta": []})
+        assert total_credit(score_all(weight_model({"lta": 0.9}), empty)) == 0.0
 
 
 def score_reference(model, attributable, credits_by_model):
@@ -186,7 +193,7 @@ class TestScoreAllTable:
     @given(scoring_inputs())
     def test_equals_per_touchpoint_sum_bitwise(self, inputs):
         model, journeys, credits_by_model = inputs
-        table = score_all(model, journeys, credits_by_model)
+        table = score_all(model, ModelCredits.of(journeys, credits_by_model))
         expected = score_reference(model, journeys, credits_by_model)
         assert list(table) == expected
         assert bits(table) == bits(expected)
@@ -205,7 +212,7 @@ class TestScoreAllTable:
         model = CalibrationModel(("lta", "mda"), "per_channel", {"Upper": (0.7, 0.2)}, None)
         vectors = {"lta": [CreditVector(journey, (0.0, 1.0))], "mda": [CreditVector(journey, (0.3, 0.7))]}
         with caplog.at_level(logging.WARNING):
-            table = score_all(model, [journey], vectors)
+            table = score_all(model, ModelCredits.of([journey], vectors))
         assert [c.credit for c in table] == [4 * (0.7 * 0.0 + 0.2 * 0.3), 0.0]
         assert list(table) == score_reference(model, [journey], vectors)
         assert "'Mid'; 1 touchpoint(s) get zero credit" in caplog.text
@@ -275,7 +282,9 @@ class TestAggregateShares:
 class TestConservation:
     def test_campaign_sums_match_predictions(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        rows = aggregate_campaign_features(credits_by_model, campaigns, rct_results)
+        rows = aggregate_campaign_features(
+            ModelCredits.of(journeys, credits_by_model), campaigns, rct_results
+        )
         model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
         totals: dict[str, float] = {}
         for i, journey in enumerate(journeys):

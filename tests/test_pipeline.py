@@ -5,7 +5,7 @@ import pytest
 
 from mta_engine import pipeline
 from mta_engine.attribution import DecayConfig, MdaHyperparams
-from mta_engine.attribution import CreditVector
+from mta_engine.attribution import CreditVector, ModelCredits
 from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -67,8 +67,9 @@ class TestBuildingBlocks:
         ]
         with caplog.at_level(logging.WARNING):
             credits = pipeline.ensemble_credits(journeys, ("lta", "linear", "mda"), mda=None)
-        assert set(credits) == {"lta", "linear"}
-        assert [v.journey for v in credits["lta"]] == journeys
+        assert set(credits.columns) == {"lta", "linear"}
+        assert [label[:2] for label in credits.labels] == [("x1", "t1"), ("x2", "t2")]
+        assert credits.columns["lta"].tolist() == [1.0, 1.0]
         assert any("MDA" in r.message for r in caplog.records)
 
     def test_fit_with_cv_attaches_metrics(self, credit_example):
@@ -85,9 +86,9 @@ class TestBuildingBlocks:
         model = pipeline.fit_with_cv(rows, CalibrationOptions(("lta", "mda")), cv_folds=4)
         assert model.cv_metrics is not None
         assert model.cv_metrics["r_squared"] >= 0.999
-        _, credits_by_model, campaigns, rct_results = credit_example
+        journeys, credits_by_model, campaigns, rct_results = credit_example
         two_rows = pipeline.calibration_rows(
-            credits_by_model, campaigns, rct_results, ("lta", "mda")
+            ModelCredits.of(journeys, credits_by_model), campaigns, rct_results, ("lta", "mda")
         )
         skipped = pipeline.fit_with_cv(two_rows, CalibrationOptions(("lta", "mda")), cv_folds=5)
         assert skipped.cv_metrics is None
@@ -95,8 +96,8 @@ class TestBuildingBlocks:
     def test_missing_feature_model_is_insufficient_data(self, credit_example):
         from mta_engine.errors import InsufficientDataError
 
-        _, credits_by_model, campaigns, rct_results = credit_example
-        only_lta = {"lta": credits_by_model["lta"]}
+        journeys, credits_by_model, campaigns, rct_results = credit_example
+        only_lta = ModelCredits.of(journeys, {"lta": credits_by_model["lta"]})
         with pytest.raises(InsufficientDataError, match="mda"):
             pipeline.calibration_rows(only_lta, campaigns, rct_results, ("lta", "mda"))
 
@@ -111,11 +112,12 @@ class TestBuildingBlocks:
 class TestFigureFixtureThroughPipeline:
     def test_share_vectors_differ_pairwise(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        rows = pipeline.calibration_rows(credits_by_model, campaigns, rct_results, ("lta", "mda"))
+        table = ModelCredits.of(journeys, credits_by_model)
+        rows = pipeline.calibration_rows(table, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
-        mta = pipeline.score_all(model, journeys, credits_by_model)
+        mta = pipeline.score_all(model, table)
         mta_shares = aggregate_shares(mta).shares()
-        records = pipeline.model_credit_records(credits_by_model)
+        records = pipeline.model_credit_records(table)
         lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
         mda_totals = credit_totals((row for name, row in records if name == "mda"), "channel")
         lta_shares = {k: v / 3.0 for k, v in lta_totals.items()}
@@ -127,10 +129,11 @@ class TestFigureFixtureThroughPipeline:
 
     def test_conservation_per_conversion(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        rows = pipeline.calibration_rows(credits_by_model, campaigns, rct_results, ("lta", "mda"))
+        table = ModelCredits.of(journeys, credits_by_model)
+        rows = pipeline.calibration_rows(table, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
         weight_sum = sum(model.weights.values())
-        mta = pipeline.score_all(model, journeys, credits_by_model)
+        mta = pipeline.score_all(model, table)
         for journey in journeys:
             conv_id = journey.conversion.conversion_id
             total = sum(c.credit for c in mta if c.conversion_id == conv_id)
@@ -146,24 +149,24 @@ def many_conversions(n=50):
         ]
         journeys.append(mk_journey(tps, mk_conv(f"x{i}", customer=f"c{i}"), customer=f"c{i}"))
         lta.append(CreditVector(journeys[-1], (0.0, 1.0)))
-    return journeys, {"lta": lta}
+    return ModelCredits.of(journeys, {"lta": lta})
 
 
 class TestScoreAllWarnings:
     def test_missing_model_warns_once_with_count(self, caplog):
-        journeys, credits = many_conversions()
+        credits = many_conversions()
         model = CalibrationModel(("lta", "mda"), "global", {"global": (0.6, 0.4)}, None)
         with caplog.at_level(logging.WARNING):
-            mta = pipeline.score_all(model, journeys, credits)
+            mta = pipeline.score_all(model, credits)
         assert sum(c.credit for c in mta) == pytest.approx(0.6 * 50)
         (record,) = caplog.records
         assert "50 conversion(s)" in record.message and "'mda'" in record.message
 
     def test_unfitted_group_warns_once_with_count(self, caplog):
-        journeys, credits = many_conversions()
+        credits = many_conversions()
         model = CalibrationModel(("lta",), "per_channel", {"Upper": (1.0,)}, None)
         with caplog.at_level(logging.WARNING):
-            mta = pipeline.score_all(model, journeys, credits)
+            mta = pipeline.score_all(model, credits)
         assert all(c.credit == 0.0 for c in mta)
         (record,) = caplog.records
         assert "'Lower'" in record.message and "50 touchpoint(s)" in record.message
@@ -198,7 +201,7 @@ class TestEndToEndSmoke:
         rows = pipeline.calibration_rows(credits, cfg.campaigns, rct_results, ("lta", "mda"))
         model = pipeline.fit_with_cv(rows, CalibrationOptions(("lta", "mda")), cv_folds=4)
         assert all(w >= 0.0 for w in model.weights.values())
-        mta = pipeline.score_all(model, attributable, credits)
+        mta = pipeline.score_all(model, credits)
         report = aggregate_shares(mta, "channel", unattributed)
         shares = report.shares()
         # Lower's true incremental effect is 3x Upper's; the calibrated shares

@@ -234,5 +234,6 @@ class TestEstimatorCalibration:
         errors = np.array([o.result.incremental_conversions - o.true_incremental for o in outcomes])
         se_of_mean = errors.std(ddof=1) / np.sqrt(len(errors))
         assert abs(errors.mean()) < 2 * se_of_mean
-        coverage = np.mean([o.result.covers(o.true_incremental) for o in outcomes])
+        coverage = np.mean([o.result.ci_low <= o.true_incremental <= o.result.ci_high
+                            for o in outcomes])
         assert 0.92 <= coverage <= 0.98
