@@ -5,75 +5,61 @@ an ensemble of models (last-touch, linear, exponential decay, and a trained
 MDA), fits nonnegative calibration weights mapping attributed conversions
 to RCT incremental conversions, and disaggregates those weights into
 touchpoint-level MTA credits and normalized attribution shares.
+
+The names below are imported from their modules on first access (PEP 562),
+so importing the package, or a numpy-free module of it, loads no numpy.
 """
 
-from .attribution import (
-    CreditVector,
-    DecayConfig,
-    MdaHyperparams,
-    MdaModel,
-    ModelCredits,
-    MODEL_DECAY,
-    MODEL_LINEAR,
-    MODEL_LTA,
-    MODEL_MDA,
-    MODEL_NAMES,
-    decay_credits,
-    linear_credits,
-    lta_credits,
-    mda_credits,
-    train_mda,
-)
-from .calibration import (
-    CalibrationModel,
-    CalibrationOptions,
-    CampaignFeatureRow,
-    aggregate_campaign_features,
-    evaluate_oos,
-    fit_calibration,
-)
-from .credits import (
-    AttributionShareReport,
-    CreditTable,
-    MtaCredit,
-    ShareRow,
-    aggregate_shares,
-)
-from .errors import (
-    ConfigError,
-    DataIntegrityError,
-    DegenerateDesignError,
-    DegenerateLabelsError,
-    InsufficientDataError,
-    MissingArtifactError,
-    MtaError,
-    NoTouchpointsError,
-    ParseError,
-    UnusableArtifactError,
-)
-from .events import (
-    ConversionEvent,
-    InteractionKind,
-    Journey,
-    Journeys,
-    LookbackWindow,
-    ParseResult,
-    Touchpoint,
-    TouchpointTable,
-    build_journeys,
-    parse_event_log,
-)
-from .nnls import nnls
-from .rct import (
-    CampaignSpec,
-    GroundTruthRow,
-    RctResult,
-    SimConfig,
-    assign_treatment,
-    estimate_lift,
-    lift_from_counts,
-    replication_study,
-    simulate,
-)
+import importlib
+import sys
+import types
 
+# Each exported name -> the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "attribution": ("CreditVector", "MdaModel", "ModelCredits", "decay_credits",
+                        "linear_credits", "lta_credits", "mda_credits", "train_mda"),
+        "calibration": ("CalibrationModel", "CampaignFeatureRow", "aggregate_campaign_features",
+                        "evaluate_oos", "fit_calibration"),
+        "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",
+                   "MdaHyperparams", "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA",
+                   "MODEL_NAMES", "SimConfig"),
+        "credits": ("CreditTable",),
+        "errors": ("ConfigError", "DataIntegrityError", "DegenerateDesignError",
+                   "DegenerateLabelsError", "InsufficientDataError", "MissingArtifactError",
+                   "MtaError", "NoTouchpointsError", "ParseError", "UnusableArtifactError"),
+        "events": ("ConversionEvent", "InteractionKind", "Journey", "Journeys", "ParseResult",
+                   "Touchpoint", "TouchpointTable", "build_journeys", "parse_event_log"),
+        "nnls": ("nnls",),
+        "rct": ("GroundTruthRow", "RctResult", "assign_treatment", "estimate_lift",
+                "lift_from_counts", "replication_study", "simulate"),
+        "shares": ("AttributionShareReport", "MtaCredit", "ShareRow", "aggregate_shares"),
+    }.items()
+    for name in names
+}
+
+__all__ = tuple(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+    return globals().setdefault(name, getattr(module, name))
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Importing a submodule binds it here by its name: the module ``nnls`` must
+        # not shadow the function ``nnls`` that the package exports.
+        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

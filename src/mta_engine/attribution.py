@@ -17,19 +17,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import timedelta
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import (  # noqa: F401  -- MODEL_NAMES is re-exported
+    MODEL_DECAY, MODEL_LINEAR, MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams)
 from .errors import DataIntegrityError, DegenerateLabelsError, NoTouchpointsError
 from .events import InteractionKind, Journey, Journeys, Touchpoint
-
-MODEL_LTA = "lta"
-MODEL_LINEAR = "linear"
-MODEL_DECAY = "decay"
-MODEL_MDA = "mda"
-MODEL_NAMES = (MODEL_LTA, MODEL_LINEAR, MODEL_DECAY, MODEL_MDA)
 
 _BASE_FEATURES = ("n_touchpoints", "n_views", "n_clicks", "recency_days")
 _SECONDS_PER_DAY = 86400.0
@@ -89,24 +84,6 @@ class ModelCredits:
             name: np.array([c for v in vectors for c in v.credits], dtype=np.float64)
             for name, vectors in credits_by_model.items()
         })
-
-
-@dataclass(frozen=True, slots=True)
-class DecayConfig:
-    """Half-life (base 2) of the exponential-decay model."""
-
-    half_life: timedelta = timedelta(days=3)
-
-    def __post_init__(self) -> None:
-        if self.half_life <= timedelta(0):
-            raise ValueError(f"half_life must be positive, got {self.half_life}")
-
-
-@dataclass(frozen=True, slots=True)
-class MdaHyperparams:
-    learning_rate: float = 0.5
-    iterations: int = 500
-    seed: int = 0
 
 
 @dataclass(frozen=True, slots=True)

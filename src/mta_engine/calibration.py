@@ -21,15 +21,15 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .attribution import ModelCredits
+from .config import (  # noqa: F401  -- POOLING_PER_CHANNEL is re-exported
+    POOLING_GLOBAL, POOLING_PER_CHANNEL, CalibrationOptions, CampaignSpec)
 from .errors import ConfigError, DataIntegrityError, InsufficientDataError
 from .nnls import nnls
-from .rct import CampaignSpec, RctResult
+from .rct import RctResult
 
 logger = logging.getLogger(__name__)
 
 GLOBAL_GROUP = "global"
-POOLING_GLOBAL = "global"
-POOLING_PER_CHANNEL = "per_channel"
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,20 +49,6 @@ class CampaignFeatureRow:
                 raise ValueError(f"{self.campaign_id}: feature {name!r} must be finite and >= 0")
         if self.target_std_error is not None and self.target_std_error < 0.0:
             raise ValueError(f"{self.campaign_id}: target_std_error must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class CalibrationOptions:
-    feature_models: tuple[str, ...] | None = None
-    pooling: str = POOLING_GLOBAL
-    intercept: bool = False
-    inverse_variance_weighting: bool = False
-
-    def __post_init__(self) -> None:
-        if self.pooling not in (POOLING_GLOBAL, POOLING_PER_CHANNEL):
-            raise ConfigError(f"pooling must be global or per_channel, got {self.pooling!r}")
-        if len(set(self.feature_models or ())) < len(self.feature_models or ()):
-            raise ConfigError(f"feature_models must be distinct, got {list(self.feature_models)}")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import json
 import logging
 import os
@@ -36,30 +37,39 @@ from datetime import timedelta
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
-from . import pipeline
-from .attribution import MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams, MdaModel
-from .calibration import CalibrationModel, CalibrationOptions, feature_rows_to_csv
-from .credits import (
-    DIMENSIONS,
-    AttributionShareReport,
-    CreditTable,
-    aggregate_shares,  # noqa: F401  -- perfbench/tracing.py times report through it
-    credit_totals,
-    render_share_table,
-    shares_from_totals,
-)
-from .errors import (
-    ConfigError,
-    InsufficientDataError,
-    MissingArtifactError,
-    UnusableArtifactError,
-)
-from .events import LookbackWindow, build_journeys, parse_event_log
-from .rct import CampaignSpec, RctResult, SimConfig, estimate_all, lift_from_counts, simulate
+from .config import (
+    MODEL_LTA, MODEL_MDA, MODEL_NAMES, CalibrationOptions, CampaignSpec, DecayConfig,
+    LookbackWindow, MdaHyperparams, SimConfig)
+from .errors import ConfigError, InsufficientDataError, MissingArtifactError, UnusableArtifactError
+from .shares import (  # noqa: F401  -- perfbench/tracing.py times report through aggregate_shares
+    DIMENSIONS, AttributionShareReport, aggregate_shares, credit_totals, render_share_table,
+    shares_from_totals)
+
+if TYPE_CHECKING:
+    from .credits import CreditTable
+    from .rct import RctResult
 
 logger = logging.getLogger(__name__)
+
+# The names this module uses from the numpy layers -> their module. They are
+# imported on first access, so that config loading and ``report`` need no numpy;
+# ``main`` binds them before running any other command.
+_LAZY = {"pipeline": "pipeline", "MdaModel": "attribution", "CalibrationModel": "calibration",
+         "feature_rows_to_csv": "calibration", "parse_event_log": "events",
+         "build_journeys": "events", "simulate": "rct", "estimate_all": "rct",
+         "lift_from_counts": "rct"}
+
+
+def __getattr__(name: str) -> Any:
+    """A name of ``_LAZY``, imported and bound here. A binding made first, as the
+    benchmark's tracer makes with ``setattr``, is kept: commands look names up here."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __package__)
+    return globals().setdefault(name, module if name == _LAZY[name] else getattr(module, name))
+
 
 # The exit code of each error a command reports; any other exception exits 1.
 EXIT_CODES = {
@@ -347,13 +357,13 @@ def _read_rct_results(path: Path) -> dict[str, RctResult]:
     results: dict[str, RctResult] = {}
     with _reading(path) as fh:
         for record in csv.DictReader(fh):
-            results[record["campaign_id"]] = lift_from_counts(
-                record["campaign_id"],
-                n_treatment=int(record["n_treatment"]),
-                n_holdout=int(record["n_holdout"]),
-                conv_treatment=float(record["conv_treatment"]),
-                conv_holdout=float(record["conv_holdout"]),
-            )
+            campaign_id = record["campaign_id"]
+            counts = {name: int(record[name]) for name in ("n_treatment", "n_holdout")}
+            counts |= {name: float(record[name]) for name in ("conv_treatment", "conv_holdout")}
+            if not all(0 <= count <= sys.float_info.max for count in counts.values()):
+                raise ValueError(f"campaign {campaign_id}: counts must be finite and >= 0, "
+                                 f"got {counts}")
+            results[campaign_id] = lift_from_counts(campaign_id, **counts)
     return results
 
 
@@ -612,6 +622,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, args.seed, args.out)
+        if args.command != "report":
+            for name in _LAZY:
+                __getattr__(name)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, args)
     except Exception as exc:  # one line, whatever failed; the traceback only at debug

@@ -24,6 +24,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import LookbackWindow
 from .errors import DataIntegrityError, ParseError
 
 logger = logging.getLogger(__name__)
@@ -96,17 +97,6 @@ class Journey:
     @property
     def converted(self) -> bool:
         return self.conversion is not None
-
-
-@dataclass(frozen=True, slots=True)
-class LookbackWindow:
-    """Maximum age of a touchpoint, relative to the conversion, to earn credit."""
-
-    duration: timedelta = timedelta(days=7)
-
-    def __post_init__(self) -> None:
-        if self.duration <= timedelta(0):
-            raise ValueError(f"lookback duration must be positive, got {self.duration}")
 
 
 def parse_timestamp(raw: str) -> datetime:

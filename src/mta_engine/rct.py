@@ -21,6 +21,7 @@ from typing import IO, Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from . import rng
+from .config import CampaignSpec, SimConfig
 from .errors import ConfigError, DegenerateDesignError
 from .events import ConversionEvent, InteractionKind, Touchpoint, TouchpointTable, label_codes
 
@@ -37,60 +38,6 @@ _CLICK_LAG_MS = (60_000, 3_600_000)
 _CONV_LAG_MS = (3_600_000, 86_400_000)
 
 _Z95 = 1.959963984540054
-
-
-@dataclass(frozen=True, slots=True)
-class CampaignSpec:
-    """Generative parameters for one campaign.
-
-    ``true_lift`` is the additive conversion-probability effect of one
-    exposure. ``view_window`` places view timestamps uniformly inside the
-    given fractions of the horizon, letting fixtures control where a
-    channel's touches fall in the journey.
-    """
-
-    campaign_id: str
-    channel: str
-    ad_product: str
-    exposure_rate: float
-    click_rate: float
-    true_lift: float
-    holdout_fraction: float = 0.1
-    is_rct: bool = True
-    view_window: tuple[float, float] = (0.0, 0.7)
-
-    def __post_init__(self) -> None:
-        for name in ("exposure_rate", "click_rate", "true_lift"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError(f"holdout_fraction must be in (0, 1), got {self.holdout_fraction}")
-        lo, hi = self.view_window
-        if not 0.0 <= lo <= hi <= 1.0:
-            raise ConfigError(f"view_window must satisfy 0 <= lo <= hi <= 1, got {[lo, hi]}")
-
-
-@dataclass(frozen=True, slots=True)
-class SimConfig:
-    n_customers: int
-    campaigns: tuple[CampaignSpec, ...]
-    baseline_conversion_rate: float
-    seed: int
-    horizon: timedelta = timedelta(days=14)
-
-    def __post_init__(self) -> None:
-        if self.n_customers < 2:
-            raise ConfigError(f"n_customers must be >= 2, got {self.n_customers}")
-        if not 0.0 <= self.baseline_conversion_rate <= 1.0:
-            raise ConfigError(
-                f"baseline_conversion_rate must be in [0, 1], got {self.baseline_conversion_rate}"
-            )
-        if self.horizon <= timedelta(0):
-            raise ConfigError("horizon must be positive")
-        ids = [c.campaign_id for c in self.campaigns]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("campaigns must have unique campaign_id values")
 
 
 @dataclass(frozen=True, slots=True)

@@ -42,6 +42,10 @@ def test_traced_pass_counts_every_layer(monkeypatch, tmp_path, workload):
     assert result.failures == []
     metrics = tracing.layer_metrics(tracer)
     assert metrics["attribution.mda_loo_evals"] > 0
+    # cli imports these on first use; a local binding would escape the tracer's patch.
+    for name in ("rct.simulate_s", "rct.estimate_all_s", "events.parse_s",
+                 "events.build_journeys_s", "credits.aggregate_shares_s", "rct.touchpoints"):
+        assert metrics[name] > 0, name
     for model in MODEL_NAMES:
         assert metrics[f"attribution.credits.{model}_s"] > 0
     assert metrics["pipeline.model_credit_rows"] == 4 * metrics["credits.mta_rows"] > 0

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import logging
+import os
 import shutil
+import subprocess
+import sys
 from operator import attrgetter
 from pathlib import Path
 from unittest import mock
@@ -351,6 +354,22 @@ def short_row(path: Path) -> None:
         fh.write("lta,x1\n")
 
 
+def set_field(column: str, value: str, rows: int = 1, model: str | None = None):
+    """Set ``column`` to ``value`` in the first ``rows`` rows (of ``model``, if given)."""
+
+    def corrupt(path: Path) -> None:
+        with path.open() as fh:
+            records = list(csv.DictReader(fh))
+        for record in [r for r in records if model in (None, r.get("model"))][:rows]:
+            record[column] = value
+        with path.open("w") as fh:
+            writer = csv.DictWriter(fh, records[0], lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(records)
+
+    return corrupt
+
+
 class TestUnusableArtifacts:
     """An input artifact that exists but cannot be decoded exits 4 with one
     line naming it; each used to exit 1 with a traceback."""
@@ -370,11 +389,15 @@ class TestUnusableArtifacts:
             ("attribution_summary.json", unattributed(True), "report"),
             ("mta_credits.csv", short_row, "report"),
             ("model_credits.csv", short_row, "report"),
+            ("mta_credits.csv", set_field("credit", "nan"), "report"),
+            ("mta_credits.csv", set_field("credit", "-1e300", rows=2), "report"),
+            ("model_credits.csv", set_field("credit", "inf", model="lta"), "report"),
         ],
         ids=["truncated-calibration-model", "empty-mda-model", "rct-results-without-counts",
              "non-utf8-touchpoints", "credits-without-credit", "empty-summary",
              "negative-unattributed", "fractional-unattributed", "boolean-unattributed",
-             "credits-short-row", "model-credits-short-row"],
+             "credits-short-row", "model-credits-short-row", "nan-credit", "negative-credits",
+             "infinite-model-credit"],
     )
     def test_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact, corrupt,
                                    command):
@@ -387,6 +410,25 @@ class TestUnusableArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"UnusableArtifactError: {out / artifact}: ")
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("conv_treatment", "nan"), ("conv_treatment", "inf"), ("conv_holdout", "-5"),
+         ("n_treatment", "-5")],
+    )
+    def test_rct_count_not_finite_and_nonnegative_exits_4(self, attributed_run, tmp_path, capsys,
+                                                          column, value):
+        """``fit`` used to exit 0 with NaN or zero weights, or 1 for a negative group size."""
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        path = out / ARTIFACTS["rct_results"]
+        set_field(column, value)(path)
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"UnusableArtifactError: {path}: campaign low0: ")
 
 
 class TestUnreadableInputs:
@@ -425,6 +467,52 @@ class TestUnreadableInputs:
         with mock.patch.object(Path, "open", open_unless_denied):
             assert run("attribute", "--config", cfg_path, "--out", out) == 4
         assert capsys.readouterr().err == f"UnusableArtifactError: {denied}: Permission denied\n"
+
+
+def run_cli(*argv, first_on_path: Path | None = None) -> subprocess.CompletedProcess:
+    """``python -m mta_engine.cli`` in a subprocess, importing from ``first_on_path`` first."""
+    path = [first_on_path, Path(cli.__file__).parents[1], os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(str(p) for p in path if p)}
+    return subprocess.run([sys.executable, "-m", "mta_engine.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.fixture(scope="module")
+def no_numpy(tmp_path_factory):
+    """A directory whose ``numpy`` package fails to import."""
+    root = tmp_path_factory.mktemp("no_numpy")
+    (root / "numpy").mkdir()
+    (root / "numpy" / "__init__.py").write_text("raise ImportError('numpy is blocked')\n")
+    return root
+
+
+class TestWithoutNumpy:
+    """``report`` and config loading import no numpy layer."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_report_runs_and_writes_the_same_artifacts(self, attributed_run, no_numpy, tmp_path,
+                                                       fmt):
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        outputs = [out / ARTIFACTS["shares_json"], out / ARTIFACTS["shares_table"],
+                   out / "manifest_report.json"]
+        args = ("report", "--config", cfg_path, "--out", out, "--format", fmt)
+        normal = run_cli(*args)
+        assert normal.returncode == 0
+        written = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+        blocked = run_cli(*args, first_on_path=no_numpy)
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (0, normal.stdout, "")
+        assert [path.read_bytes() for path in outputs] == written
+
+    def test_fit_config_error_exits_2_with_one_line(self, no_numpy, tmp_path):
+        cfg_path = write_config(tmp_path, base_config(tmp_path / "out", lookback_days=-1))
+        blocked = run_cli("fit", "--config", cfg_path, first_on_path=no_numpy)
+        assert blocked.returncode == 2
+        assert blocked.stderr.startswith("ConfigError: lookback_days ")
+        assert blocked.stderr.count("\n") == 1
 
 
 class TestReportReader:
