@@ -53,11 +53,19 @@ class ModelCredits:
     """Each model's credits for the touchpoints of some converting journeys, as
     columns. Row ``i`` is a touchpoint: ``labels[i]`` is its conversion_id,
     touchpoint_id, campaign_id, channel and ad_product, ``units[i]`` its
-    conversion's units, and ``columns[name][i]`` its credit under model ``name``."""
+    conversion's units, and ``columns[name][i]`` its credit per unit under
+    model ``name``. ``len()`` counts the credits: rows times columns."""
 
     labels: list[tuple[str, ...]]
     units: np.ndarray
     columns: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.labels) * len(self.columns)
+
+    def scaled(self, name: str) -> np.ndarray:
+        """Column ``name`` times the conversion units: each touchpoint's credit."""
+        return self.columns[name] * self.units
 
     @classmethod
     def of(
@@ -116,6 +124,8 @@ class MdaModel:
             raise ValueError("feature_names and weights must have equal length")
         if not all(math.isfinite(w) for w in self.weights) or not math.isfinite(self.bias):
             raise ValueError("MDA weights must be finite")
+        # An unknown feature name raises ValueError, by the rule the credits apply.
+        _touchpoint_columns(self.feature_names, np.zeros(0, bool), np.zeros(0, str))
 
     def _proba(self, x: np.ndarray) -> float:
         return _sigmoid(float(np.dot(x, self.weights) + self.bias))

@@ -66,6 +66,14 @@ class CalibrationModel:
     fit_diagnostics: dict[str, float] = field(default_factory=dict)
     cv_metrics: dict[str, float] | None = None
 
+    def __post_init__(self) -> None:
+        for group, weights in self.weights_by_group.items():
+            if len(weights) != len(self.feature_names) or not all(map(math.isfinite, weights)):
+                raise ValueError(f"group {group!r}: weights must be {len(self.feature_names)} "
+                                 f"finite numbers, one per feature, got {list(weights)}")
+        if not all(map(math.isfinite, (self.intercept_by_group or {}).values())):
+            raise ValueError("intercepts must be finite")
+
     @property
     def weights(self) -> dict[str, float]:
         """Model-name -> weight map for globally pooled models."""
@@ -135,7 +143,7 @@ def aggregate_campaign_features(
         raise DataIntegrityError(f"touchpoint {tp_id!r} belongs to campaign {campaign_id!r} "
                                  "which is not in the campaign list")
     totals = {
-        name: np.bincount(campaign, table.columns[name] * table.units, len(index)).tolist()
+        name: np.bincount(campaign, table.scaled(name), len(index)).tolist()
         for name in sorted(table.columns)
     }
 

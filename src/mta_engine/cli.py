@@ -32,9 +32,9 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import timedelta
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Sequence
@@ -44,12 +44,11 @@ from .config import (
     LookbackWindow, MdaHyperparams, SimConfig)
 from .errors import ConfigError, InsufficientDataError, MissingArtifactError, UnusableArtifactError
 from .shares import (  # noqa: F401  -- perfbench/tracing.py times report through aggregate_shares
-    DIMENSIONS, AttributionShareReport, aggregate_shares, credit_totals, render_share_table,
-    shares_from_totals)
+    DIMENSIONS, LABEL_FIELDS, AttributionShareReport, aggregate_shares, credit_totals,
+    render_share_table, shares_from_totals)
 
 if TYPE_CHECKING:
-    from .credits import CreditTable
-    from .rct import RctResult
+    from .attribution import ModelCredits
 
 logger = logging.getLogger(__name__)
 
@@ -58,8 +57,8 @@ logger = logging.getLogger(__name__)
 # ``main`` binds them before running any other command.
 _LAZY = {"pipeline": "pipeline", "MdaModel": "attribution", "CalibrationModel": "calibration",
          "feature_rows_to_csv": "calibration", "parse_event_log": "events",
-         "build_journeys": "events", "simulate": "rct", "estimate_all": "rct",
-         "lift_from_counts": "rct"}
+         "build_journeys": "events", "RctResult": "rct", "simulate": "rct",
+         "estimate_all": "rct", "lift_from_counts": "rct"}
 
 
 def __getattr__(name: str) -> Any:
@@ -94,28 +93,9 @@ ARTIFACTS = {
     "shares_table": "attribution_shares.txt",
 }
 
-# CSV columns are the fields of the record each row holds, in field order;
-# csv writes a float as its repr, which reads back exactly.
-RCT_RESULT_COLUMNS = (
-    "campaign_id",
-    "n_treatment",
-    "n_holdout",
-    "conv_treatment",
-    "conv_holdout",
-    "incremental_conversions",
-    "std_error",
-    "ci_low",
-    "ci_high",
-)
-
-MTA_CREDIT_COLUMNS = (
-    "conversion_id",
-    "touchpoint_id",
-    "campaign_id",
-    "channel",
-    "ad_product",
-    "credit",
-)
+# A credit CSV's columns: a credit table's label fields, then the credit. CSV
+# writes a float as its repr, which reads back exactly.
+MTA_CREDIT_COLUMNS = (*LABEL_FIELDS, "credit")
 
 
 @dataclass
@@ -346,10 +326,12 @@ def _load_journeys(cfg: RunConfig):
 
 
 def _write_rct_results(results: dict[str, RctResult], path: Path) -> None:
+    """A row per campaign, in id order, of the ``RctResult`` fields in field order."""
+    columns = [f.name for f in fields(RctResult)]
     with path.open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RCT_RESULT_COLUMNS)
-        row = attrgetter(*RCT_RESULT_COLUMNS)
+        writer.writerow(columns)
+        row = attrgetter(*columns)
         writer.writerows(row(results[campaign_id]) for campaign_id in sorted(results))
 
 
@@ -472,21 +454,25 @@ def _plain_prefixes(rows: Sequence[tuple[str, ...]]) -> list[str] | None:
     return prefixes
 
 
-def _write_credit_csv(fh: IO[str], header: Sequence[str], table: CreditTable, prefixes) -> None:
-    """Write a table as csv.writer writes it, ``model`` first when paired: each line
-    a prefix (``_plain_prefixes(table.labels)``) and a repr, if no field needs quoting."""
-    leads = _plain_prefixes([(name,) if table.paired else () for name in table.columns])
-    if prefixes is None or leads is None:
-        fields = attrgetter(*MTA_CREDIT_COLUMNS)
-        rows = ((n, *fields(r)) for n, r in table) if table.paired else map(fields, table)
-        csv.writer(fh, lineterminator="\n").writerows(chain([header], rows))
-        return
-    fh.write(",".join(header) + "\n")
-    for lead, column in zip(leads, table.columns.values()):
-        for start in range(0, len(prefixes), _WRITE_ROWS):
+def _write_credit_csv(fh: IO[str], table: ModelCredits, prefixes, by_model: bool) -> None:
+    """Write each column's credits (``table.scaled``) as csv.writer writes them, led
+    by the column's name when ``by_model``. If no field needs quoting, each line is
+    a lead, a prefix (``_plain_prefixes(table.labels)``) and a repr."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(("model",) * by_model + MTA_CREDIT_COLUMNS)
+    leads = [(name,) * by_model for name in table.columns]
+    plain_leads = None if prefixes is None else _plain_prefixes(leads)
+    for k, name in enumerate(table.columns):
+        column = table.scaled(name)
+        for start in range(0, len(table.labels), _WRITE_ROWS):
             chunk = slice(start, start + _WRITE_ROWS)
-            lines = zip(prefixes[chunk], column[chunk].tolist())
-            fh.write("".join([f"{lead}{prefix}{credit!r}\n" for prefix, credit in lines]))
+            credits = column[chunk].tolist()
+            if plain_leads is None:
+                rows = zip(table.labels[chunk], credits)
+                writer.writerows((*leads[k], *label, credit) for label, credit in rows)
+            else:
+                lead, lines = plain_leads[k], zip(prefixes[chunk], credits)
+                fh.write("".join([f"{lead}{prefix}{credit!r}\n" for prefix, credit in lines]))
 
 
 def cmd_attribute(cfg: RunConfig, args) -> int:
@@ -506,9 +492,9 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
     prefixes = _plain_prefixes(credits.labels)
     with cfg.artifact("mta_credits").open("w") as fh:
-        _write_credit_csv(fh, MTA_CREDIT_COLUMNS, mta_credits, prefixes)
+        _write_credit_csv(fh, mta_credits, prefixes, by_model=False)
     with cfg.artifact("model_credits").open("w") as fh:
-        _write_credit_csv(fh, ("model", *MTA_CREDIT_COLUMNS), records, prefixes)
+        _write_credit_csv(fh, records, prefixes, by_model=True)
     summary = {
         "conversions": len(attributable) + unattributed,
         "attributed_conversions": len(attributable),
@@ -530,18 +516,6 @@ def _credit_csv(fh: IO[str]) -> tuple[Iterator[list[str]], Callable]:
     return rows, lambda name: itemgetter(index[name])
 
 
-def _report_to_dict(report: AttributionShareReport) -> dict:
-    return {
-        "dimension": report.dimension,
-        "rows": [
-            {"value": r.value, "total_credit": r.total_credit, "share": r.share}
-            for r in report.rows
-        ],
-        "unattributed_conversions": report.unattributed_conversions,
-        "zero_total": report.zero_total,
-    }
-
-
 # Single-model share columns shown beside the calibrated shares.
 _COMPARED_MODELS = (MODEL_LTA, MODEL_MDA)
 
@@ -557,24 +531,25 @@ def cmd_report(cfg: RunConfig, args) -> int:
     with _reading(cfg.artifact("mta_credits"), IndexError) as fh:
         rows, column = _credit_csv(fh)
         mta_totals = credit_totals(rows, cfg.report_dimension, column)
-    report = shares_from_totals(mta_totals, cfg.report_dimension, unattributed)
+        report = shares_from_totals(mta_totals, cfg.report_dimension, unattributed)
 
-    totals: dict[str, dict[str, float]] = {}
+    comparisons: dict[str, AttributionShareReport] = {}
     model_credits_path = cfg.artifact("model_credits")
     if model_credits_path.exists():
         with _reading(model_credits_path, IndexError) as fh:
             rows, column = _credit_csv(fh)
+            totals: dict[str, dict[str, float]] = {}
             for name, group in groupby(rows, column("model")):
                 if name in _COMPARED_MODELS:
                     credit_totals(group, cfg.report_dimension, column, totals.setdefault(name, {}))
-    comparisons = {
-        name: shares_from_totals(totals[name], cfg.report_dimension, unattributed)
-        for name in _COMPARED_MODELS
-        if name in totals
-    }
+            comparisons = {
+                name: shares_from_totals(totals[name], cfg.report_dimension, unattributed)
+                for name in _COMPARED_MODELS
+                if name in totals
+            }
 
-    doc = _report_to_dict(report)
-    doc["comparisons"] = {name: _report_to_dict(rep) for name, rep in comparisons.items()}
+    doc = asdict(report)
+    doc["comparisons"] = {name: asdict(rep) for name, rep in comparisons.items()}
     cfg.artifact("shares_json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     table = render_share_table(report, comparisons)
     cfg.artifact("shares_table").write_text(table + "\n")

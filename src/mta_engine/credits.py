@@ -1,10 +1,12 @@
-"""Disaggregation of calibration weights into touchpoint-level MTA credits.
-Their aggregation into attribution shares is in ``shares``, re-exported here."""
+"""Disaggregation of calibration weights into touchpoint-level MTA credits, and
+the shares of a credit table's column. The aggregation of credits into
+attribution shares is in ``shares``, re-exported here."""
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import replace
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -15,39 +17,22 @@ from .events import label_codes
 from .shares import (  # noqa: F401  -- re-exported
     DIMENSION_FIELDS, DIMENSIONS, AttributionShareReport, MtaCredit, ShareRow, aggregate_shares,
     credit_totals, render_share_table, shares_from_totals)
+from .shares import LABEL_FIELDS, _check_dimension
 
 logger = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True, eq=False)
-class CreditTable(Sequence):
-    """Credit rows as columns. Row ``k * len(labels) + i`` is built on access from
-    ``labels[i]`` and the k-th column: an MtaCredit, or ``(name, MtaCredit)`` if paired."""
-
-    labels: list[tuple[str, ...]]
-    columns: dict[str, np.ndarray]
-    paired: bool = True
-
-    def __len__(self) -> int:
-        return len(self.labels) * len(self.columns)
-
-    def __getitem__(self, index: int):
-        k, i = divmod(range(len(self))[index], len(self.labels))
-        name, column = list(self.columns.items())[k]
-        row = MtaCredit(*self.labels[i], column.item(i))
-        return (name, row) if self.paired else row
-
-
-def score_all(model: CalibrationModel, table: ModelCredits) -> CreditTable:
-    """MTA credits for every touchpoint of the ensemble's table, with one
-    warning line per cause of zero credit for the whole batch.
+def score_all(model: CalibrationModel, table: ModelCredits) -> ModelCredits:
+    """MTA credits for every touchpoint of the ensemble's table, as the same
+    rows with one column ``"mta"``, and one warning line per cause of zero
+    credit for the whole batch.
 
     credit(tp) = units x sum over models of weight_m x credit_m(tp), where
     units is the conversion's unit count (1 for ordinary conversions), so
     campaign-level sums of MTA credits reconcile exactly with the
-    calibration model's campaign predictions. A model named in the
-    calibration weights but missing from the table, or a touchpoint whose
-    group has no fitted weights, contributes zero credit (with a warning).
+    calibration model's campaign predictions. The column holds the sum, and
+    ``scaled("mta")`` the credits. A model named in the calibration weights
+    but missing from the table, or a touchpoint whose group has no fitted
+    weights, contributes zero credit (with a warning).
 
     The products are numpy's and each touchpoint's terms go through Python's
     ``sum``, so the bits are those of the per-touchpoint definition.
@@ -60,14 +45,26 @@ def score_all(model: CalibrationModel, table: ModelCredits) -> CreditTable:
     ]
     total = np.array([sum(t) for t in zip(*terms)] if terms else [0.0] * len(table.labels))
     _warn_zero_credit(model, table, codes, channels)
-    return CreditTable(table.labels, {"mta": table.units * total}, paired=False)
+    return replace(table, columns={"mta": total})
 
 
-def model_credit_records(table: ModelCredits) -> CreditTable:
-    """Per-model credits scaled by conversion units, a column per model in name
-    order, for LTA-only / MDA-only comparisons."""
-    columns = {name: table.columns[name] * table.units for name in sorted(table.columns)}
-    return CreditTable(table.labels, columns)
+def model_credit_records(table: ModelCredits) -> ModelCredits:
+    """The table with its columns in name order, for LTA-only / MDA-only comparisons."""
+    return replace(table, columns={name: table.columns[name] for name in sorted(table.columns)})
+
+
+def column_shares(
+    table: ModelCredits, name: str, dimension: str = "channel", unattributed: int = 0
+) -> AttributionShareReport:
+    """Shares of column ``name``'s credits (``scaled(name)``) by reporting
+    dimension, totalled as ``report`` totals a credit CSV: in row order, each
+    value where it is first seen."""
+    _check_dimension(dimension)
+    field = LABEL_FIELDS.index(DIMENSION_FIELDS[dimension])
+    values = [label[field] for label in table.labels]
+    pairs = zip(values, table.scaled(name).tolist())  # rows of (dimension value, credit)
+    totals = credit_totals(pairs, dimension, lambda f: itemgetter(1 if f == "credit" else 0))
+    return shares_from_totals(totals, dimension, unattributed)
 
 
 def _warn_zero_credit(

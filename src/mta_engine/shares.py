@@ -12,6 +12,8 @@ from typing import Callable, Iterable, Mapping
 # credit CSV rows alike.
 DIMENSION_FIELDS = {"channel": "channel", "ad_product": "ad_product", "campaign": "campaign_id"}
 DIMENSIONS = tuple(DIMENSION_FIELDS)
+# The field each entry of a credit table's label holds; a credit CSV row is these and the credit.
+LABEL_FIELDS = ("conversion_id", "touchpoint_id", "campaign_id", "channel", "ad_product")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,7 +67,7 @@ def credit_totals(
 
     ``getter(field)`` reads a field: ``attrgetter`` for credit objects, a
     column's ``itemgetter`` for CSV rows. Sums accumulate into ``totals`` when given.
-    A credit that is not a finite number >= 0 raises ValueError.
+    A credit that is not a finite number >= 0, or a sum that overflows, raises ValueError.
     """
     _check_dimension(dimension)
     value_of, credit_of = getter(DIMENSION_FIELDS[dimension]), getter("credit")
@@ -75,6 +77,10 @@ def credit_totals(
         if not 0.0 <= credit <= sys.float_info.max:
             raise ValueError(f"credit {credit!r} for {value!r} is not a finite number >= 0")
         totals[value] = totals.get(value, 0.0) + credit
+    # Each sum only grows, so a sum that overflowed at some row is infinite at the end.
+    for value, total in totals.items():
+        if total > sys.float_info.max:
+            raise ValueError(f"the credits for {value!r} total more than the largest float")
     return totals
 
 
@@ -93,9 +99,11 @@ def shares_from_totals(
     totals: Mapping[str, float], dimension: str = "channel", unattributed: int = 0
 ) -> AttributionShareReport:
     """Normalize per-dimension credit totals into a share report, largest
-    share first."""
+    share first. A grand total that is not finite raises ValueError."""
     _check_dimension(dimension)
     grand_total = sum(totals.values())
+    if not abs(grand_total) <= sys.float_info.max:
+        raise ValueError(f"the credit totals sum to {grand_total!r}, which is not finite")
     zero_total = grand_total <= 0.0
     rows = tuple(
         sorted(

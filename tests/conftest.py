@@ -8,7 +8,7 @@ import pytest
 from mta_engine.attribution import CreditVector, MdaModel, ModelCredits, _recency_days
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, _predict, _warn_gaps
 from mta_engine.cli import CONFIG_KEYS
-from mta_engine.credits import score_all
+from mta_engine.credits import MtaCredit, score_all
 from mta_engine.events import ConversionEvent, InteractionKind, Journey, Touchpoint
 from mta_engine.rct import CampaignSpec, RctResult
 
@@ -36,10 +36,16 @@ def mk_journey(tps, conv=None, customer: str = "c1") -> Journey:
     return Journey(customer, tuple(tps), conv)
 
 
+def credit_rows(table: ModelCredits, name: str = "mta") -> list[MtaCredit]:
+    """Column ``name`` of a credit table as ``MtaCredit`` rows: its labels and credits."""
+    return [MtaCredit(*label, c) for label, c in zip(table.labels, table.scaled(name).tolist())]
+
+
 def score_one(model, credits_by_model, journey):
-    """``score_all`` on one journey; ``credits_by_model`` maps each model's
-    name to its credit vector for that journey."""
-    return score_all(model, ModelCredits.of([journey], {n: [v] for n, v in credits_by_model.items()}))
+    """``score_all``'s credit rows for one journey; ``credits_by_model`` maps each
+    model's name to its credit vector for that journey."""
+    vectors = {n: [v] for n, v in credits_by_model.items()}
+    return credit_rows(score_all(model, ModelCredits.of([journey], vectors)))
 
 
 def feature_vector(

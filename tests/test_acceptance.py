@@ -28,7 +28,7 @@ from mta_engine.calibration import (
     fit_calibration,
 )
 from mta_engine.cli import ARTIFACTS, main
-from mta_engine.credits import MtaCredit, aggregate_shares, credit_totals
+from mta_engine.credits import MtaCredit, aggregate_shares, column_shares
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.nnls import nnls
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, replication_study, simulate
@@ -66,13 +66,10 @@ def test_criterion_2_ensemble_worked_example(credit_example):
     mta = {c.channel: c.credit for c in score_one(model, per_model, dual_journey)}
     credits_ok = abs(mta["Upper"] - 0.12) < 1e-9 and abs(mta["Lower"] - 0.88) < 1e-9
 
-    all_mta = pipeline.score_all(model, table)
-    mta_shares = aggregate_shares(all_mta).shares()
+    mta_shares = column_shares(pipeline.score_all(model, table), "mta").shares()
     records = pipeline.model_credit_records(table)
-    lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
-    mda_totals = credit_totals((row for name, row in records if name == "mda"), "channel")
-    lta_shares = {k: v / sum(lta_totals.values()) for k, v in lta_totals.items()}
-    mda_shares = {k: v / sum(mda_totals.values()) for k, v in mda_totals.items()}
+    lta_shares = column_shares(records, "lta").shares()
+    mda_shares = column_shares(records, "mda").shares()
     shares_ok = all(
         abs(mta_shares[ch] - lta_shares[ch]) > 1e-6
         and abs(mta_shares[ch] - mda_shares[ch]) > 1e-6
@@ -248,10 +245,8 @@ def _run_two_channel_pipeline(seed: int, n_customers: int):
     rows = pipeline.calibration_rows(credits, config.campaigns, rct_results, ("lta", "mda"))
     model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
     mta = pipeline.score_all(model, credits)
-    mta_share = aggregate_shares(mta, "channel", unattributed).shares()["Lower"]
-    records = pipeline.model_credit_records(credits)
-    lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
-    lta_share = lta_totals["Lower"] / sum(lta_totals.values())
+    mta_share = column_shares(mta, "mta", "channel", unattributed).shares()["Lower"]
+    lta_share = column_shares(pipeline.model_credit_records(credits), "lta").shares()["Lower"]
     spec_by_id = {c.campaign_id: c for c in config.campaigns}
     true_lower = sum(r.true_incremental for r in truth if spec_by_id[r.campaign_id].channel == "Lower")
     true_share = true_lower / sum(r.true_incremental for r in truth)

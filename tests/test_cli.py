@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from mta_engine import attribution, cli, rct
 from mta_engine.cli import ARTIFACTS, MTA_CREDIT_COLUMNS, load_run_config, main
-from mta_engine.credits import CreditTable
+from mta_engine.attribution import ModelCredits
 from mta_engine.events import CONVERSION_FIELDS, TOUCHPOINT_FIELDS
 
-from conftest import config_keys
+from conftest import config_keys, credit_rows
 
 
 def base_config(out_dir: Path, **overrides) -> dict:
@@ -370,6 +370,17 @@ def set_field(column: str, value: str, rows: int = 1, model: str | None = None):
     return corrupt
 
 
+def edit_json(key: str, edit):
+    """Replace the document's ``key`` by ``edit`` of its value."""
+
+    def corrupt(path: Path) -> None:
+        doc = json.loads(path.read_text())
+        doc[key] = edit(doc[key])
+        path.write_text(json.dumps(doc))
+
+    return corrupt
+
+
 class TestUnusableArtifacts:
     """An input artifact that exists but cannot be decoded exits 4 with one
     line naming it; each used to exit 1 with a traceback."""
@@ -392,12 +403,25 @@ class TestUnusableArtifacts:
             ("mta_credits.csv", set_field("credit", "nan"), "report"),
             ("mta_credits.csv", set_field("credit", "-1e300", rows=2), "report"),
             ("model_credits.csv", set_field("credit", "inf", model="lta"), "report"),
+            # Used to exit 1 with "KeyError: 'mda'".
+            ("calibration_model.json",
+             edit_json("weights", lambda w: {g: v[:-1] for g, v in w.items()}), "attribute"),
+            # Used to exit 0, dropping the extra weights.
+            ("calibration_model.json",
+             edit_json("weights", lambda w: {g: v + [0.5, 0.5] for g, v in w.items()}), "attribute"),
+            ("calibration_model.json",
+             edit_json("weights", lambda w: {g: [float("nan"), *v[1:]] for g, v in w.items()}),
+             "attribute"),
+            # Used to exit 1 with "ValueError: unknown MDA feature", naming no file.
+            ("mda_model.json", edit_json("feature_names", lambda names: [
+                "n_touchpointz" if n == "n_touchpoints" else n for n in names]), "attribute"),
         ],
         ids=["truncated-calibration-model", "empty-mda-model", "rct-results-without-counts",
              "non-utf8-touchpoints", "credits-without-credit", "empty-summary",
              "negative-unattributed", "fractional-unattributed", "boolean-unattributed",
              "credits-short-row", "model-credits-short-row", "nan-credit", "negative-credits",
-             "infinite-model-credit"],
+             "infinite-model-credit", "calibration-weight-missing", "calibration-weights-extra",
+             "nan-calibration-weight", "unknown-mda-feature"],
     )
     def test_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact, corrupt,
                                    command):
@@ -429,6 +453,33 @@ class TestUnusableArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"UnusableArtifactError: {path}: campaign low0: ")
+
+    @pytest.mark.parametrize("same_channel", [True, False], ids=["one-channel", "two-channels"])
+    def test_credit_totals_that_overflow_exit_4_and_write_no_shares(
+        self, attributed_run, tmp_path, capsys, same_channel
+    ):
+        """Two credits of 1e308 used to exit 0: in one channel with a NaN share,
+        in two with every share 0.0 and ``zero_total`` false."""
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        path = out / ARTIFACTS["mta_credits"]
+        with path.open() as fh:
+            records = list(csv.DictReader(fh))
+        first = records[0]
+        other = next(r for r in records[1:] if (r["channel"] == first["channel"]) == same_channel)
+        first["credit"] = other["credit"] = "1e308"
+        with path.open("w") as fh:
+            writer = csv.DictWriter(fh, first, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(records)
+        capsys.readouterr()
+        assert run("report", "--config", cfg_path, "--out", out) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"UnusableArtifactError: {path}: ")
+        assert not (out / ARTIFACTS["shares_json"]).exists()
+        assert not (out / ARTIFACTS["shares_table"]).exists()
 
 
 class TestUnreadableInputs:
@@ -546,45 +597,48 @@ CREDITS = st.one_of(
 
 @st.composite
 def credit_tables(draw):
+    """A credit table with units 0-3, and whether a ``model`` column leads:
+    then up to four columns, else one, as ``score_all`` gives."""
     n = draw(st.integers(0, 6))
     labels = [tuple(draw(LABEL_TEXT) for _ in range(5)) for _ in range(n)]
-    paired = draw(st.booleans())
+    units = np.array([float(draw(st.integers(0, 3))) for _ in labels])
+    by_model = draw(st.booleans())
     names = draw(
         st.lists(st.sampled_from(["lta", "mda", "decay", "a,b", 'q"']), unique=True,
-                 min_size=0 if paired else 1, max_size=4 if paired else 1)
+                 min_size=0 if by_model else 1, max_size=4 if by_model else 1)
     )
     columns = {name: np.array([draw(CREDITS) for _ in labels], dtype=np.float64) for name in names}
-    return CreditTable(labels, columns, paired)
+    return ModelCredits(labels, units, columns), by_model
 
 
-def csv_writer_text(header, table: CreditTable) -> str:
-    """The table written row by row through csv.writer."""
+def csv_writer_text(table: ModelCredits, by_model: bool) -> str:
+    """The table's credit rows written one by one through csv.writer."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(("model",) * by_model + MTA_CREDIT_COLUMNS)
     fields = attrgetter(*MTA_CREDIT_COLUMNS)
-    for value in table:
-        writer.writerow((value[0], *fields(value[1])) if table.paired else fields(value))
+    for name in table.columns:
+        for row in credit_rows(table, name):
+            writer.writerow((name,) * by_model + fields(row))
     return buf.getvalue()
 
 
 class TestCreditWriter:
     @settings(max_examples=400, deadline=None)
     @given(credit_tables(), st.integers(1, 4))
-    def test_text_equals_csv_writer(self, table, chunk_rows):
-        header = ("model", *MTA_CREDIT_COLUMNS) if table.paired else MTA_CREDIT_COLUMNS
+    def test_text_equals_csv_writer(self, drawn, chunk_rows):
+        table, by_model = drawn
         buf = io.StringIO()
         with mock.patch.object(cli, "_WRITE_ROWS", chunk_rows):
-            cli._write_credit_csv(buf, header, table, cli._plain_prefixes(table.labels))
-        assert buf.getvalue() == csv_writer_text(header, table)
+            cli._write_credit_csv(buf, table, cli._plain_prefixes(table.labels), by_model)
+        assert buf.getvalue() == csv_writer_text(table, by_model)
 
     def test_equal_credits_keep_their_own_text(self):
         labels = [("x1", f"t{i}", "c", "Upper", "display") for i in range(4)]
-        table = CreditTable(labels, {"lta": np.array([0.0, -0.0, 0.0, 1.0])})
-        header = ("model", *MTA_CREDIT_COLUMNS)
+        table = ModelCredits(labels, np.ones(4), {"lta": np.array([0.0, -0.0, 0.0, 1.0])})
         buf = io.StringIO()
-        cli._write_credit_csv(buf, header, table, cli._plain_prefixes(labels))
-        assert buf.getvalue() == csv_writer_text(header, table)
+        cli._write_credit_csv(buf, table, cli._plain_prefixes(labels), by_model=True)
+        assert buf.getvalue() == csv_writer_text(table, by_model=True)
         assert [line.rsplit(",", 1)[1] for line in buf.getvalue().splitlines()[1:]] == [
             "0.0", "-0.0", "0.0", "1.0"
         ]

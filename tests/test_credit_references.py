@@ -6,8 +6,8 @@ The references below are the former ``aggregate_campaign_features``,
 verbatim apart from their inputs: a credit vector is given as
 ``(conversion_id, ((touchpoint_id, credit), ...))`` and each stage rebuilds
 its own id -> record maps from the journeys. The per-model rows are
-``(model, MtaCredit)`` pairs, the form ``model_credit_records`` returns.
-Every float must come out equal with ``==``, not approximately.
+``(model, MtaCredit)`` pairs, which ``model_credit_records``' table gives
+column by column. Every float must come out equal with ``==``, not approximately.
 """
 
 import random
@@ -32,7 +32,7 @@ from mta_engine.errors import DataIntegrityError
 from mta_engine.events import Journey, LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 
-from conftest import T0, exact_rct, mk_conv, mk_tp
+from conftest import T0, credit_rows, exact_rct, mk_conv, mk_tp
 
 
 @dataclass(frozen=True)
@@ -169,9 +169,10 @@ def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rc
     assert aggregate_campaign_features(table, campaigns, rct_results) == aggregate_reference(
         raw_journeys, keyed, campaigns, rct_results
     )
-    assert list(pipeline.model_credit_records(table)) == model_credit_records_reference(
-        raw_journeys, keyed
-    )
+    records = pipeline.model_credit_records(table)
+    assert [
+        (name, row) for name in records.columns for row in credit_rows(records, name)
+    ] == model_credit_records_reference(raw_journeys, keyed)
     without_decay = [name for name in credits if name != "decay"]
     for model in CALIBRATIONS:
         for names in (list(credits), without_decay):
@@ -181,7 +182,7 @@ def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rc
                 expected += score_journey_reference(
                     model, {name: keyed[name][i] for name in names}, raw
                 )
-            assert list(pipeline.score_all(model, selected)) == expected
+            assert credit_rows(pipeline.score_all(model, selected)) == expected
 
 
 def all_credits(attributable, mda=MDA):

@@ -13,15 +13,17 @@ from mta_engine.calibration import (
     fit_calibration,
 )
 from mta_engine.credits import (
+    DIMENSIONS,
     MtaCredit,
     aggregate_shares,
+    column_shares,
     render_share_table,
     score_all,
     shares_from_totals,
 )
 from mta_engine.errors import DataIntegrityError
 
-from conftest import T0, mk_conv, mk_journey, mk_tp, predict_campaign, score_one
+from conftest import T0, credit_rows, mk_conv, mk_journey, mk_tp, predict_campaign, score_one
 
 
 def weight_model(weights: dict[str, float]) -> CalibrationModel:
@@ -123,7 +125,7 @@ class TestPerConversionTotal:
 
     def test_empty(self):
         empty = ModelCredits.of([], {"lta": []})
-        assert total_credit(score_all(weight_model({"lta": 0.9}), empty)) == 0.0
+        assert total_credit(credit_rows(score_all(weight_model({"lta": 0.9}), empty))) == 0.0
 
 
 def score_reference(model, attributable, credits_by_model):
@@ -193,12 +195,13 @@ class TestScoreAllTable:
     @given(scoring_inputs())
     def test_equals_per_touchpoint_sum_bitwise(self, inputs):
         model, journeys, credits_by_model = inputs
-        table = score_all(model, ModelCredits.of(journeys, credits_by_model))
+        credits = ModelCredits.of(journeys, credits_by_model)
+        table = score_all(model, credits)
         expected = score_reference(model, journeys, credits_by_model)
-        assert list(table) == expected
-        assert bits(table) == bits(expected)
+        assert credit_rows(table) == expected
+        assert bits(credit_rows(table)) == bits(expected)
         assert len(table) == len(expected)
-        assert [table[i] for i in range(-len(table), 0)] == expected
+        assert table.labels is credits.labels and table.units is credits.units
 
     def test_multi_unit_conversion_and_unfitted_group(self, caplog):
         conv = mk_conv("x1", units=4)
@@ -213,8 +216,8 @@ class TestScoreAllTable:
         vectors = {"lta": [CreditVector(journey, (0.0, 1.0))], "mda": [CreditVector(journey, (0.3, 0.7))]}
         with caplog.at_level(logging.WARNING):
             table = score_all(model, ModelCredits.of([journey], vectors))
-        assert [c.credit for c in table] == [4 * (0.7 * 0.0 + 0.2 * 0.3), 0.0]
-        assert list(table) == score_reference(model, [journey], vectors)
+        assert table.scaled("mta").tolist() == [4 * (0.7 * 0.0 + 0.2 * 0.3), 0.0]
+        assert credit_rows(table) == score_reference(model, [journey], vectors)
         assert "'Mid'; 1 touchpoint(s) get zero credit" in caplog.text
 
 
@@ -277,6 +280,45 @@ class TestAggregateShares:
             report = aggregate_shares(all_credits)
             assert report.shares()["Upper"] == pytest.approx(1.12 / 3.0, abs=1e-9)
             assert report.shares()["Lower"] == pytest.approx(1.88 / 3.0, abs=1e-9)
+
+    def test_a_channel_total_that_overflows_raises(self):
+        with pytest.raises(ValueError, match="'Upper' total more than the largest float"):
+            aggregate_shares([credit("Upper", 1e308), credit("Upper", 1e308)])
+
+    def test_a_grand_total_that_overflows_raises(self):
+        """Every share used to read 0.0 with ``zero_total`` false."""
+        with pytest.raises(ValueError, match="sum to inf, which is not finite"):
+            shares_from_totals({"Upper": 1e308, "Lower": 1e308})
+
+
+@st.composite
+def credit_tables(draw):
+    """Label rows with a few values per reporting field, units 0-3 and two
+    columns of credits."""
+    labels = [
+        (f"x{i}", f"t{i}", draw(st.sampled_from(["c0", "c1", "c2"])),
+         draw(st.sampled_from(["Upper", "Lower", "Mid"])), draw(st.sampled_from(["display", "video"])))
+        for i in range(draw(st.integers(0, 12)))
+    ]
+    units = np.array([float(draw(st.integers(0, 3))) for _ in labels])
+    credit = st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 1.0]), st.floats(0.0, 1e6))
+    columns = {name: np.array([draw(credit) for _ in labels], dtype=np.float64) for name in ("lta", "mta")}
+    return ModelCredits(labels, units, columns)
+
+
+class TestColumnShares:
+    @settings(max_examples=200, deadline=None)
+    @given(credit_tables(), st.sampled_from(["lta", "mta"]), st.integers(0, 5))
+    def test_equals_aggregate_shares_over_credit_rows_bitwise(self, table, name, unattributed):
+        for dimension in DIMENSIONS:
+            report = column_shares(table, name, dimension, unattributed)
+            expected = aggregate_shares(credit_rows(table, name), dimension, unattributed)
+            assert report == expected
+            assert repr(report) == repr(expected)
+
+    def test_unknown_dimension(self):
+        with pytest.raises(ValueError, match="placement"):
+            column_shares(ModelCredits([], np.zeros(0), {"mta": np.zeros(0)}), "mta", "placement")
 
 
 class TestConservation:

@@ -19,7 +19,7 @@ EXPORTS = {
     "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",
                "MdaHyperparams", "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA",
                "MODEL_NAMES", "SimConfig"),
-    "credits": ("CreditTable",),
+    "credits": ("column_shares",),
     "errors": ("ConfigError", "DataIntegrityError", "DegenerateDesignError",
                "DegenerateLabelsError", "InsufficientDataError", "MissingArtifactError",
                "MtaError", "NoTouchpointsError", "ParseError", "UnusableArtifactError"),

@@ -11,12 +11,12 @@ from mta_engine.calibration import (
     CalibrationOptions,
     fit_calibration,
 )
-from mta_engine.credits import aggregate_shares, credit_totals
+from mta_engine.credits import column_shares
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 
-from conftest import T0, mk_conv, mk_journey, mk_tp, predict_campaign
+from conftest import T0, credit_rows, mk_conv, mk_journey, mk_tp, predict_campaign
 
 
 def two_channel_config(n_customers=20_000, seed=11, n_per_channel=4):
@@ -104,9 +104,10 @@ class TestBuildingBlocks:
     def test_model_credit_records_scale_by_units(self):
         journey = mk_journey([mk_tp("t1", ts=T0 - timedelta(days=1))], mk_conv("x1", units=2))
         credits = pipeline.ensemble_credits([journey], ("lta",))
-        ((model, record),) = pipeline.model_credit_records(credits)
-        assert record.credit == 2.0
-        assert model == "lta"
+        records = pipeline.model_credit_records(credits)
+        assert list(records.columns) == ["lta"]
+        assert records.scaled("lta").tolist() == [2.0]
+        assert len(records) == 1
 
 
 class TestFigureFixtureThroughPipeline:
@@ -115,13 +116,10 @@ class TestFigureFixtureThroughPipeline:
         table = ModelCredits.of(journeys, credits_by_model)
         rows = pipeline.calibration_rows(table, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
-        mta = pipeline.score_all(model, table)
-        mta_shares = aggregate_shares(mta).shares()
+        mta_shares = column_shares(pipeline.score_all(model, table), "mta").shares()
         records = pipeline.model_credit_records(table)
-        lta_totals = credit_totals((row for name, row in records if name == "lta"), "channel")
-        mda_totals = credit_totals((row for name, row in records if name == "mda"), "channel")
-        lta_shares = {k: v / 3.0 for k, v in lta_totals.items()}
-        mda_shares = {k: v / 3.0 for k, v in mda_totals.items()}
+        lta_shares = column_shares(records, "lta").shares()
+        mda_shares = column_shares(records, "mda").shares()
         for channel in ("Upper", "Lower"):
             assert abs(mta_shares[channel] - lta_shares[channel]) > 1e-6
             assert abs(mta_shares[channel] - mda_shares[channel]) > 1e-6
@@ -133,7 +131,7 @@ class TestFigureFixtureThroughPipeline:
         rows = pipeline.calibration_rows(table, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
         weight_sum = sum(model.weights.values())
-        mta = pipeline.score_all(model, table)
+        mta = credit_rows(pipeline.score_all(model, table))
         for journey in journeys:
             conv_id = journey.conversion.conversion_id
             total = sum(c.credit for c in mta if c.conversion_id == conv_id)
@@ -158,7 +156,7 @@ class TestScoreAllWarnings:
         model = CalibrationModel(("lta", "mda"), "global", {"global": (0.6, 0.4)}, None)
         with caplog.at_level(logging.WARNING):
             mta = pipeline.score_all(model, credits)
-        assert sum(c.credit for c in mta) == pytest.approx(0.6 * 50)
+        assert sum(mta.scaled("mta").tolist()) == pytest.approx(0.6 * 50)
         (record,) = caplog.records
         assert "50 conversion(s)" in record.message and "'mda'" in record.message
 
@@ -167,7 +165,7 @@ class TestScoreAllWarnings:
         model = CalibrationModel(("lta",), "per_channel", {"Upper": (1.0,)}, None)
         with caplog.at_level(logging.WARNING):
             mta = pipeline.score_all(model, credits)
-        assert all(c.credit == 0.0 for c in mta)
+        assert all(c == 0.0 for c in mta.scaled("mta").tolist())
         (record,) = caplog.records
         assert "'Lower'" in record.message and "50 touchpoint(s)" in record.message
 
@@ -202,7 +200,7 @@ class TestEndToEndSmoke:
         model = pipeline.fit_with_cv(rows, CalibrationOptions(("lta", "mda")), cv_folds=4)
         assert all(w >= 0.0 for w in model.weights.values())
         mta = pipeline.score_all(model, credits)
-        report = aggregate_shares(mta, "channel", unattributed)
+        report = column_shares(mta, "mta", "channel", unattributed)
         shares = report.shares()
         # Lower's true incremental effect is 3x Upper's; the calibrated shares
         # must put Lower clearly ahead even at this small scale.
@@ -210,7 +208,7 @@ class TestEndToEndSmoke:
         assert shares["Lower"] + shares["Upper"] == pytest.approx(1.0, abs=1e-9)
         # campaign-level conservation: predictions equal disaggregated sums
         totals: dict[str, float] = {}
-        for c in mta:
+        for c in credit_rows(mta):
             totals[c.campaign_id] = totals.get(c.campaign_id, 0.0) + c.credit
         for row in rows:
             assert totals.get(row.campaign_id, 0.0) == pytest.approx(

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from mta_engine.cli import load_run_config
+from mta_engine.shares import MtaCredit, aggregate_shares
 
 from conftest import config_keys
 
@@ -19,6 +20,11 @@ def test_library_use_block_runs():
     vector = namespace["vector"]
     assert len(vector.credits) == len(vector.journey.touchpoints) > 0
     assert sum(vector.credits) == 1.0
+    table, lta_shares = namespace["table"], namespace["lta_shares"]
+    assert list(table.columns) == ["lta", "linear"] and len(table) == 2 * len(table.labels) > 0
+    rows = [MtaCredit(*label, c) for label, c in zip(table.labels, table.scaled("lta").tolist())]
+    assert lta_shares == aggregate_shares(rows, "channel", namespace["unattributed"])
+    assert set(lta_shares.shares()) == {"Upper", "Lower"} and not lta_shares.zero_total
 
 
 def config_reference() -> dict[str, tuple[str, str, str]]:
