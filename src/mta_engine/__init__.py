@@ -11,8 +11,6 @@ so importing the package, or a numpy-free module of it, loads no numpy.
 """
 
 import importlib
-import sys
-import types
 
 # Each exported name -> the module that defines it.
 _EXPORTS = {
@@ -21,20 +19,19 @@ _EXPORTS = {
         "attribution": ("CreditVector", "MdaModel", "ModelCredits", "decay_credits",
                         "linear_credits", "lta_credits", "mda_credits", "train_mda"),
         "calibration": ("CalibrationModel", "CampaignFeatureRow", "aggregate_campaign_features",
-                        "evaluate_oos", "fit_calibration"),
+                        "evaluate_oos", "fit_calibration", "nnls"),
         "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",
                    "MdaHyperparams", "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA",
                    "MODEL_NAMES", "SimConfig"),
-        "credits": ("column_shares",),
         "errors": ("ConfigError", "DataIntegrityError", "DegenerateDesignError",
                    "DegenerateLabelsError", "InsufficientDataError", "MissingArtifactError",
                    "MtaError", "NoTouchpointsError", "ParseError", "UnusableArtifactError"),
         "events": ("ConversionEvent", "InteractionKind", "Journey", "Journeys", "ParseResult",
                    "Touchpoint", "TouchpointTable", "build_journeys", "parse_event_log"),
-        "nnls": ("nnls",),
         "rct": ("GroundTruthRow", "RctResult", "assign_treatment", "estimate_lift",
                 "lift_from_counts", "replication_study", "simulate"),
-        "shares": ("AttributionShareReport", "MtaCredit", "ShareRow", "aggregate_shares"),
+        "shares": ("AttributionShareReport", "MtaCredit", "ShareRow", "aggregate_shares",
+                   "column_shares"),
     }.items()
     for name in names
 }
@@ -53,13 +50,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(__all__)
 
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # Importing a submodule binds it here by its name: the module ``nnls`` must
-        # not shadow the function ``nnls`` that the package exports.
-        if not (name in _EXPORTS and isinstance(value, types.ModuleType)):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

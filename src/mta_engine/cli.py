@@ -44,8 +44,8 @@ from .config import (
     LookbackWindow, MdaHyperparams, SimConfig)
 from .errors import ConfigError, InsufficientDataError, MissingArtifactError, UnusableArtifactError
 from .shares import (  # noqa: F401  -- perfbench/tracing.py times report through aggregate_shares
-    DIMENSIONS, LABEL_FIELDS, AttributionShareReport, aggregate_shares, credit_totals,
-    render_share_table, shares_from_totals)
+    DIMENSION_FIELDS, DIMENSIONS, LABEL_FIELDS, AttributionShareReport, aggregate_shares,
+    credit_totals, render_share_table, shares_from_totals)
 
 if TYPE_CHECKING:
     from .attribution import ModelCredits
@@ -477,7 +477,7 @@ def _write_credit_csv(fh: IO[str], table: ModelCredits, prefixes, by_model: bool
 
 def cmd_attribute(cfg: RunConfig, args) -> int:
     model_path, mda_path = cfg.artifact("calibration_model"), cfg.artifact("mda_model")
-    with _reading(model_path) as fh:
+    with _reading(model_path, ConfigError) as fh:
         model = CalibrationModel.from_json(fh.read())
     mda = None
     if mda_path.exists():
@@ -510,10 +510,10 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
 
 
 def _credit_csv(fh: IO[str]) -> tuple[Iterator[list[str]], Callable]:
-    """A credit CSV's non-blank rows after its header, and each column's getter by name."""
+    """A credit CSV's non-blank rows after its header, and the getter of columns by name."""
     rows = filter(None, csv.reader(fh))
     index = {name: i for i, name in enumerate(next(rows, ()))}
-    return rows, lambda name: itemgetter(index[name])
+    return rows, lambda *names: itemgetter(*[index[name] for name in names])
 
 
 # Single-model share columns shown beside the calibrated shares.
@@ -528,20 +528,22 @@ def cmd_report(cfg: RunConfig, args) -> int:
             unattributed = json.load(fh)["unattributed_conversions"]
             if type(unattributed) is not int or unattributed < 0:
                 raise ValueError(f"unattributed_conversions {unattributed!r} is no integer >= 0")
+    value_field = DIMENSION_FIELDS[cfg.report_dimension]
     with _reading(cfg.artifact("mta_credits"), IndexError) as fh:
-        rows, column = _credit_csv(fh)
-        mta_totals = credit_totals(rows, cfg.report_dimension, column)
+        rows, columns = _credit_csv(fh)
+        mta_totals = credit_totals(map(columns(value_field, "credit"), rows))
         report = shares_from_totals(mta_totals, cfg.report_dimension, unattributed)
 
     comparisons: dict[str, AttributionShareReport] = {}
     model_credits_path = cfg.artifact("model_credits")
     if model_credits_path.exists():
         with _reading(model_credits_path, IndexError) as fh:
-            rows, column = _credit_csv(fh)
+            rows, columns = _credit_csv(fh)
             totals: dict[str, dict[str, float]] = {}
-            for name, group in groupby(rows, column("model")):
+            for name, group in groupby(rows, columns("model")):
                 if name in _COMPARED_MODELS:
-                    credit_totals(group, cfg.report_dimension, column, totals.setdefault(name, {}))
+                    pairs = map(columns(value_field, "credit"), group)
+                    credit_totals(pairs, totals.setdefault(name, {}))
             comparisons = {
                 name: shares_from_totals(totals[name], cfg.report_dimension, unattributed)
                 for name in _COMPARED_MODELS

@@ -43,7 +43,7 @@ class DecayConfig:
 @dataclass(frozen=True, slots=True)
 class MdaHyperparams:
     learning_rate: float = 0.5
-    iterations: int = 500
+    iterations: int = 400
     seed: int = 0
 
 
@@ -55,10 +55,14 @@ class CalibrationOptions:
     inverse_variance_weighting: bool = False
 
     def __post_init__(self) -> None:
+        names = self.feature_models or ()
         if self.pooling not in (POOLING_GLOBAL, POOLING_PER_CHANNEL):
             raise ConfigError(f"pooling must be global or per_channel, got {self.pooling!r}")
-        if len(set(self.feature_models or ())) < len(self.feature_models or ()):
-            raise ConfigError(f"feature_models must be distinct, got {list(self.feature_models)}")
+        if not all(name in MODEL_NAMES for name in names):
+            raise ConfigError(f"feature_models must be among {', '.join(MODEL_NAMES)}, "
+                              f"got {list(names)}")
+        if len(set(names)) < len(names):
+            raise ConfigError(f"feature_models must be distinct, got {list(names)}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,9 +31,8 @@ from .calibration import (
     evaluate_oos,
     fit_calibration,
 )
-from .credits import model_credit_records, score_all  # noqa: F401  -- the CLI calls them here
 from .errors import DegenerateLabelsError, InsufficientDataError
-from .events import Journey, Journeys
+from .events import Journey, Journeys, label_codes
 from .rct import CampaignSpec, RctResult
 
 logger = logging.getLogger(__name__)
@@ -129,3 +128,59 @@ def fit_with_cv(
     else:
         logger.warning("skipping CV: %d RCT row(s) < %d folds", n_rct, cv_folds)
     return model
+
+
+def score_all(model: CalibrationModel, table: ModelCredits) -> ModelCredits:
+    """MTA credits for every touchpoint of the ensemble's table, as the same
+    rows with one column ``"mta"``, and one warning line per cause of zero
+    credit for the whole batch.
+
+    credit(tp) = units x sum over models of weight_m x credit_m(tp), where
+    units is the conversion's unit count (1 for ordinary conversions). The
+    column holds the sum, and ``scaled("mta")`` the credits. A model named in
+    the calibration weights but missing from the table, or a touchpoint whose
+    group has no fitted weights, contributes zero credit (with a warning).
+
+    The calibration intercept is no touchpoint's credit: a campaign's MTA
+    credits sum to its calibrated prediction minus its group's intercept
+    (none without ``intercept``), before the prediction is clipped at 0.
+
+    The products are numpy's and each touchpoint's terms go through Python's
+    ``sum``, so the bits are those of the per-touchpoint definition.
+    """
+    codes, channels = label_codes([label[3] for label in table.labels])
+    weights = [model.group_weights(c) for c in channels]
+    terms = [
+        (np.array([w[name] for w in weights])[codes] * table.columns.get(name, 0.0)).tolist()
+        for name in model.feature_names
+    ]
+    total = np.array([sum(t) for t in zip(*terms)] if terms else [0.0] * len(table.labels))
+    _warn_zero_credit(model, table, codes, channels)
+    return replace(table, columns={"mta": total})
+
+
+def _warn_zero_credit(
+    model: CalibrationModel, table: ModelCredits, codes: np.ndarray, channels: Sequence[str]
+) -> None:
+    """Report, as counts, the credit that scoring set to zero: weighted models
+    missing from the table, and touchpoints in groups with no fitted weights."""
+    missing = [name for name in model.feature_names if name not in table.columns]
+    if missing and table.labels:
+        logger.warning(
+            "%d conversion(s) have no %s credits; treating them as zero",
+            len({label[0] for label in table.labels}),
+            ", ".join(map(repr, missing)),
+        )
+    touchpoints = np.bincount(codes, minlength=len(channels)).tolist()
+    unfitted = {model.group_for(c) for c in channels} - model.weights_by_group.keys()
+    if unfitted:
+        logger.warning(
+            "no fitted weights for group(s) %s; %d touchpoint(s) get zero credit",
+            ", ".join(map(repr, sorted(unfitted))),
+            sum(n for c, n in zip(channels, touchpoints) if model.group_for(c) in unfitted),
+        )
+
+
+def model_credit_records(table: ModelCredits) -> ModelCredits:
+    """The table with its columns in name order, for LTA-only / MDA-only comparisons."""
+    return replace(table, columns={name: table.columns[name] for name in sorted(table.columns)})

@@ -1,12 +1,16 @@
-"""Aggregation of touchpoint credits into normalized attribution shares, and
-their text table; free of numpy, so ``report`` runs without it."""
+"""Aggregation of touchpoint credits (credit objects, credit CSV rows or a
+credit table's column) into normalized attribution shares, and their text
+table; free of numpy, so ``report`` runs without it."""
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from operator import attrgetter, itemgetter
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from .attribution import ModelCredits
 
 # Reporting dimension -> the field that carries it, on credit objects and in
 # credit CSV rows alike.
@@ -52,28 +56,24 @@ class AttributionShareReport:
         return {row.value: row.share for row in self.rows}
 
 
-def _check_dimension(dimension: str) -> None:
+def _field_of(dimension: str) -> str:
+    """The field that carries reporting ``dimension``; ValueError for an unknown one."""
     if dimension not in DIMENSION_FIELDS:
         raise ValueError(f"unknown report dimension {dimension!r}")
+    return DIMENSION_FIELDS[dimension]
 
 
 def credit_totals(
-    rows: Iterable,
-    dimension: str,
-    getter: Callable = attrgetter,
-    totals: dict[str, float] | None = None,
+    pairs: Iterable[tuple[str, float | str]], totals: dict[str, float] | None = None
 ) -> dict[str, float]:
-    """Sum each row's ``credit`` by reporting dimension, in first-seen order.
+    """Sum the credits of (dimension value, credit) pairs by value, in first-seen order.
 
-    ``getter(field)`` reads a field: ``attrgetter`` for credit objects, a
-    column's ``itemgetter`` for CSV rows. Sums accumulate into ``totals`` when given.
+    A credit is a float or its CSV text. Sums accumulate into ``totals`` when given.
     A credit that is not a finite number >= 0, or a sum that overflows, raises ValueError.
     """
-    _check_dimension(dimension)
-    value_of, credit_of = getter(DIMENSION_FIELDS[dimension]), getter("credit")
     totals = {} if totals is None else totals
-    for row in rows:
-        value, credit = value_of(row), float(credit_of(row))
+    for value, credit in pairs:
+        credit = float(credit)
         if not 0.0 <= credit <= sys.float_info.max:
             raise ValueError(f"credit {credit!r} for {value!r} is not a finite number >= 0")
         totals[value] = totals.get(value, 0.0) + credit
@@ -90,9 +90,19 @@ def aggregate_shares(
     unattributed_conversions: int = 0,
 ) -> AttributionShareReport:
     """Total and normalize credits by the requested reporting dimension."""
-    return shares_from_totals(
-        credit_totals(credits, dimension), dimension, unattributed_conversions
-    )
+    pairs = map(attrgetter(_field_of(dimension), "credit"), credits)
+    return shares_from_totals(credit_totals(pairs), dimension, unattributed_conversions)
+
+
+def column_shares(
+    table: ModelCredits, name: str, dimension: str = "channel", unattributed: int = 0
+) -> AttributionShareReport:
+    """Shares of column ``name``'s credits (``scaled(name)``) by reporting
+    dimension, totalled as ``report`` totals a credit CSV: in row order, each
+    value where it is first seen."""
+    values = map(itemgetter(LABEL_FIELDS.index(_field_of(dimension))), table.labels)
+    pairs = zip(values, table.scaled(name).tolist())
+    return shares_from_totals(credit_totals(pairs), dimension, unattributed)
 
 
 def shares_from_totals(
@@ -100,7 +110,7 @@ def shares_from_totals(
 ) -> AttributionShareReport:
     """Normalize per-dimension credit totals into a share report, largest
     share first. A grand total that is not finite raises ValueError."""
-    _check_dimension(dimension)
+    _field_of(dimension)  # an unknown dimension raises
     grand_total = sum(totals.values())
     if not abs(grand_total) <= sys.float_info.max:
         raise ValueError(f"the credit totals sum to {grand_total!r}, which is not finite")

@@ -8,9 +8,10 @@ import pytest
 from mta_engine.attribution import CreditVector, MdaModel, ModelCredits, _recency_days
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, _predict, _warn_gaps
 from mta_engine.cli import CONFIG_KEYS
-from mta_engine.credits import MtaCredit, score_all
 from mta_engine.events import ConversionEvent, InteractionKind, Journey, Touchpoint
+from mta_engine.pipeline import score_all
 from mta_engine.rct import CampaignSpec, RctResult
+from mta_engine.shares import MtaCredit
 
 UTC = timezone.utc
 T0 = datetime(2025, 3, 1, 12, 0, 0, tzinfo=UTC)
@@ -142,7 +143,7 @@ def nnls_brute_force(A, b):
     columns, keeps the candidates whose restricted solution is nonnegative,
     and returns the feasible candidate with the smallest residual. The NNLS
     optimum is always among these candidates, so this is an independent
-    check for :func:`mta_engine.nnls.nnls` (exponential in the column count;
+    check for :func:`mta_engine.calibration.nnls` (exponential in the column count;
     intended for n <= ~12).
     """
     A = np.asarray(A, dtype=float)

@@ -26,12 +26,12 @@ from mta_engine.calibration import (
     CampaignFeatureRow,
     aggregate_campaign_features,
     fit_calibration,
+    nnls,
 )
 from mta_engine.cli import ARTIFACTS, main
-from mta_engine.credits import MtaCredit, aggregate_shares, column_shares
 from mta_engine.events import LookbackWindow, build_journeys
-from mta_engine.nnls import nnls
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, replication_study, simulate
+from mta_engine.shares import MtaCredit, aggregate_shares, column_shares
 
 from conftest import T0, by_touchpoint_id, mk_conv, mk_journey, mk_tp, nnls_brute_force, score_one
 

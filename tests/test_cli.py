@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import timedelta
 from operator import attrgetter
 from pathlib import Path
 from unittest import mock
@@ -17,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from mta_engine import attribution, cli, rct
 from mta_engine.cli import ARTIFACTS, MTA_CREDIT_COLUMNS, load_run_config, main
 from mta_engine.attribution import ModelCredits
+from mta_engine.config import (
+    CalibrationOptions, CampaignSpec, DecayConfig, LookbackWindow, MdaHyperparams, SimConfig)
 from mta_engine.events import CONVERSION_FIELDS, TOUCHPOINT_FIELDS
 
 from conftest import config_keys, credit_rows
@@ -276,6 +280,45 @@ class TestValidation:
         assert err.startswith(f"ConfigError: config {path}: ")
 
 
+# Each defaulted field of a config dataclass -> the config key that sets it and the
+# conversion of the key's JSON value to the field's; None where the two defaults differ
+# by design.
+DAYS = lambda days: timedelta(days=days)  # noqa: E731
+SAME = lambda value: value  # noqa: E731
+SHARED_DEFAULTS = {
+    (LookbackWindow, "duration"): ("lookback_days", DAYS),
+    (DecayConfig, "half_life"): ("decay_half_life_days", DAYS),
+    (MdaHyperparams, "learning_rate"): ("mda.learning_rate", SAME),
+    (MdaHyperparams, "iterations"): ("mda.iterations", SAME),
+    (MdaHyperparams, "seed"): ("mda.seed", SAME),
+    # None means "every feature in the rows"; the config always names its features.
+    (CalibrationOptions, "feature_models"): None,
+    (CalibrationOptions, "pooling"): ("calibration.pooling", SAME),
+    (CalibrationOptions, "intercept"): ("calibration.intercept", SAME),
+    (CalibrationOptions, "inverse_variance_weighting"):
+        ("calibration.inverse_variance_weighting", SAME),
+    (CampaignSpec, "holdout_fraction"): ("simulation.campaigns[].holdout_fraction", SAME),
+    (CampaignSpec, "is_rct"): ("simulation.campaigns[].is_rct", SAME),
+    (CampaignSpec, "view_window"): ("simulation.campaigns[].view_window", tuple),
+    (SimConfig, "horizon"): ("simulation.horizon_days", DAYS),
+}
+
+
+def test_config_defaults_equal_the_dataclass_defaults():
+    """``MdaHyperparams.iterations`` defaulted to 500 while ``mda.iterations`` defaults
+    to 400, so ``train_mda(journeys)`` and a config without the key fit different models."""
+    defaults = {path: key.default for path, key in config_keys()}
+    for cls in (LookbackWindow, DecayConfig, MdaHyperparams, CalibrationOptions, CampaignSpec,
+                SimConfig):
+        for f in dataclasses.fields(cls):
+            if f.default is dataclasses.MISSING:
+                continue
+            assert (cls, f.name) in SHARED_DEFAULTS, f"{cls.__name__}.{f.name}"
+            if SHARED_DEFAULTS[cls, f.name] is not None:
+                path, convert = SHARED_DEFAULTS[cls, f.name]
+                assert convert(defaults[path]) == f.default, f"{cls.__name__}.{f.name}"
+
+
 class TestFailureOutput:
     def test_output_path_that_is_a_directory_exits_1_with_one_line(self, workspace, capsys,
                                                                    caplog):
@@ -415,13 +458,22 @@ class TestUnusableArtifacts:
             # Used to exit 1 with "ValueError: unknown MDA feature", naming no file.
             ("mda_model.json", edit_json("feature_names", lambda names: [
                 "n_touchpointz" if n == "n_touchpoints" else n for n in names]), "attribute"),
+            # The next three used to exit 0: every MTA credit doubled, every credit zero
+            # with one warning, and ``ltaa`` scored as zero credit with one warning.
+            ("calibration_model.json", edit_json("feature_names", lambda names: ["mda", "mda"]),
+             "attribute"),
+            ("calibration_model.json", edit_json("pooling", lambda pooling: "per_chanel"),
+             "attribute"),
+            ("calibration_model.json", edit_json("feature_names", lambda names: [
+                "ltaa" if n == "lta" else n for n in names]), "attribute"),
         ],
         ids=["truncated-calibration-model", "empty-mda-model", "rct-results-without-counts",
              "non-utf8-touchpoints", "credits-without-credit", "empty-summary",
              "negative-unattributed", "fractional-unattributed", "boolean-unattributed",
              "credits-short-row", "model-credits-short-row", "nan-credit", "negative-credits",
              "infinite-model-credit", "calibration-weight-missing", "calibration-weights-extra",
-             "nan-calibration-weight", "unknown-mda-feature"],
+             "nan-calibration-weight", "unknown-mda-feature", "duplicate-calibration-feature",
+             "unknown-calibration-pooling", "unknown-calibration-feature"],
     )
     def test_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact, corrupt,
                                    command):

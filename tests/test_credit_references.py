@@ -27,10 +27,10 @@ from mta_engine.attribution import (
     credits_for_model,
 )
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, aggregate_campaign_features
-from mta_engine.credits import MtaCredit
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import Journey, LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
+from mta_engine.shares import MtaCredit
 
 from conftest import T0, credit_rows, exact_rct, mk_conv, mk_tp
 

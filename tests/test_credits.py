@@ -12,16 +12,16 @@ from mta_engine.calibration import (
     aggregate_campaign_features,
     fit_calibration,
 )
-from mta_engine.credits import (
+from mta_engine.errors import DataIntegrityError
+from mta_engine.pipeline import score_all
+from mta_engine.shares import (
     DIMENSIONS,
     MtaCredit,
     aggregate_shares,
     column_shares,
     render_share_table,
-    score_all,
     shares_from_totals,
 )
-from mta_engine.errors import DataIntegrityError
 
 from conftest import T0, credit_rows, mk_conv, mk_journey, mk_tp, predict_campaign, score_one
 
@@ -337,6 +337,26 @@ class TestConservation:
             assert totals.get(row.campaign_id, 0.0) == pytest.approx(
                 predict_campaign(model, row), abs=1e-9
             )
+
+    def test_campaign_sums_exclude_the_intercept(self, credit_example):
+        """The calibration intercept is no touchpoint's credit: each unclipped
+        campaign's MTA credits sum to its prediction minus the intercept."""
+        journeys, credits_by_model, campaigns, rct_results = credit_example
+        table = ModelCredits.of(journeys, credits_by_model)
+        rows = aggregate_campaign_features(table, campaigns, rct_results)
+        fitted = fit_calibration(rows, CalibrationOptions(("lta",), intercept=True))
+        negative = CalibrationModel(("lta", "mda"), "global", {"global": (0.6, 0.4)},
+                                    {"global": -0.705})
+        assert fitted.intercept_by_group["global"] == pytest.approx(0.36)
+        for model in (fitted, negative):
+            intercept = model.intercept_by_group["global"]
+            totals: dict[str, float] = {}
+            for c in credit_rows(score_all(model, table)):
+                totals[c.campaign_id] = totals.get(c.campaign_id, 0.0) + c.credit
+            for row in rows:
+                prediction = predict_campaign(model, row)
+                assert prediction > 0.0
+                assert totals[row.campaign_id] == pytest.approx(prediction - intercept, abs=1e-9)
 
     def test_monotone_in_single_model_credit(self):
         model = weight_model({"lta": 0.6, "mda": 0.4})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
-from mta_engine.nnls import nnls
+from mta_engine.calibration import nnls
 
 from conftest import nnls_brute_force
 

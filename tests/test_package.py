@@ -15,20 +15,19 @@ EXPORTS = {
     "attribution": ("CreditVector", "MdaModel", "ModelCredits", "decay_credits", "linear_credits",
                     "lta_credits", "mda_credits", "train_mda"),
     "calibration": ("CalibrationModel", "CampaignFeatureRow", "aggregate_campaign_features",
-                    "evaluate_oos", "fit_calibration"),
+                    "evaluate_oos", "fit_calibration", "nnls"),
     "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",
                "MdaHyperparams", "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA",
                "MODEL_NAMES", "SimConfig"),
-    "credits": ("column_shares",),
     "errors": ("ConfigError", "DataIntegrityError", "DegenerateDesignError",
                "DegenerateLabelsError", "InsufficientDataError", "MissingArtifactError",
                "MtaError", "NoTouchpointsError", "ParseError", "UnusableArtifactError"),
     "events": ("ConversionEvent", "InteractionKind", "Journey", "Journeys", "ParseResult",
                "Touchpoint", "TouchpointTable", "build_journeys", "parse_event_log"),
-    "nnls": ("nnls",),
     "rct": ("GroundTruthRow", "RctResult", "assign_treatment", "estimate_lift",
             "lift_from_counts", "replication_study", "simulate"),
-    "shares": ("AttributionShareReport", "MtaCredit", "ShareRow", "aggregate_shares"),
+    "shares": ("AttributionShareReport", "MtaCredit", "ShareRow", "aggregate_shares",
+               "column_shares"),
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
@@ -56,12 +55,15 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_fresh_import_loads_no_numpy_and_keeps_the_nnls_function():
-    """The submodule ``nnls``, once imported, does not shadow the function ``nnls``."""
+    """The numpy-free modules load no numpy, and importing ``calibration`` leaves
+    the package's ``nnls`` the function that ``calibration`` defines."""
     code = (
-        "import sys, mta_engine.shares, mta_engine.config, mta_engine.cli\n"
+        "import sys\n"
+        "from mta_engine.shares import column_shares\n"
+        "import mta_engine.config, mta_engine.cli\n"
         "assert 'numpy' not in sys.modules\n"
         "import mta_engine.calibration\n"
-        "assert mta_engine.nnls is sys.modules['mta_engine.nnls'].nnls\n"
+        "assert mta_engine.nnls is mta_engine.calibration.nnls\n"
     )
     src = str(Path(mta_engine.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}

@@ -11,10 +11,10 @@ from mta_engine.calibration import (
     CalibrationOptions,
     fit_calibration,
 )
-from mta_engine.credits import column_shares
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
+from mta_engine.shares import column_shares
 
 from conftest import T0, credit_rows, mk_conv, mk_journey, mk_tp, predict_campaign
 
