@@ -23,7 +23,14 @@ import numpy as np
 from . import rng
 from .config import CampaignSpec, SimConfig
 from .errors import ConfigError, DegenerateDesignError
-from .events import ConversionEvent, InteractionKind, Touchpoint, TouchpointTable, label_codes
+from .events import (
+    ConversionEvent,
+    InteractionKind,
+    PackedStrings,
+    Touchpoint,
+    TouchpointTable,
+    label_codes,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -112,8 +119,8 @@ class _CampaignDraws:
     holdout: np.ndarray   # bool, per customer
     exposed: np.ndarray   # bool, treatment only
     clicked: np.ndarray   # bool, subset of exposed
-    view_ms: np.ndarray   # int64 offsets from SIM_EPOCH
-    click_ms: np.ndarray
+    view_ms: np.ndarray   # int64 offsets from SIM_EPOCH, one per exposed customer
+    click_ms: np.ndarray  # likewise, one per clicking customer
 
 
 @dataclass
@@ -173,7 +180,9 @@ def _simulate_core(config: SimConfig) -> _SimDraws:
         lift_sum += spec.true_lift * exposed
         np.maximum(last_touch_ms, np.where(exposed, view_ms, -1), out=last_touch_ms)
         np.maximum(last_touch_ms, np.where(clicked, click_ms, -1), out=last_touch_ms)
-        campaigns.append(_CampaignDraws(spec, holdout, exposed, clicked, view_ms, click_ms))
+        campaigns.append(
+            _CampaignDraws(spec, holdout, exposed, clicked, view_ms[exposed], click_ms[clicked])
+        )
 
     raw_prob = config.baseline_conversion_rate + lift_sum
     conv_prob = np.clip(raw_prob, 0.0, 1.0)
@@ -279,7 +288,16 @@ class EventLog:
         person = (np.cumsum(seen) - 1)[self.customer]
         names = list(map(_CUSTOMER_ID, np.flatnonzero(seen).tolist()))
         prefixes = [s.id_prefix for s in sources]
-        ids = [prefixes[s] + names[p] for s, p in zip(self.source.tolist(), person.tolist())]
+        prefix_len = np.array([len(prefix) for prefix in prefixes], np.int64)
+        name_len = np.array([len(name) for name in names], np.int64)
+        ids = PackedStrings.join(
+            map(
+                str.__add__,
+                map(prefixes.__getitem__, self.source.tolist()),
+                map(names.__getitem__, person.tolist()),
+            ),
+            [prefix_len[self.source] + name_len[person]],
+        )
         customer, customers = label_codes(names)
         labels = [label_codes([s.labels[k] for s in sources]) for k in range(3)]
         is_click = np.array([s.kind is InteractionKind.CLICK for s in sources], dtype=bool)
@@ -320,7 +338,7 @@ def _touchpoint_log(draws: _SimDraws) -> EventLog:
             (InteractionKind.CLICK, cd.clicked, cd.click_ms),
         ):
             rows = np.flatnonzero(mask)
-            columns.append((times[rows], np.full(len(rows), len(sources)), rows))
+            columns.append((times, np.full(len(rows), len(sources)), rows))
             sources.append(_touchpoint_source(cd.spec, kind))
     ms, source, customer = map(np.concatenate, zip(*columns))
 

@@ -32,7 +32,7 @@ def reference_events(config: SimConfig) -> tuple[list[Touchpoint], list[Conversi
             ("K", cd.clicked, cd.click_ms, InteractionKind.CLICK),
         ):
             indices = np.flatnonzero(mask).tolist()
-            stamps = times[mask].tolist()
+            stamps = times.tolist()
             for i, ms in zip(indices, stamps):
                 cid = cids[i]
                 staged.append((ms, f"{prefix}-{spec.campaign_id}-{cid}", i, cid, spec, kind))

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
+from mta_engine import events
 from mta_engine.errors import DataIntegrityError, ParseError
 from mta_engine.events import (
     CONVERSION_FIELDS,
@@ -25,6 +26,13 @@ from conftest import (
 )
 
 WEEK = LookbackWindow(timedelta(days=7))
+
+
+class CollidingHash(str):
+    """A string whose hash is the same for every value."""
+
+    def __hash__(self) -> int:
+        return 7
 
 
 def tp_line(tp_id="t1", customer="c1", ts="2025-03-01T12:00:00.000Z", **overrides):
@@ -270,6 +278,15 @@ class TestBuildJourneys:
         ]
         with pytest.raises(DataIntegrityError, match="conversion_id .*'x1'"):
             build_journeys(iter([mk_tp("t1")]), iter(convs), WEEK)
+
+    def test_ids_with_colliding_hashes_are_compared_exactly(self):
+        ids = [CollidingHash(v) for v in ("c", "a", "b", "d", "b", "c", "c")]
+        with pytest.raises(
+            DataIntegrityError,
+            match=r"^2 touchpoint_id value\(s\) occur more than once in the input, e\.g\. 'b'$",
+        ):
+            events._reject_duplicate_ids(ids, "touchpoint_id")
+        events._reject_duplicate_ids([CollidingHash(v) for v in "abcd"], "touchpoint_id")
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@
   the stacked per-journey ``conftest.feature_vector``.
 * ``build_journeys`` on an ``rct.EventLog`` builds no ``Touchpoint`` and
   gives the journeys of the JSONL round trip.
+* The packed touchpoint-id column behaves as the list of ids it holds.
 """
 
 import io
@@ -16,6 +17,7 @@ from datetime import datetime, timedelta
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mta_engine import attribution, events, pipeline, rct
@@ -24,6 +26,8 @@ from mta_engine.events import (
     TOUCHPOINT_FIELDS,
     Journeys,
     LookbackWindow,
+    PackedStrings,
+    TouchpointTable,
     build_journeys,
     parse_event_log,
 )
@@ -36,7 +40,7 @@ WEEK = LookbackWindow(timedelta(days=7))
 
 def table_state(table) -> tuple:
     return (
-        table.touchpoint_id,
+        list(table.touchpoint_id),
         table.customers,
         table.campaigns,
         table.channels,
@@ -271,3 +275,34 @@ class TestEventLogJourneys:
         assert list(journeys) == list(round_trip)
         assert list(journeys) == list(build_journeys(list(touchpoints), list(conversions), WEEK))
         assert (attributable, unattributed) == pipeline.split_attributable(round_trip)
+
+
+# Strings an id column must hold: the empty string, non-ASCII text, control
+# characters, lone surrogates (a JSON line's ``\ud800`` escape decodes to
+# one) and characters outside the BMP.
+odd_ids = st.sampled_from(
+    ["", "é", "日本", "\n", "\x00", "\ud800", "x\udfffy", "\U0001f600", "a"]
+)
+
+
+class TestPackedStrings:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(odd_ids | st.text(max_size=5), max_size=12), st.integers(1, 4), st.data())
+    def test_behaves_as_the_list_of_its_strings(self, ids, batch_rows, data):
+        with mock.patch.object(events, "_BATCH_ROWS", batch_rows):
+            column = TouchpointTable.of([mk_tp(tp_id) for tp_id in ids]).touchpoint_id
+        assert isinstance(column, PackedStrings)
+        assert len(column) == len(ids)
+        assert list(column) == ids
+        for i in range(-len(ids), len(ids)):
+            assert column[i] == ids[i]
+        for i in (len(ids), -len(ids) - 1):
+            with pytest.raises(IndexError):
+                column[i]
+        bound = st.none() | st.integers(-len(ids) - 2, len(ids) + 2)
+        step = st.sampled_from([None, 1, 2, -1, -3])
+        window = slice(data.draw(bound), data.draw(bound), data.draw(step))
+        assert column[window] == ids[window]
+        rows = data.draw(st.lists(st.integers(-len(ids), len(ids) - 1), max_size=8)) if ids else []
+        assert column.take(np.array(rows, dtype=np.intp)) == [ids[r] for r in rows]
+        assert [tp.touchpoint_id for tp in TouchpointTable.of(map(mk_tp, ids))] == ids
