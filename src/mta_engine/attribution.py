@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .config import (  # noqa: F401  -- MODEL_NAMES is re-exported
-    MODEL_DECAY, MODEL_LINEAR, MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams)
+    MODEL_NAMES, DecayConfig, MdaHyperparams)
 from .errors import DataIntegrityError, DegenerateLabelsError, NoTouchpointsError
 from .events import InteractionKind, Journey, Journeys, Touchpoint
 
@@ -371,25 +371,3 @@ def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
     if total > 0.0:
         return CreditVector(journey, tuple(d / total for d in deltas))
     return CreditVector(journey, (1.0 / len(tps),) * len(tps))
-
-
-def credits_for_model(
-    name: str,
-    journey: Journey,
-    *,
-    decay: DecayConfig = DecayConfig(),
-    mda: MdaModel | None = None,
-) -> CreditVector:
-    """Dispatch to one of the ensemble's models by name."""
-    if name == MODEL_LTA:
-        return lta_credits(journey)
-    if name == MODEL_LINEAR:
-        return linear_credits(journey)
-    if name == MODEL_DECAY:
-        return decay_credits(journey, decay)
-    if name == MODEL_MDA:
-        if mda is None:
-            raise ValueError("mda model required for MDA credits")
-        return mda_credits(mda, journey)
-    raise ValueError(f"unknown attribution model {name!r}")
-

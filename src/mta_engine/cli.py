@@ -42,7 +42,8 @@ from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Sequence
 from .config import (
     MODEL_LTA, MODEL_MDA, MODEL_NAMES, CalibrationOptions, CampaignSpec, DecayConfig,
     LookbackWindow, MdaHyperparams, SimConfig)
-from .errors import ConfigError, InsufficientDataError, MissingArtifactError, UnusableArtifactError
+from .errors import (
+    ConfigError, InsufficientDataError, MissingArtifactError, ParseError, UnusableArtifactError)
 from .shares import (  # noqa: F401  -- perfbench/tracing.py times report through aggregate_shares
     DIMENSION_FIELDS, DIMENSIONS, LABEL_FIELDS, AttributionShareReport, aggregate_shares,
     credit_totals, render_share_table, shares_from_totals)
@@ -57,8 +58,8 @@ logger = logging.getLogger(__name__)
 # ``main`` binds them before running any other command.
 _LAZY = {"pipeline": "pipeline", "MdaModel": "attribution", "CalibrationModel": "calibration",
          "feature_rows_to_csv": "calibration", "parse_event_log": "events",
-         "build_journeys": "events", "RctResult": "rct", "simulate": "rct",
-         "estimate_all": "rct", "lift_from_counts": "rct"}
+         "build_journeys": "events", "write_conversions": "events", "RctResult": "rct",
+         "simulate": "rct", "estimate_all": "rct", "lift_from_counts": "rct"}
 
 
 def __getattr__(name: str) -> Any:
@@ -302,7 +303,7 @@ def _reading(path: Path, *errors: type[Exception]) -> Iterator[IO[str]]:
 
 def _parse_input(path: Path):
     """Parse an event log, as CSV when its name ends in ``.csv``, else as JSONL."""
-    with _reading(path) as fh:
+    with _reading(path, ParseError) as fh:
         return parse_event_log(fh, "csv" if path.suffix.lower() == ".csv" else "jsonl")
 
 
@@ -340,6 +341,8 @@ def _read_rct_results(path: Path) -> dict[str, RctResult]:
     with _reading(path) as fh:
         for record in csv.DictReader(fh):
             campaign_id = record["campaign_id"]
+            if campaign_id in results:
+                raise ValueError(f"campaign {campaign_id!r} appears more than once")
             counts = {name: int(record[name]) for name in ("n_treatment", "n_holdout")}
             counts |= {name: float(record[name]) for name in ("conv_treatment", "conv_holdout")}
             if not all(0 <= count <= sys.float_info.max for count in counts.values()):
@@ -375,7 +378,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     with cfg.artifact("touchpoints").open("w") as fh:
         touchpoints.write_jsonl(fh)
     with cfg.artifact("conversions").open("w") as fh:
-        conversions.write_jsonl(fh)
+        write_conversions(fh, conversions)
     with cfg.artifact("ground_truth").open("w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["campaign_id", "true_incremental", "n_treatment", "n_holdout"])

@@ -2,9 +2,11 @@
 
 Input records arrive as JSONL or CSV event logs (see ``TOUCHPOINT_FIELDS``
 and ``CONVERSION_FIELDS`` for the wire schemas). Touchpoints are read into
-a columnar :class:`TouchpointTable`; ``build_journeys`` sorts it once and
-assembles per-customer :class:`Journeys`, applying the lookback window to
-each conversion. Touchpoint and journey objects are built only on access.
+a columnar :class:`TouchpointTable` and conversions into a list of
+:class:`ConversionEvent`, the list ``write_conversions`` writes back as
+JSONL. ``build_journeys`` sorts a table once and assembles per-customer
+:class:`Journeys`, applying the lookback window to each conversion.
+Touchpoint and journey objects are built only on access.
 """
 
 from __future__ import annotations
@@ -358,6 +360,30 @@ def _conversion_from_record(record: dict) -> ConversionEvent:
     )
 
 
+def write_conversions(fh: IO[str], conversions: Sequence[ConversionEvent]) -> None:
+    """Write one JSONL line per conversion: ``json.dumps`` of its
+    ``CONVERSION_FIELDS`` record, the stamp in UTC to the millisecond. A
+    stamp with a finer part raises ValueError rather than being truncated."""
+    us = _micros(conv.timestamp for conv in conversions)
+    finer = np.flatnonzero(us % 1000)
+    if len(finer):
+        conv = conversions[finer[0]]
+        raise ValueError(
+            f"conversion {conv.conversion_id!r}: timestamp {conv.timestamp.isoformat()} "
+            "is finer than a millisecond"
+        )
+    stamps = np.datetime_as_string(us.view("datetime64[us]"), unit="ms").tolist()
+    dumps = json.dumps
+    fh.write(
+        "".join(
+            f'{{"conversion_id": {dumps(conv.conversion_id)}, '
+            f'"customer_id": {dumps(conv.customer_id)}, '
+            f'"timestamp": "{stamp}Z", "units": {conv.units:d}}}\n'
+            for conv, stamp in zip(conversions, stamps)
+        )
+    )
+
+
 def _iter_lines(stream: Iterable[str] | IO[str]) -> Iterator[str]:
     for line in stream:
         yield line.rstrip("\r\n")
@@ -583,16 +609,6 @@ class Journeys(Sequence):
         ]
 
 
-def _as_table(touchpoints: Iterable[Touchpoint]) -> TouchpointTable:
-    from .rct import EventLog  # rct builds its events from this module
-
-    if isinstance(touchpoints, TouchpointTable):
-        return touchpoints
-    if isinstance(touchpoints, EventLog):
-        return touchpoints.touchpoint_table()
-    return TouchpointTable.of(touchpoints)
-
-
 # A lookback longer than this reaches past every representable time.
 _MAX_LOOKBACK_US = 2**62
 
@@ -610,16 +626,18 @@ def build_journeys(
     carrying all their touchpoints. Output order is deterministic: sorted by
     customer_id, then conversion timestamp, ties by conversion_id.
 
-    ``touchpoints`` may be a :class:`TouchpointTable`, an ``rct.EventLog``
-    or any iterable of :class:`Touchpoint`; each is first made a table, and
-    the touchpoints are sorted once. The result is a read-only sequence
-    whose journeys are built on access.
+    ``touchpoints`` may be a :class:`TouchpointTable` or any iterable of
+    :class:`Touchpoint`, which is first made a table; the touchpoints are
+    sorted once. The result is a read-only sequence whose journeys are
+    built on access.
 
     A ``touchpoint_id`` or ``conversion_id`` that occurs twice in the input
     raises :class:`DataIntegrityError`: ids are how credits are reported, and
     a repeated one would make two records indistinguishable downstream.
     """
-    table = _as_table(touchpoints)
+    table = touchpoints
+    if not isinstance(table, TouchpointTable):
+        table = TouchpointTable.of(touchpoints)
     conversions = list(conversions)
     _reject_duplicate_ids(table.touchpoint_id, "touchpoint_id")
     _reject_duplicate_ids([conv.conversion_id for conv in conversions], "conversion_id")

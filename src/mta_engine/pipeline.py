@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import attribution
-from .attribution import (
-    DecayConfig,
-    MdaHyperparams,
-    MdaModel,
-    ModelCredits,
-    MODEL_MDA,
-    MODEL_NAMES,
-)
+from .attribution import MdaModel, ModelCredits
 from .calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -31,6 +25,8 @@ from .calibration import (
     evaluate_oos,
     fit_calibration,
 )
+from .config import (
+    MODEL_DECAY, MODEL_LINEAR, MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams)
 from .errors import DegenerateLabelsError, InsufficientDataError
 from .events import Journey, Journeys, label_codes
 from .rct import CampaignSpec, RctResult
@@ -86,13 +82,25 @@ def ensemble_credits(
     mda: MdaModel | None = None,
 ) -> ModelCredits:
     """Every requested model's credits for the journeys' touchpoints, as one
-    table; each journey's vector comes from its model's per-journey kernel."""
+    table; each journey's vector comes from its model's per-journey kernel.
+
+    The kernels are read from ``attribution`` once per call, so a kernel
+    replaced there (as the benchmark's tracer does) is the one called. An
+    unknown model name raises ValueError."""
+    kernels = {
+        MODEL_LTA: attribution.lta_credits,
+        MODEL_LINEAR: attribution.linear_credits,
+        MODEL_DECAY: partial(attribution.decay_credits, cfg=decay),
+        MODEL_MDA: partial(attribution.mda_credits, mda),
+    }
+    unknown = [name for name in model_names if name not in kernels]
+    if unknown:
+        raise ValueError(f"unknown attribution model {unknown[0]!r}")
     names = [n for n in model_names if n != MODEL_MDA or mda is not None]
     if MODEL_MDA in model_names and mda is None:
         logger.warning("no MDA model available; skipping MDA credits")
     return ModelCredits.of(attributable, {
-        name: [attribution.credits_for_model(name, j, decay=decay, mda=mda) for j in attributable]
-        for name in names
+        name: list(map(kernels[name], attributable)) for name in names
     })
 
 

@@ -7,6 +7,11 @@ event logs and assignment is stable under input reordering. Conversion
 probability is baseline plus the sum of additive lifts over realized
 exposures, which makes the exact expected incremental conversions of each
 campaign available in closed form as a ground-truth table.
+
+A simulated run holds its touchpoints as an :class:`EventLog` of columns,
+which writes its JSONL and gives its ``TouchpointTable`` without building
+event objects, and its conversions as the list of ``ConversionEvent`` that
+``events.parse_event_log`` also returns.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import logging
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 
@@ -27,7 +32,6 @@ from .events import (
     ConversionEvent,
     InteractionKind,
     PackedStrings,
-    Touchpoint,
     TouchpointTable,
     label_codes,
 )
@@ -206,9 +210,9 @@ def _simulate_core(config: SimConfig) -> _SimDraws:
     return _SimDraws(config, campaigns, conv_prob, converted, conv_ms, clamped_fraction)
 
 
-# Lines per write when a log streams its JSONL. Each chunk is held about
-# three times over (its lines, their join, the encoded bytes), so the chunk
-# size bounds what writing adds to the simulate stage's peak RSS.
+# Lines per write when the touchpoint log streams its JSONL. Each chunk is
+# held about three times over (its lines, their join, the encoded bytes), so
+# the chunk size bounds what writing adds to the simulate stage's peak RSS.
 _CHUNK_ROWS = 2048
 _EPOCH_MS = np.datetime64(SIM_EPOCH.replace(tzinfo=None), "ms")
 # The JSONL text between the two copies of a line's customer id.
@@ -217,19 +221,16 @@ _ID_TO_CUSTOMER = '", "customer_id": "'
 
 @dataclass(frozen=True, slots=True)
 class _Source:
-    """What the events of one source (a campaign's views or its clicks, or
-    the conversions) share: the prefix of their ids, the JSONL text before,
-    between and after a line's customer id and timestamp, the constructor
-    of an event from its customer id and timestamp, and for touchpoints
-    their (campaign_id, channel, ad_product) and kind."""
+    """What the touchpoints of one source (a campaign's views or its clicks)
+    share: the prefix of their ids, the JSONL text before and after a line's
+    customer id, which the timestamp follows, their (campaign_id, channel,
+    ad_product) and their kind."""
 
     id_prefix: str
     head: str
     tail: str
-    end: str
-    event: Callable[[str, datetime], Touchpoint | ConversionEvent]
-    labels: tuple[str, str, str] = ("", "", "")
-    kind: InteractionKind = InteractionKind.VIEW
+    labels: tuple[str, str, str]
+    kind: InteractionKind
 
 
 def _touchpoint_source(spec: CampaignSpec, kind: InteractionKind) -> _Source:
@@ -241,30 +242,20 @@ def _touchpoint_source(spec: CampaignSpec, kind: InteractionKind) -> _Source:
         '{"touchpoint_id": ' + json.dumps(prefix)[:-1],
         f'", "campaign_id": {campaign}, "channel": {channel}, "ad_product": {ad_product}, '
         f'"interaction_kind": "{kind.value}", "timestamp": "',
-        'Z"}\n',
-        lambda cid, ts: Touchpoint(prefix + cid, cid, *labels, kind, ts),
         labels,
         kind,
     )
 
 
-_CONVERSIONS = _Source(
-    "X-",
-    '{"conversion_id": "X-',
-    '", "timestamp": "',
-    'Z", "units": 1}\n',
-    lambda cid, ts: ConversionEvent("X-" + cid, cid, ts, 1),
-)
-
-
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """Simulated events as columns, in log order.
+    """Simulated touchpoints as columns, in log order.
 
-    Row ``r`` is an event of ``sources[source[r]]`` for customer index
-    ``customer[r]``, ``ms[r]`` milliseconds after ``SIM_EPOCH``. Iterating
-    yields the event objects; ``write_jsonl`` writes the lines that
-    ``json.dumps`` of their wire records would, without building them.
+    Row ``r`` is a touchpoint of ``sources[source[r]]`` for customer index
+    ``customer[r]``, ``ms[r]`` milliseconds after ``SIM_EPOCH``.
+    ``write_jsonl`` writes the lines that ``json.dumps`` of their wire
+    records would, and ``touchpoint_table`` gives them as a table, neither
+    building touchpoint objects.
     """
 
     ms: np.ndarray
@@ -274,11 +265,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.ms)
-
-    def __iter__(self) -> Iterator[Touchpoint | ConversionEvent]:
-        sources, epoch = self.sources, SIM_EPOCH
-        for s, i, ms in zip(self.source.tolist(), self.customer.tolist(), self.ms.tolist()):
-            yield sources[s].event(_CUSTOMER_ID(i), epoch + timedelta(milliseconds=ms))
 
     def touchpoint_table(self) -> TouchpointTable:
         """This log's touchpoints as a table, built from the columns without
@@ -313,7 +299,7 @@ class EventLog:
         )
 
     def write_jsonl(self, fh: IO[str]) -> None:
-        """Write one JSONL line per event, ``_CHUNK_ROWS`` lines at a time."""
+        """Write one JSONL line per touchpoint, ``_CHUNK_ROWS`` lines at a time."""
         for start in range(0, len(self), _CHUNK_ROWS):
             rows = slice(start, start + _CHUNK_ROWS)
             sources = map(self.sources.__getitem__, self.source[rows].tolist())
@@ -321,7 +307,7 @@ class EventLog:
             stamps = np.datetime_as_string(_EPOCH_MS + self.ms[rows], unit="ms").tolist()
             fh.write(
                 "".join(
-                    f"{s.head}{cid}{_ID_TO_CUSTOMER}{cid}{s.tail}{ts}{s.end}"
+                    f'{s.head}{cid}{_ID_TO_CUSTOMER}{cid}{s.tail}{ts}Z"}}\n'
                     for s, cid, ts in zip(sources, ids, stamps)
                 )
             )
@@ -356,13 +342,15 @@ def _touchpoint_log(draws: _SimDraws) -> EventLog:
     return EventLog(ms[order], source[order], customer[order], tuple(sources))
 
 
-def _conversion_log(draws: _SimDraws) -> EventLog:
+def _conversions(draws: _SimDraws) -> list[ConversionEvent]:
     """Every conversion, sorted by timestamp, then customer index."""
     rows = np.flatnonzero(draws.converted)
-    order = np.argsort(draws.conv_ms[rows], kind="stable")
-    return EventLog(
-        draws.conv_ms[rows][order], np.zeros(len(rows), np.int64), rows[order], (_CONVERSIONS,)
-    )
+    rows = rows[np.argsort(draws.conv_ms[rows], kind="stable")]
+    ids = customer_ids(draws.config.n_customers)
+    return [
+        ConversionEvent("X-" + ids[i], ids[i], SIM_EPOCH + timedelta(milliseconds=ms), 1)
+        for i, ms in zip(rows.tolist(), draws.conv_ms[rows].tolist())
+    ]
 
 
 class Simulation(tuple):
@@ -375,7 +363,7 @@ class Simulation(tuple):
     def __new__(
         cls,
         touchpoints: EventLog,
-        conversions: EventLog,
+        conversions: list[ConversionEvent],
         ground_truth: list[GroundTruthRow],
         clamped_fraction: float,
     ) -> Simulation:
@@ -389,14 +377,14 @@ def simulate(config: SimConfig) -> Simulation:
 
     Holdout customers receive no touchpoints from their held-out campaign.
     Each exposure emits one view touchpoint and, with probability
-    ``click_rate``, a click shortly after. The touchpoints and conversions
-    are :class:`EventLog` columns that iterate ``Touchpoint`` and
-    ``ConversionEvent`` objects, sorted by timestamp, then id, and
-    byte-stable for a fixed config.
+    ``click_rate``, a click shortly after. The touchpoints are an
+    :class:`EventLog` sorted by timestamp, then touchpoint id; the
+    conversions a list of ``ConversionEvent`` sorted by timestamp, then
+    customer. Both are byte-stable for a fixed config.
     """
     draws = _simulate_core(config)
     return Simulation(
-        _touchpoint_log(draws), _conversion_log(draws), draws.ground_truth(), draws.clamped_fraction
+        _touchpoint_log(draws), _conversions(draws), draws.ground_truth(), draws.clamped_fraction
     )
 
 

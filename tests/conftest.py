@@ -94,9 +94,10 @@ def predict_proba(model: MdaModel, journey: Journey) -> float:
 
 
 def format_timestamp(ts: datetime) -> str:
-    """Render a UTC timestamp as RFC 3339 with millisecond precision."""
-    ts = ts.astimezone(timezone.utc)
-    return ts.strftime("%Y-%m-%dT%H:%M:%S.") + f"{ts.microsecond // 1000:03d}Z"
+    """Render a UTC timestamp as RFC 3339 with millisecond precision; the
+    year has four digits, as it does not from ``strftime`` before 1000."""
+    ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
+    return ts.isoformat(timespec="milliseconds") + "Z"
 
 
 def touchpoint_to_record(tp: Touchpoint) -> dict:

@@ -236,7 +236,9 @@ def _run_two_channel_pipeline(seed: int, n_customers: int):
     )
     touchpoints, conversions, truth = simulate(config)
     rct_results = estimate_all(config, conversions)
-    journeys = build_journeys(touchpoints, conversions, LookbackWindow(timedelta(days=7)))
+    journeys = build_journeys(
+        touchpoints.touchpoint_table(), conversions, LookbackWindow(timedelta(days=7))
+    )
     attributable, unattributed = pipeline.split_attributable(journeys)
     mda = pipeline.train_attributor(
         journeys, MdaHyperparams(0.5, 250, 0), max_negatives=20_000

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mta_engine import attribution, cli, rct
+from mta_engine import attribution, cli, events, rct
 from mta_engine.cli import ARTIFACTS, MTA_CREDIT_COLUMNS, load_run_config, main
 from mta_engine.attribution import ModelCredits
 from mta_engine.config import (
     CalibrationOptions, CampaignSpec, DecayConfig, LookbackWindow, MdaHyperparams, SimConfig)
+from mta_engine.errors import UnusableArtifactError
 from mta_engine.events import CONVERSION_FIELDS, TOUCHPOINT_FIELDS
 
 from conftest import config_keys, credit_rows
@@ -413,6 +414,15 @@ def set_field(column: str, value: str, rows: int = 1, model: str | None = None):
     return corrupt
 
 
+def repeat_first_row(path: Path) -> None:
+    """Append the first row again, with 60 more treatment conversions."""
+    with path.open() as fh:
+        records = list(csv.DictReader(fh))
+    again = {**records[0], "conv_treatment": repr(float(records[0]["conv_treatment"]) + 60)}
+    with path.open("a") as fh:
+        csv.DictWriter(fh, records[0], lineterminator="\n").writerow(again)
+
+
 def edit_json(key: str, edit):
     """Replace the document's ``key`` by ``edit`` of its value."""
 
@@ -466,6 +476,8 @@ class TestUnusableArtifacts:
              "attribute"),
             ("calibration_model.json", edit_json("feature_names", lambda names: [
                 "ltaa" if n == "lta" else n for n in names]), "attribute"),
+            # Used to exit 0, the last row of the campaign silently winning.
+            ("rct_results.csv", repeat_first_row, "fit"),
         ],
         ids=["truncated-calibration-model", "empty-mda-model", "rct-results-without-counts",
              "non-utf8-touchpoints", "credits-without-credit", "empty-summary",
@@ -473,7 +485,8 @@ class TestUnusableArtifacts:
              "credits-short-row", "model-credits-short-row", "nan-credit", "negative-credits",
              "infinite-model-credit", "calibration-weight-missing", "calibration-weights-extra",
              "nan-calibration-weight", "unknown-mda-feature", "duplicate-calibration-feature",
-             "unknown-calibration-pooling", "unknown-calibration-feature"],
+             "unknown-calibration-pooling", "unknown-calibration-feature",
+             "rct-results-repeated-campaign"],
     )
     def test_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact, corrupt,
                                    command):
@@ -486,6 +499,15 @@ class TestUnusableArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"UnusableArtifactError: {out / artifact}: ")
+
+    def test_rct_results_naming_a_campaign_twice_are_refused(self, tmp_path):
+        path = tmp_path / "rct_results.csv"
+        cli._write_rct_results({"low0": rct.lift_from_counts(
+            "low0", n_treatment=100, n_holdout=100, conv_treatment=9.0, conv_holdout=4.0)}, path)
+        repeat_first_row(path)
+        with pytest.raises(UnusableArtifactError) as raised:
+            cli._read_rct_results(path)
+        assert str(raised.value) == f"{path}: campaign 'low0' appears more than once"
 
     @pytest.mark.parametrize(
         "column, value",
@@ -823,7 +845,7 @@ class TestSimulateStage:
         def forbidden(*args):
             raise AssertionError("Touchpoint built on the simulate stage")
 
-        monkeypatch.setattr(rct, "Touchpoint", forbidden)
+        monkeypatch.setattr(events, "Touchpoint", forbidden)
         cfg_path, out = workspace
         assert run("simulate", "--config", cfg_path) == 0
         assert (out / "touchpoints.jsonl").stat().st_size > 0
@@ -914,6 +936,29 @@ class TestEventLogInputs:
         assert {name: (out / name).read_bytes() for name in from_jsonl} == from_jsonl
         manifest = json.loads((out / "manifest_fit.json").read_text())
         assert manifest["counts"]["lines_skipped"] == 0
+
+    @pytest.mark.parametrize(
+        "edit_header",
+        [lambda header: header.replace("campaign_id", "campaign"), lambda header: "\ufeff" + header],
+        ids=["misnamed-column", "byte-order-mark"],
+    )
+    def test_csv_header_matching_neither_schema_exits_4_naming_the_file(
+        self, attributed_run, tmp_path, capsys, edit_header
+    ):
+        """``fit`` used to exit 1 with a ``ParseError`` that named no file."""
+        _, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        path = tmp_path / "touchpoints.csv"
+        jsonl_to_csv(out / "touchpoints.jsonl", path, TOUCHPOINT_FIELDS)
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(edit_header(header) + "\n" + rest, encoding="utf-8")
+        cfg_path = write_config(tmp_path, base_config(out, paths={"touchpoints": str(path)}))
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"UnusableArtifactError: {path}: CSV header (")
 
     def test_fit_and_attribute_manifests_record_counts(self, workspace, capsys):
         cfg_path, out = workspace

@@ -24,7 +24,10 @@ from mta_engine.attribution import (
     MdaModel,
     ModelCredits,
     TrainingInfo,
-    credits_for_model,
+    decay_credits,
+    linear_credits,
+    lta_credits,
+    mda_credits,
 )
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, aggregate_campaign_features
 from mta_engine.errors import DataIntegrityError
@@ -186,10 +189,13 @@ def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rc
 
 
 def all_credits(attributable, mda=MDA):
-    return {
-        name: [credits_for_model(name, j, decay=DecayConfig(), mda=mda) for j in attributable]
-        for name in MODEL_NAMES
+    kernels = {
+        "lta": lta_credits,
+        "linear": linear_credits,
+        "decay": lambda journey: decay_credits(journey, DecayConfig()),
+        "mda": lambda journey: mda_credits(mda, journey),
     }
+    return {name: [kernels[name](j) for j in attributable] for name in MODEL_NAMES}
 
 
 def hand_built(shuffle_seed=None):
@@ -253,7 +259,9 @@ class TestAgainstIdKeyedReferences:
         )
         config = SimConfig(3000, campaigns, 0.02, seed=5, horizon=timedelta(days=8))
         touchpoints, conversions, _ = simulate(config)
-        journeys = build_journeys(touchpoints, conversions, LookbackWindow(timedelta(days=7)))
+        journeys = build_journeys(
+            touchpoints.touchpoint_table(), conversions, LookbackWindow(timedelta(days=7))
+        )
         attributable, _ = pipeline.split_attributable(journeys)
         assert len(attributable) > 50 and max(len(j.touchpoints) for j in attributable) > 2
         mda = pipeline.train_attributor(journeys, MdaHyperparams(0.5, 50, 0))
@@ -270,10 +278,11 @@ class TestAgainstIdKeyedReferences:
         config = SimConfig(1500, campaigns, 0.05, seed=9, horizon=timedelta(days=8))
         touchpoints, conversions, _ = simulate(config)
         window = LookbackWindow(timedelta(days=7))
-        shuffled = list(touchpoints)
+        table = touchpoints.touchpoint_table()
+        shuffled = list(table)
         random.Random(3).shuffle(shuffled)
         journeys = build_journeys(shuffled, conversions, window)
-        assert list(journeys) == list(build_journeys(touchpoints, conversions, window))
+        assert list(journeys) == list(build_journeys(table, conversions, window))
         attributable, _ = pipeline.split_attributable(journeys)
         # The references get each journey's touchpoints in their shuffled order.
         position = {tp.touchpoint_id: i for i, tp in enumerate(shuffled)}

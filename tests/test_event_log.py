@@ -1,9 +1,12 @@
-"""The simulator's columnar event logs against the object path they replaced.
+"""The simulator's touchpoint log and conversion list against the object
+path they replaced.
 
 The reference below is the former body of ``simulate``: staged tuples
 sorted by (timestamp, touchpoint_id), ``Touchpoint`` and ``ConversionEvent``
 objects with ``datetime`` stamps, and one ``json.dumps`` per record. The
-logs must iterate equal objects in the same order and write the same bytes.
+touchpoint log's table must hold equal objects in the same order, the
+conversions must equal the reference's, and both must be written as the
+same bytes.
 """
 
 import json
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from mta_engine import rct
-from mta_engine.events import ConversionEvent, InteractionKind, Touchpoint
+from mta_engine.events import ConversionEvent, InteractionKind, Touchpoint, write_conversions
 from mta_engine.rct import SIM_EPOCH, CampaignSpec, SimConfig, estimate_all, simulate
 
 from conftest import conversion_to_record, touchpoint_to_record
@@ -56,8 +59,12 @@ def reference_events(config: SimConfig) -> tuple[list[Touchpoint], list[Conversi
 
 
 def written(log, path) -> bytes:
+    """The bytes of the touchpoint log's JSONL, or of a conversion list's."""
     with path.open("w") as fh:
-        log.write_jsonl(fh)
+        if isinstance(log, list):
+            write_conversions(fh, log)
+        else:
+            log.write_jsonl(fh)
     return path.read_bytes()
 
 
@@ -65,9 +72,9 @@ def assert_same_as_reference(config: SimConfig, tmp_path) -> list[Touchpoint]:
     touchpoints, conversions, _ = simulate(config)
     ref_touchpoints, ref_conversions = reference_events(config)
     assert len(touchpoints) == len(ref_touchpoints)
-    assert list(touchpoints) == ref_touchpoints
+    assert list(touchpoints.touchpoint_table()) == ref_touchpoints
     assert len(conversions) == len(ref_conversions)
-    assert list(conversions) == ref_conversions
+    assert conversions == ref_conversions
     expected = "".join(json.dumps(touchpoint_to_record(tp)) + "\n" for tp in ref_touchpoints)
     assert written(touchpoints, tmp_path / "touchpoints.jsonl") == expected.encode()
     expected = "".join(json.dumps(conversion_to_record(c)) + "\n" for c in ref_conversions)
@@ -111,11 +118,12 @@ class TestMatchesObjectPath:
         config = SimConfig(1200, (campaign("up"), campaign("low", channel="Lower")), 0.05, seed=8)
         touchpoints, conversions, _ = simulate(config)
         ref_touchpoints, ref_conversions = reference_events(config)
+        # The conversion list is written in one piece; only the touchpoint log chunks.
+        monkeypatch.setattr(rct, "_CHUNK_ROWS", len(touchpoints) - extra_rows)
         for log, ref, to_record in (
             (touchpoints, ref_touchpoints, touchpoint_to_record),
             (conversions, ref_conversions, conversion_to_record),
         ):
-            monkeypatch.setattr(rct, "_CHUNK_ROWS", len(log) - extra_rows)
             expected = "".join(json.dumps(to_record(event)) + "\n" for event in ref)
             assert written(log, tmp_path / "log.jsonl") == expected.encode()
 
@@ -131,7 +139,7 @@ class TestCustomerIds:
         assert rct.customer_ids.cache_info().misses == 1
         assert isinstance(rct.customer_ids(2_000), tuple)
 
-        emitted = sorted(tp.customer_id for tp in touchpoints)
+        emitted = sorted(tp.customer_id for tp in touchpoints.touchpoint_table())
         calls = []
         format_id = rct._CUSTOMER_ID
         monkeypatch.setattr(rct, "_CUSTOMER_ID", lambda i: calls.append(i) or format_id(i))

@@ -1,8 +1,9 @@
+import io
 import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mta_engine import events
 from mta_engine.errors import DataIntegrityError, ParseError
@@ -14,6 +15,7 @@ from mta_engine.events import (
     build_journeys,
     parse_event_log,
     parse_timestamp,
+    write_conversions,
 )
 
 from conftest import (
@@ -75,6 +77,37 @@ class TestTimestamps:
         conv = mk_conv("x9", ts=T0, units=3)
         back = parse_event_log([json.dumps(conversion_to_record(conv))]).conversions[0]
         assert back == conv
+
+
+# Ids the conversion writer must escape as json.dumps does: quotes,
+# backslashes, non-ASCII text, control characters and lone surrogates.
+conversion_ids = st.sampled_from(
+    ['say "hi"', "back\\slash", "café", "日本", "\n", "\x00", "\ud800", "x\udfffy", "\U0001f600"]
+) | st.text(st.characters(exclude_categories=()), min_size=1, max_size=6)
+millisecond_stamps = st.datetimes(timezones=st.just(timezone.utc)).map(
+    lambda ts: ts.replace(microsecond=ts.microsecond // 1000 * 1000)
+)
+conversion_events = st.builds(
+    ConversionEvent, conversion_ids, conversion_ids, millisecond_stamps, st.integers(min_value=0)
+)
+
+
+class TestWriteConversions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(conversion_events, max_size=6))
+    def test_lines_are_json_dumps_of_the_records_and_parse_back(self, conversions):
+        buffer = io.StringIO()
+        write_conversions(buffer, conversions)
+        text = buffer.getvalue()
+        assert text == "".join(json.dumps(conversion_to_record(c)) + "\n" for c in conversions)
+        assert parse_event_log(io.StringIO(text)).conversions == conversions
+
+    def test_a_stamp_finer_than_a_millisecond_raises(self):
+        finer = mk_conv("x2", ts=T0 + timedelta(microseconds=1_500))
+        buffer = io.StringIO()
+        with pytest.raises(ValueError, match="'x2'.*finer than a millisecond"):
+            write_conversions(buffer, [mk_conv("x1"), finer])
+        assert buffer.getvalue() == ""
 
 
 class TestParseJsonl:

@@ -54,10 +54,17 @@ def test_unknown_name_raises_attribute_error():
         mta_engine.no_such_name  # noqa: B018
 
 
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a new interpreter that imports this package; it must exit 0."""
+    src = str(Path(mta_engine.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
 def test_fresh_import_loads_no_numpy_and_keeps_the_nnls_function():
     """The numpy-free modules load no numpy, and importing ``calibration`` leaves
     the package's ``nnls`` the function that ``calibration`` defines."""
-    code = (
+    run_fresh(
         "import sys\n"
         "from mta_engine.shares import column_shares\n"
         "import mta_engine.config, mta_engine.cli\n"
@@ -65,6 +72,20 @@ def test_fresh_import_loads_no_numpy_and_keeps_the_nnls_function():
         "import mta_engine.calibration\n"
         "assert mta_engine.nnls is mta_engine.calibration.nnls\n"
     )
-    src = str(Path(mta_engine.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+
+
+def test_build_journeys_loads_no_simulator():
+    """``build_journeys`` on a touchpoint table, and on touchpoint objects,
+    leaves ``mta_engine.rct`` unimported."""
+    run_fresh(
+        "import sys\n"
+        "from datetime import datetime, timezone\n"
+        "from mta_engine.events import (\n"
+        "    ConversionEvent, InteractionKind, Touchpoint, TouchpointTable, build_journeys)\n"
+        "ts = datetime(2025, 1, 2, tzinfo=timezone.utc)\n"
+        "tps = [Touchpoint('t1', 'c1', 'a', 'Upper', 'display', InteractionKind.VIEW, ts)]\n"
+        "conversions = [ConversionEvent('x1', 'c1', ts)]\n"
+        "for touchpoints in (TouchpointTable.of(tps), tps):\n"
+        "    assert len(build_journeys(touchpoints, conversions)) == 1\n"
+        "assert 'mta_engine.rct' not in sys.modules\n"
+    )

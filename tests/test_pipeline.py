@@ -71,6 +71,8 @@ class TestBuildingBlocks:
         assert [label[:2] for label in credits.labels] == [("x1", "t1"), ("x2", "t2")]
         assert credits.columns["lta"].tolist() == [1.0, 1.0]
         assert any("MDA" in r.message for r in caplog.records)
+        with pytest.raises(ValueError, match="unknown attribution model 'nope'"):
+            pipeline.ensemble_credits(journeys, ("lta", "nope"))
 
     def test_fit_with_cv_attaches_metrics(self, credit_example):
         from mta_engine.calibration import CampaignFeatureRow
@@ -189,7 +191,9 @@ class TestEndToEndSmoke:
         cfg = two_channel_config()
         touchpoints, conversions, truth = simulate(cfg)
         rct_results = estimate_all(cfg, conversions)
-        journeys = build_journeys(touchpoints, conversions, LookbackWindow(timedelta(days=7)))
+        journeys = build_journeys(
+            touchpoints.touchpoint_table(), conversions, LookbackWindow(timedelta(days=7))
+        )
         attributable, unattributed = pipeline.split_attributable(journeys)
         mda = pipeline.train_attributor(
             journeys, MdaHyperparams(0.5, 250, 0), max_negatives=10_000

@@ -82,7 +82,7 @@ class TestSimulate:
 
     def test_holdout_customers_never_touched(self):
         cfg = SimConfig(4_000, (spec(), spec("campB", holdout_fraction=0.4)), 0.02, seed=8)
-        touchpoints, _, _ = simulate(cfg)
+        touchpoints = simulate(cfg)[0].touchpoint_table()
         ids = customer_ids(cfg.n_customers)
         for campaign in cfg.campaigns:
             assignment = assign_treatment(
@@ -98,8 +98,8 @@ class TestSimulate:
         cfg = SimConfig(2_000, (spec(), spec("campB")), 0.02, seed=13)
         first = simulate(cfg)
         second = simulate(cfg)
-        lines_a = [json.dumps(touchpoint_to_record(tp)) for tp in first[0]]
-        lines_b = [json.dumps(touchpoint_to_record(tp)) for tp in second[0]]
+        lines_a = [json.dumps(touchpoint_to_record(tp)) for tp in first[0].touchpoint_table()]
+        lines_b = [json.dumps(touchpoint_to_record(tp)) for tp in second[0].touchpoint_table()]
         assert lines_a == lines_b
         assert [json.dumps(conversion_to_record(c)) for c in first[1]] == [
             json.dumps(conversion_to_record(c)) for c in second[1]
@@ -109,6 +109,7 @@ class TestSimulate:
     def test_events_are_well_formed(self):
         cfg = SimConfig(3_000, (spec(click_rate=0.5),), 0.02, seed=21)
         touchpoints, conversions, _ = simulate(cfg)
+        touchpoints = touchpoints.touchpoint_table()
         assert any(tp.interaction_kind.value == "click" for tp in touchpoints)
         tp_ids = [tp.touchpoint_id for tp in touchpoints]
         assert len(tp_ids) == len(set(tp_ids))

@@ -5,8 +5,8 @@
   the record validator.
 * The MDA training matrix built from a journey table equals, row for row,
   the stacked per-journey ``conftest.feature_vector``.
-* ``build_journeys`` on an ``rct.EventLog`` builds no ``Touchpoint`` and
-  gives the journeys of the JSONL round trip.
+* ``build_journeys`` on the table of a simulated ``rct.EventLog`` builds no
+  ``Touchpoint`` and gives the journeys of the JSONL round trip.
 * The packed touchpoint-id column behaves as the list of ids it holds.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mta_engine import attribution, events, pipeline, rct
+from mta_engine import attribution, events, pipeline
 from mta_engine.attribution import MdaHyperparams, feature_names_for
 from mta_engine.events import (
     TOUCHPOINT_FIELDS,
@@ -30,6 +30,7 @@ from mta_engine.events import (
     TouchpointTable,
     build_journeys,
     parse_event_log,
+    write_conversions,
 )
 from mta_engine.rct import CampaignSpec, SimConfig, simulate
 
@@ -245,7 +246,7 @@ class TestTrainingMatrix:
 
     def test_training_on_the_table_equals_training_on_objects(self):
         touchpoints, conversions, _ = simulate(small_config())
-        journeys = build_journeys(touchpoints, conversions, WEEK)
+        journeys = build_journeys(touchpoints.touchpoint_table(), conversions, WEEK)
         rows = pipeline.mda_training_set(journeys, max_negatives=300, seed=2)
         hyper = MdaHyperparams(0.5, 40, 0)
         assert attribution.train_mda(rows, hyper) == attribution.train_mda(list(rows), hyper)
@@ -259,21 +260,22 @@ class TestEventLogJourneys:
             raise AssertionError("Touchpoint built from an EventLog")
 
         with monkeypatch.context() as patch:
-            patch.setattr(rct, "Touchpoint", forbidden)
-            journeys = build_journeys(touchpoints, conversions, WEEK)
-            attributable, unattributed = pipeline.split_attributable(journeys)
+            patch.setattr(events, "Touchpoint", forbidden)
+            table = touchpoints.touchpoint_table()
+            journeys = build_journeys(table, conversions, WEEK)
             assert pipeline.train_attributor(journeys, MdaHyperparams(0.5, 20, 0)) is not None
+        attributable, unattributed = pipeline.split_attributable(journeys)
 
-        logs = []
-        for log in (touchpoints, conversions):
-            buffer = io.StringIO()
-            log.write_jsonl(buffer)
-            logs.append(parse_event_log(buffer.getvalue().splitlines(keepends=True)))
-        assert table_state(touchpoints.touchpoint_table()) == table_state(logs[0].touchpoints)
+        buffers = io.StringIO(), io.StringIO()
+        touchpoints.write_jsonl(buffers[0])
+        write_conversions(buffers[1], conversions)
+        logs = [parse_event_log(b.getvalue().splitlines(keepends=True)) for b in buffers]
+        assert table_state(table) == table_state(logs[0].touchpoints)
+        assert logs[1].conversions == conversions
         round_trip = build_journeys(logs[0].touchpoints, logs[1].conversions, WEEK)
         assert len(journeys) == len(round_trip) > 0
         assert list(journeys) == list(round_trip)
-        assert list(journeys) == list(build_journeys(list(touchpoints), list(conversions), WEEK))
+        assert list(journeys) == list(build_journeys(list(table), conversions, WEEK))
         assert (attributable, unattributed) == pipeline.split_attributable(round_trip)
 
 
