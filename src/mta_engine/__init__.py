@@ -16,8 +16,8 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "attribution": ("CreditVector", "MdaModel", "ModelCredits", "decay_credits",
-                        "linear_credits", "lta_credits", "mda_credits", "train_mda"),
+        "attribution": ("MdaModel", "ModelCredits", "decay_credits", "linear_credits",
+                        "lta_credits", "mda_credits", "train_mda"),
         "calibration": ("CalibrationModel", "CampaignFeatureRow", "aggregate_campaign_features",
                         "evaluate_oos", "fit_calibration", "nnls"),
         "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",

@@ -1,4 +1,4 @@
-"""Ensemble of attribution models mapping converting journeys to credit vectors.
+"""Ensemble of attribution models mapping converting journeys to credits.
 
 Four models are provided, keyed by the names in ``MODEL_NAMES``:
 
@@ -8,8 +8,12 @@ Four models are provided, keyed by the names in ``MODEL_NAMES``:
 * ``mda`` — a trainable logistic conversion model whose credits are
   leave-one-out contribution deltas.
 
-Every model returns a :class:`CreditVector` whose credits lie in [0, 1] and
-sum to 1 for any converting journey with at least one touchpoint.
+Each model's kernel takes one converting journey with at least one
+touchpoint and returns its credits as a tuple of floats, one per touchpoint
+in ``journey.touchpoints`` order, that lie in [0, 1] and sum to 1.
+``pipeline.ensemble_credits`` stacks every kernel's tuples into the one
+credit table, :class:`ModelCredits`, which scoring, calibration, the
+credit CSVs and shares read. The MDA trains on a :class:`Journeys` table.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,35 +34,25 @@ _BASE_FEATURES = ("n_touchpoints", "n_views", "n_clicks", "recency_days")
 _SECONDS_PER_DAY = 86400.0
 
 
-@dataclass(frozen=True, slots=True)
-class CreditVector:
-    """One model's credit split for one converting journey: ``credits[i]`` is
-    the credit of ``journey.touchpoints[i]``."""
-
-    journey: Journey
-    credits: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.journey.conversion is None:
-            raise DataIntegrityError(f"journey for {self.journey.customer_id} has no conversion")
-        if len(self.credits) != len(self.journey.touchpoints):
-            raise DataIntegrityError(
-                f"{len(self.credits)} credit(s) for the {len(self.journey.touchpoints)} "
-                f"touchpoint(s) of conversion {self.journey.conversion.conversion_id!r}"
-            )
-
-
 @dataclass(frozen=True, eq=False)
 class ModelCredits:
     """Each model's credits for the touchpoints of some converting journeys, as
     columns. Row ``i`` is a touchpoint: ``labels[i]`` is its conversion_id,
     touchpoint_id, campaign_id, channel and ad_product, ``units[i]`` its
     conversion's units, and ``columns[name][i]`` its credit per unit under
-    model ``name``. ``len()`` counts the credits: rows times columns."""
+    model ``name``. ``len()`` counts the credits: rows times columns. A
+    ``units`` or column without one row per label raises DataIntegrityError."""
 
     labels: list[tuple[str, ...]]
     units: np.ndarray
     columns: dict[str, np.ndarray]
+
+    def __post_init__(self) -> None:
+        lengths = {"units": len(self.units)}
+        lengths |= {f"column {name!r}": len(column) for name, column in self.columns.items()}
+        for what, n in lengths.items():
+            if n != len(self.labels):
+                raise DataIntegrityError(f"{what} has {n} row(s) for {len(self.labels)} label(s)")
 
     def __len__(self) -> int:
         return len(self.labels) * len(self.columns)
@@ -66,32 +60,6 @@ class ModelCredits:
     def scaled(self, name: str) -> np.ndarray:
         """Column ``name`` times the conversion units: each touchpoint's credit."""
         return self.columns[name] * self.units
-
-    @classmethod
-    def of(
-        cls, journeys: Sequence[Journey], credits_by_model: Mapping[str, Sequence[CreditVector]]
-    ) -> ModelCredits:
-        """The table of each model's vectors, one per journey in ``journeys``
-        order; a journey without a conversion, or a vector of another journey,
-        raises DataIntegrityError, and a vector too many or too few ValueError."""
-        if any(journey.conversion is None for journey in journeys):
-            raise DataIntegrityError("cannot credit a journey without a conversion")
-        for name, vectors in credits_by_model.items():
-            for journey, vector in zip(journeys, vectors, strict=True):
-                if vector.journey is not journey and vector.journey != journey:
-                    raise DataIntegrityError(
-                        f"model {name!r} credits belong to another journey than "
-                        f"conversion {journey.conversion.conversion_id!r}'s"
-                    )
-        labels = [
-            (j.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product)
-            for j in journeys for tp in j.touchpoints
-        ]
-        units = np.array([float(j.conversion.units) for j in journeys for _ in j.touchpoints])
-        return cls(labels, units, {
-            name: np.array([c for v in vectors for c in v.credits], dtype=np.float64)
-            for name, vectors in credits_by_model.items()
-        })
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,10 +173,9 @@ def _touchpoint_columns(
     return columns
 
 
-def feature_names_for(journeys: Iterable[Journey]) -> tuple[str, ...]:
+def feature_names_for(journeys: Journeys) -> tuple[str, ...]:
     """The canonical MDA feature order induced by a training set: the base
     features, then a count of each channel some journey holds."""
-    journeys = Journeys.of(journeys)
     candidates = tuple(f"channel_count:{c}" for c in journeys.table.channels)
     held = _feature_matrix(candidates, journeys).any(axis=0)
     return _BASE_FEATURES + tuple(name for name, h in zip(candidates, held) if h)
@@ -253,7 +220,7 @@ def _require_touchpoints(journey: Journey) -> None:
         )
 
 
-def lta_credits(journey: Journey) -> CreditVector:
+def lta_credits(journey: Journey) -> tuple[float, ...]:
     """Full credit to the last touchpoint; clicks beat views at equal timestamps,
     remaining ties go to the larger touchpoint_id."""
     _require_touchpoints(journey)
@@ -261,16 +228,16 @@ def lta_credits(journey: Journey) -> CreditVector:
         journey.touchpoints,
         key=lambda t: (t.timestamp, t.interaction_kind is InteractionKind.CLICK, t.touchpoint_id),
     )
-    return CreditVector(journey, tuple(1.0 if tp is last else 0.0 for tp in journey.touchpoints))
+    return tuple(1.0 if tp is last else 0.0 for tp in journey.touchpoints)
 
 
-def linear_credits(journey: Journey) -> CreditVector:
+def linear_credits(journey: Journey) -> tuple[float, ...]:
     """Equal credit 1/n to each of the n touchpoints."""
     _require_touchpoints(journey)
-    return CreditVector(journey, (1.0 / len(journey.touchpoints),) * len(journey.touchpoints))
+    return (1.0 / len(journey.touchpoints),) * len(journey.touchpoints)
 
 
-def decay_credits(journey: Journey, cfg: DecayConfig = DecayConfig()) -> CreditVector:
+def decay_credits(journey: Journey, cfg: DecayConfig = DecayConfig()) -> tuple[float, ...]:
     """Credits proportional to 2^(-age / half_life), age measured back from the
     conversion. Weights are shifted by the most recent touchpoint's age before
     exponentiation so extreme ages cannot underflow the normalization."""
@@ -281,10 +248,10 @@ def decay_credits(journey: Journey, cfg: DecayConfig = DecayConfig()) -> CreditV
     youngest = min(ages)
     weights = [2.0 ** (youngest - age) for age in ages]
     total = sum(weights)
-    return CreditVector(journey, tuple(w / total for w in weights))
+    return tuple(w / total for w in weights)
 
 
-def train_mda(journeys: Sequence[Journey], hyper: MdaHyperparams = MdaHyperparams()) -> MdaModel:
+def train_mda(journeys: Journeys, hyper: MdaHyperparams = MdaHyperparams()) -> MdaModel:
     """Fit the logistic conversion model by full-batch gradient descent.
 
     The label is whether the journey converted. The learning rate is capped
@@ -294,7 +261,6 @@ def train_mda(journeys: Sequence[Journey], hyper: MdaHyperparams = MdaHyperparam
     """
     if hyper.learning_rate <= 0 or hyper.iterations < 1:
         raise ValueError("learning_rate must be > 0 and iterations >= 1")
-    journeys = Journeys.of(journeys)
     labels = journeys.converted.astype(np.float64)
     if len(labels) == 0 or labels.min() == labels.max():
         raise DegenerateLabelsError(
@@ -336,7 +302,7 @@ def train_mda(journeys: Sequence[Journey], hyper: MdaHyperparams = MdaHyperparam
     return MdaModel(names, tuple(float(v) for v in w), b, info)
 
 
-def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
+def mda_credits(model: MdaModel, journey: Journey) -> tuple[float, ...]:
     """Leave-one-out credits: each touchpoint earns the (clipped) drop in
     conversion probability caused by removing it, normalized to sum to 1;
     if no removal lowers the probability the credit falls back to uniform.
@@ -369,5 +335,5 @@ def mda_credits(model: MdaModel, journey: Journey) -> CreditVector:
     deltas = [drop[pair] for pair in pairs]
     total = sum(deltas)
     if total > 0.0:
-        return CreditVector(journey, tuple(d / total for d in deltas))
-    return CreditVector(journey, (1.0 / len(tps),) * len(tps))
+        return tuple(d / total for d in deltas)
+    return (1.0 / len(tps),) * len(tps)

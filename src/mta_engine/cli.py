@@ -288,11 +288,12 @@ def _write_manifest(cfg: RunConfig, command: str, outputs: Sequence[str], **bloc
 
 @contextmanager
 def _reading(path: Path, *errors: type[Exception]) -> Iterator[IO[str]]:
-    """The artifact at ``path``, open; failing to open or decode it (or ``errors``) names it."""
+    """The artifact at ``path``, open as UTF-8 with any leading byte-order mark
+    dropped; failing to open or decode it (or ``errors``) names it."""
     if not path.exists():
         raise MissingArtifactError(f"required input {path} does not exist; run the earlier stage first")
     try:
-        with path.open() as fh:
+        with path.open(encoding="utf-8-sig") as fh:
             yield fh
     except OSError as exc:
         raise UnusableArtifactError(f"{path}: {exc.strerror or exc}") from None

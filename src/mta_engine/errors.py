@@ -30,7 +30,8 @@ class InsufficientDataError(MtaError):
 
 
 class DataIntegrityError(MtaError):
-    """Credit vectors reference touchpoints that are unknown or inconsistent."""
+    """Records or credits are inconsistent: a repeated id, credits without
+    one row per touchpoint, or a credited journey without a conversion."""
 
 
 class MissingArtifactError(MtaError):

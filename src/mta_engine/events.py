@@ -2,11 +2,12 @@
 
 Input records arrive as JSONL or CSV event logs (see ``TOUCHPOINT_FIELDS``
 and ``CONVERSION_FIELDS`` for the wire schemas). Touchpoints are read into
-a columnar :class:`TouchpointTable` and conversions into a list of
-:class:`ConversionEvent`, the list ``write_conversions`` writes back as
-JSONL. ``build_journeys`` sorts a table once and assembles per-customer
-:class:`Journeys`, applying the lookback window to each conversion.
-Touchpoint and journey objects are built only on access.
+a columnar :class:`TouchpointTable`, the one form every later layer takes,
+and conversions into a list of :class:`ConversionEvent`, the list
+``write_conversions`` writes back as JSONL. ``build_journeys`` sorts a
+table once and assembles per-customer :class:`Journeys`, applying the
+lookback window to each conversion. Touchpoint and journey objects are
+built from the columns on access, never the other way round.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class Touchpoint:
 
 @dataclass(frozen=True, slots=True)
 class ConversionEvent:
-    """The outcome event being credited, counted in units (default 1)."""
+    """The outcome event being credited, counted in units (default 1): an
+    ``int``, not a ``bool``, and >= 0, as an event log can carry them."""
 
     conversion_id: str
     customer_id: str
@@ -71,8 +73,11 @@ class ConversionEvent:
     units: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.units, bool) or not isinstance(self.units, int):
+            shown = json.dumps(self.units, default=repr)
+            raise ValueError(f"units must be an integer, got {shown}")
         if self.units < 0:
-            raise ValueError(f"conversion units must be >= 0, got {self.units}")
+            raise ValueError(f"units must be >= 0, got {self.units}")
 
 
 _TIME_ORDER = operator.attrgetter("timestamp", "touchpoint_id")
@@ -212,21 +217,6 @@ class TouchpointTable(Sequence):
     channels: list[str]
     ad_products: list[str]
 
-    @classmethod
-    def of(cls, touchpoints: Iterable[Touchpoint]) -> TouchpointTable:
-        """The table of some touchpoint objects, in their order."""
-        builder = _TableBuilder()
-        rows = iter(touchpoints)
-        while batch := list(islice(rows, _BATCH_ROWS)):
-            builder.add(
-                [
-                    (tp.touchpoint_id, tp.customer_id, tp.campaign_id, tp.channel,
-                     tp.ad_product, tp.interaction_kind.value, _utc_iso(tp.timestamp))
-                    for tp in batch
-                ]
-            )
-        return builder.build()
-
     def __len__(self) -> int:
         return len(self.touchpoint_id)
 
@@ -340,6 +330,9 @@ def _touchpoint_row(record: dict) -> tuple[str, ...]:
 
 
 def _conversion_from_record(record: dict) -> ConversionEvent:
+    """A conversion record's event; raises ValueError naming what is wrong.
+    Text ``units`` that spell an integer are read as one; ``ConversionEvent``
+    refuses any other value that is no integer >= 0."""
     missing = [f for f in ("conversion_id", "customer_id", "timestamp") if record.get(f) in (None, "")]
     if missing:
         raise ValueError(f"missing field(s) {', '.join(missing)}")
@@ -348,10 +341,6 @@ def _conversion_from_record(record: dict) -> ConversionEvent:
         units = 1
     elif isinstance(units, str) and units.strip().lstrip("+-").isdecimal():
         units = int(units)
-    if isinstance(units, bool) or not isinstance(units, int):
-        raise ValueError(f"units must be an integer, got {json.dumps(record['units'])}")
-    if units < 0:
-        raise ValueError(f"units must be >= 0, got {units}")
     return ConversionEvent(
         conversion_id=_text(record, "conversion_id"),
         customer_id=_text(record, "customer_id"),
@@ -557,23 +546,6 @@ class Journeys(Sequence):
         self.conversion_us = conversion_us
         self.converted = np.array([c is not None for c in conversions], dtype=bool)
 
-    @classmethod
-    def of(cls, journeys: Iterable[Journey]) -> Journeys:
-        """``journeys`` itself if it is a :class:`Journeys`, else a table of
-        the given journey objects, in their order."""
-        if isinstance(journeys, Journeys):
-            return journeys
-        journeys = list(journeys)
-        table = TouchpointTable.of(tp for j in journeys for tp in j.touchpoints)
-        lengths = np.array([len(j.touchpoints) for j in journeys], dtype=np.intp)
-        stop = np.cumsum(lengths)
-        conversions = [j.conversion for j in journeys]
-        stamps = (_UNIX_EPOCH if c is None else c.timestamp for c in conversions)
-        return cls(
-            table, np.arange(len(table)), stop - lengths, stop,
-            [j.customer_id for j in journeys], conversions, _micros(stamps),
-        )
-
     def __len__(self) -> int:
         return len(self.conversions)
 
@@ -614,7 +586,7 @@ _MAX_LOOKBACK_US = 2**62
 
 
 def build_journeys(
-    touchpoints: TouchpointTable | Iterable[Touchpoint],
+    table: TouchpointTable,
     conversions: Iterable[ConversionEvent],
     window: LookbackWindow = LookbackWindow(),
 ) -> Journeys:
@@ -626,18 +598,13 @@ def build_journeys(
     carrying all their touchpoints. Output order is deterministic: sorted by
     customer_id, then conversion timestamp, ties by conversion_id.
 
-    ``touchpoints`` may be a :class:`TouchpointTable` or any iterable of
-    :class:`Touchpoint`, which is first made a table; the touchpoints are
-    sorted once. The result is a read-only sequence whose journeys are
-    built on access.
+    The table's rows are sorted once, and no :class:`Touchpoint` is built.
+    The result is a read-only sequence whose journeys are built on access.
 
     A ``touchpoint_id`` or ``conversion_id`` that occurs twice in the input
     raises :class:`DataIntegrityError`: ids are how credits are reported, and
     a repeated one would make two records indistinguishable downstream.
     """
-    table = touchpoints
-    if not isinstance(table, TouchpointTable):
-        table = TouchpointTable.of(touchpoints)
     conversions = list(conversions)
     _reject_duplicate_ids(table.touchpoint_id, "touchpoint_id")
     _reject_duplicate_ids([conv.conversion_id for conv in conversions], "conversion_id")

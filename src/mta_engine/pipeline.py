@@ -1,7 +1,7 @@
 """Batch composition of the attribution stages.
 
 These functions are the in-process backbone of the CLI: build journeys,
-train the MDA attributor, compute every model's credit vectors, aggregate
+train the MDA attributor, compute every model's credits, aggregate
 calibration features, fit, score, and report. Each stage is deterministic
 given its inputs and the configured seeds.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,18 +28,17 @@ from .calibration import (
 )
 from .config import (
     MODEL_DECAY, MODEL_LINEAR, MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams)
-from .errors import DegenerateLabelsError, InsufficientDataError
+from .errors import DataIntegrityError, DegenerateLabelsError, InsufficientDataError
 from .events import Journey, Journeys, label_codes
 from .rct import CampaignSpec, RctResult
 
 logger = logging.getLogger(__name__)
 
 
-def split_attributable(journeys: Sequence[Journey]) -> tuple[list[Journey], int]:
+def split_attributable(journeys: Journeys) -> tuple[list[Journey], int]:
     """Converting journeys with at least one in-window touchpoint, plus the
     count of conversions left unattributed (no eligible touchpoints). Only
     the attributable journeys are built as objects."""
-    journeys = Journeys.of(journeys)
     has_touchpoints = journeys.stop > journeys.start
     attributable = journeys.take(np.flatnonzero(journeys.converted & has_touchpoints))
     unattributed = int(np.count_nonzero(journeys.converted & ~has_touchpoints))
@@ -46,12 +46,11 @@ def split_attributable(journeys: Sequence[Journey]) -> tuple[list[Journey], int]
 
 
 def mda_training_set(
-    journeys: Sequence[Journey], max_negatives: int | None = None, seed: int = 0
+    journeys: Journeys, max_negatives: int | None = None, seed: int = 0
 ) -> Journeys:
     """Training rows for the MDA: all converting journeys plus (optionally
     capped, seeded subsample of) non-converting ones, selected without
     building journey objects."""
-    journeys = Journeys.of(journeys)
     positives = np.flatnonzero(journeys.converted)
     negatives = np.flatnonzero(~journeys.converted)
     if max_negatives is not None and len(negatives) > max_negatives:
@@ -61,7 +60,7 @@ def mda_training_set(
 
 
 def train_attributor(
-    journeys: Sequence[Journey],
+    journeys: Journeys,
     hyper: MdaHyperparams = MdaHyperparams(),
     max_negatives: int | None = None,
 ) -> MdaModel | None:
@@ -82,11 +81,14 @@ def ensemble_credits(
     mda: MdaModel | None = None,
 ) -> ModelCredits:
     """Every requested model's credits for the journeys' touchpoints, as one
-    table; each journey's vector comes from its model's per-journey kernel.
+    table: a label row per touchpoint, in journey and ``journey.touchpoints``
+    order, with its conversion's units, and a column per model of its
+    per-journey kernel's credits.
 
     The kernels are read from ``attribution`` once per call, so a kernel
     replaced there (as the benchmark's tracer does) is the one called. An
-    unknown model name raises ValueError."""
+    unknown model name raises ValueError, and a journey without a conversion
+    DataIntegrityError."""
     kernels = {
         MODEL_LTA: attribution.lta_credits,
         MODEL_LINEAR: attribution.linear_credits,
@@ -99,9 +101,20 @@ def ensemble_credits(
     names = [n for n in model_names if n != MODEL_MDA or mda is not None]
     if MODEL_MDA in model_names and mda is None:
         logger.warning("no MDA model available; skipping MDA credits")
-    return ModelCredits.of(attributable, {
-        name: list(map(kernels[name], attributable)) for name in names
-    })
+    columns = {
+        name: np.fromiter(chain.from_iterable(map(kernels[name], attributable)), np.float64)
+        for name in names
+    }
+    # A kernel refuses a journey without a conversion (NoTouchpointsError);
+    # with no kernel to run, such a journey is refused here.
+    if any(journey.conversion is None for journey in attributable):
+        raise DataIntegrityError("cannot credit a journey without a conversion")
+    labels = [
+        (j.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product)
+        for j in attributable for tp in j.touchpoints
+    ]
+    units = np.array([float(j.conversion.units) for j in attributable for _ in j.touchpoints])
+    return ModelCredits(labels, units, columns)
 
 
 def calibration_rows(

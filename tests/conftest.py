@@ -1,14 +1,17 @@
 from collections import Counter
 from datetime import datetime, timedelta, timezone
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
 
-from mta_engine.attribution import CreditVector, MdaModel, ModelCredits, _recency_days
+from mta_engine import events
+from mta_engine.attribution import MdaModel, ModelCredits, _recency_days
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, _predict, _warn_gaps
 from mta_engine.cli import CONFIG_KEYS
-from mta_engine.events import ConversionEvent, InteractionKind, Journey, Touchpoint
+from mta_engine.events import (
+    ConversionEvent, InteractionKind, Journey, Journeys, Touchpoint, TouchpointTable)
 from mta_engine.pipeline import score_all
 from mta_engine.rct import CampaignSpec, RctResult
 from mta_engine.shares import MtaCredit
@@ -37,6 +40,52 @@ def mk_journey(tps, conv=None, customer: str = "c1") -> Journey:
     return Journey(customer, tuple(tps), conv)
 
 
+def touchpoint_table(touchpoints: Iterable[Touchpoint]) -> TouchpointTable:
+    """The table of some touchpoint objects, in their order, encoded by the
+    reader's own row encoder a batch of ``events._BATCH_ROWS`` at a time;
+    stamps keep their microseconds."""
+    builder = events._TableBuilder()
+    rows = iter(touchpoints)
+    while batch := list(islice(rows, events._BATCH_ROWS)):
+        builder.add([
+            (tp.touchpoint_id, tp.customer_id, tp.campaign_id, tp.channel, tp.ad_product,
+             tp.interaction_kind.value, events._utc_iso(tp.timestamp))
+            for tp in batch
+        ])
+    return builder.build()
+
+
+def journey_table(journeys: Iterable[Journey]) -> Journeys:
+    """The :class:`Journeys` table of some journey objects, in their order."""
+    journeys = list(journeys)
+    table = touchpoint_table(tp for j in journeys for tp in j.touchpoints)
+    lengths = np.array([len(j.touchpoints) for j in journeys], dtype=np.intp)
+    stop = np.cumsum(lengths)
+    conversions = [j.conversion for j in journeys]
+    stamps = (events._UNIX_EPOCH if c is None else c.timestamp for c in conversions)
+    return Journeys(
+        table, np.arange(len(table)), stop - lengths, stop,
+        [j.customer_id for j in journeys], conversions, events._micros(stamps),
+    )
+
+
+def credit_table(
+    journeys: Sequence[Journey], credits_by_model: Mapping[str, Sequence[Sequence[float]]]
+) -> ModelCredits:
+    """The credit table of hand-made credits: ``credits_by_model[name][i]`` are
+    model ``name``'s credits for the touchpoints of ``journeys[i]``, the
+    table ``pipeline.ensemble_credits`` builds from its kernels' credits."""
+    labels = [
+        (j.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product)
+        for j in journeys for tp in j.touchpoints
+    ]
+    units = np.array([float(j.conversion.units) for j in journeys for _ in j.touchpoints])
+    return ModelCredits(labels, units, {
+        name: np.array([c for per_journey in credits for c in per_journey], dtype=np.float64)
+        for name, credits in credits_by_model.items()
+    })
+
+
 def credit_rows(table: ModelCredits, name: str = "mta") -> list[MtaCredit]:
     """Column ``name`` of a credit table as ``MtaCredit`` rows: its labels and credits."""
     return [MtaCredit(*label, c) for label, c in zip(table.labels, table.scaled(name).tolist())]
@@ -44,9 +93,9 @@ def credit_rows(table: ModelCredits, name: str = "mta") -> list[MtaCredit]:
 
 def score_one(model, credits_by_model, journey):
     """``score_all``'s credit rows for one journey; ``credits_by_model`` maps each
-    model's name to its credit vector for that journey."""
-    vectors = {n: [v] for n, v in credits_by_model.items()}
-    return credit_rows(score_all(model, ModelCredits.of([journey], vectors)))
+    model's name to its credits for that journey's touchpoints."""
+    per_journey = {n: [credits] for n, credits in credits_by_model.items()}
+    return credit_rows(score_all(model, credit_table([journey], per_journey)))
 
 
 def feature_vector(
@@ -82,9 +131,10 @@ def feature_vector(
     return x
 
 
-def by_touchpoint_id(vector: CreditVector) -> dict[str, float]:
-    """A credit vector as ``{touchpoint_id: credit}``."""
-    return {tp.touchpoint_id: c for tp, c in zip(vector.journey.touchpoints, vector.credits)}
+def by_touchpoint_id(journey: Journey, credits: Sequence[float]) -> dict[str, float]:
+    """A kernel's credits for ``journey`` as ``{touchpoint_id: credit}``."""
+    assert len(credits) == len(journey.touchpoints)
+    return {tp.touchpoint_id: c for tp, c in zip(journey.touchpoints, credits)}
 
 
 def predict_proba(model: MdaModel, journey: Journey) -> float:
@@ -186,9 +236,9 @@ def credit_example():
     """Three converting customers touched by Upper, Lower, or both.
 
     Customer 2 saw Upper then Lower; last-touch gives Lower the full credit
-    while the MDA splits 0.3 / 0.7. Returns journeys, per-model credit
-    vectors on them, the campaign specs, and zero-noise RCT
-    targets constructed to satisfy target = 0.6 * lta + 0.4 * mda.
+    while the MDA splits 0.3 / 0.7. Returns journeys, each model's credits
+    for each journey (for ``credit_table``), the campaign specs, and
+    zero-noise RCT targets constructed to satisfy target = 0.6 * lta + 0.4 * mda.
     """
     campaigns = (
         CampaignSpec("campL", "Lower", "product_ad", 0.5, 0.5, 0.01),
@@ -213,8 +263,8 @@ def credit_example():
         customer="c3",
     )
     journeys = [j1, j2, j3]
-    lta = [CreditVector(j1, (1.0,)), CreditVector(j2, (0.0, 1.0)), CreditVector(j3, (1.0,))]
-    mda = [CreditVector(j1, (1.0,)), CreditVector(j2, (0.3, 0.7)), CreditVector(j3, (1.0,))]
+    lta = [(1.0,), (0.0, 1.0), (1.0,)]
+    mda = [(1.0,), (0.3, 0.7), (1.0,)]
     # Campaign-level sums: lta = {campU: 1, campL: 2}, mda = {campU: 1.3, campL: 1.7}.
     targets = {
         "campU": 0.6 * 1.0 + 0.4 * 1.3,

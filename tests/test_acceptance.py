@@ -14,7 +14,6 @@ from mta_engine import pipeline
 from mta_engine.attribution import (
     DecayConfig,
     MdaHyperparams,
-    ModelCredits,
     decay_credits,
     linear_credits,
     lta_credits,
@@ -33,7 +32,9 @@ from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, replication_study, simulate
 from mta_engine.shares import MtaCredit, aggregate_shares, column_shares
 
-from conftest import T0, by_touchpoint_id, mk_conv, mk_journey, mk_tp, nnls_brute_force, score_one
+from conftest import (
+    T0, by_touchpoint_id, credit_table, journey_table, mk_conv, mk_journey, mk_tp,
+    nnls_brute_force, score_one)
 
 
 def check(criterion: str, ok: bool, detail: str = "") -> None:
@@ -54,7 +55,7 @@ def test_criterion_1_single_rct_calibration_factor():
 def test_criterion_2_ensemble_worked_example(credit_example):
     start = time.perf_counter()
     journeys, credits_by_model, campaigns, rct_results = credit_example
-    table = ModelCredits.of(journeys, credits_by_model)
+    table = credit_table(journeys, credits_by_model)
     rows = aggregate_campaign_features(table, campaigns, rct_results)
     model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
     weights_ok = (
@@ -121,20 +122,20 @@ def test_criterion_4_credit_normalization_property_suite():
         mk_journey([tp for tp in j.touchpoints], None, customer=f"neg{i}")
         for i, j in enumerate(_random_converting_journey(rng, 200_000 + k) for k in range(150))
     ]
-    mda_model = train_mda(train, MdaHyperparams(iterations=150, seed=1))
+    mda_model = train_mda(journey_table(train), MdaHyperparams(iterations=150, seed=1))
 
     decay_cfg = DecayConfig(timedelta(days=3))
     worst = 0.0
     n_journeys = 10_000
     for serial in range(n_journeys):
         journey = _random_converting_journey(rng, serial)
-        for vector in (
+        for values in (
             lta_credits(journey),
             linear_credits(journey),
             decay_credits(journey, decay_cfg),
             mda_credits(mda_model, journey),
         ):
-            values = vector.credits
+            assert len(values) == len(journey.touchpoints)
             worst = max(worst, abs(sum(values) - 1.0))
             assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -145,7 +146,7 @@ def test_criterion_4_credit_normalization_property_suite():
         ],
         mk_conv("rx", ts=T0),
     )
-    ratio_credits = by_touchpoint_id(decay_credits(ratio_journey, decay_cfg))
+    ratio_credits = by_touchpoint_id(ratio_journey, decay_credits(ratio_journey, decay_cfg))
     ratio = ratio_credits["r1"] / ratio_credits["r0"]
     ok = worst < 1e-9 and abs(ratio - 2.0) < 1e-9
     check(

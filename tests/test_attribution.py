@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mta_engine import attribution
 from mta_engine.attribution import (
-    CreditVector,
     DecayConfig,
     MdaHyperparams,
     MdaModel,
@@ -27,6 +26,7 @@ from conftest import (
     T0,
     by_touchpoint_id,
     feature_vector,
+    journey_table,
     mk_conv,
     mk_journey,
     mk_tp,
@@ -49,10 +49,11 @@ def simple_journey(*offsets_days, kinds=None, channels=None, conv_at=T0):
 class TestLta:
     def test_last_touch_takes_all(self):
         j = simple_journey(2.0, 0.5, channels=["Upper", "Lower"])
-        assert by_touchpoint_id(lta_credits(j)) == {"t0": 0.0, "t1": 1.0}
+        assert by_touchpoint_id(j, lta_credits(j)) == {"t0": 0.0, "t1": 1.0}
 
     def test_single_touchpoint(self):
-        assert by_touchpoint_id(lta_credits(simple_journey(1.0))) == {"t0": 1.0}
+        j = simple_journey(1.0)
+        assert by_touchpoint_id(j, lta_credits(j)) == {"t0": 1.0}
 
     def test_click_beats_view_at_equal_timestamp(self):
         ts = T0 - timedelta(days=1)
@@ -60,7 +61,7 @@ class TestLta:
             [mk_tp("b_view", ts=ts, kind="view"), mk_tp("a_click", ts=ts, kind="click")],
             mk_conv("x1", ts=T0),
         )
-        assert by_touchpoint_id(lta_credits(j))["a_click"] == 1.0
+        assert by_touchpoint_id(j, lta_credits(j))["a_click"] == 1.0
 
     def test_id_breaks_remaining_ties(self):
         ts = T0 - timedelta(days=1)
@@ -68,7 +69,7 @@ class TestLta:
             [mk_tp("t_a", ts=ts), mk_tp("t_b", ts=ts)],
             mk_conv("x1", ts=T0),
         )
-        assert by_touchpoint_id(lta_credits(j))["t_b"] == 1.0
+        assert by_touchpoint_id(j, lta_credits(j))["t_b"] == 1.0
 
     def test_no_touchpoints(self):
         with pytest.raises(NoTouchpointsError):
@@ -79,35 +80,37 @@ class TestLinear:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_equal_split(self, n):
         j = simple_journey(*[i + 1 for i in range(n)])
-        credits = by_touchpoint_id(linear_credits(j))
+        credits = by_touchpoint_id(j, linear_credits(j))
         assert all(c == pytest.approx(1.0 / n) for c in credits.values())
         assert len(credits) == n
 
 
 class TestDecay:
     def test_single_touchpoint_any_age(self):
-        assert by_touchpoint_id(decay_credits(simple_journey(6.5), HL3D)) == {"t0": 1.0}
+        j = simple_journey(6.5)
+        assert by_touchpoint_id(j, decay_credits(j, HL3D)) == {"t0": 1.0}
 
     def test_one_half_life_gives_two_to_one(self):
         j = simple_journey(3.0, 0.0)
-        credits = by_touchpoint_id(decay_credits(j, HL3D))
+        credits = by_touchpoint_id(j, decay_credits(j, HL3D))
         assert credits["t1"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert credits["t0"] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert abs(credits["t1"] / credits["t0"] - 2.0) < 1e-9
 
     def test_equal_ages_split_evenly(self):
-        credits = by_touchpoint_id(decay_credits(simple_journey(2.0, 2.0), HL3D))
+        j = simple_journey(2.0, 2.0)
+        credits = by_touchpoint_id(j, decay_credits(j, HL3D))
         assert credits == {"t0": 0.5, "t1": 0.5}
 
     def test_tiny_half_life_approximates_lta(self):
         j = simple_journey(4.0, 2.0, 0.001)  # distinct ms-resolution timestamps
-        credits = by_touchpoint_id(decay_credits(j, DecayConfig(timedelta(microseconds=10))))
+        credits = by_touchpoint_id(j, decay_credits(j, DecayConfig(timedelta(microseconds=10))))
         assert credits["t2"] >= 0.999
-        assert by_touchpoint_id(lta_credits(j))["t2"] == 1.0
+        assert by_touchpoint_id(j, lta_credits(j))["t2"] == 1.0
 
     def test_huge_age_gap_does_not_underflow(self):
         j = simple_journey(6.9, 0.0)
-        credits = by_touchpoint_id(decay_credits(j, DecayConfig(timedelta(microseconds=10))))
+        credits = by_touchpoint_id(j, decay_credits(j, DecayConfig(timedelta(microseconds=10))))
         assert math.isfinite(credits["t1"]) and credits["t1"] == pytest.approx(1.0)
 
     def test_config_validation(self):
@@ -132,13 +135,13 @@ class TestMdaCredits:
             model.training,
         )
         j = simple_journey(2.0, 2.0)
-        credits = by_touchpoint_id(mda_credits(model, j))
+        credits = by_touchpoint_id(j, mda_credits(model, j))
         assert credits["t0"] == pytest.approx(0.5)
         assert credits["t1"] == pytest.approx(0.5)
 
     def test_constant_model_falls_back_to_uniform(self):
         j = simple_journey(3.0, 2.0, 1.0)
-        credits = by_touchpoint_id(mda_credits(zero_model(), j))
+        credits = by_touchpoint_id(j, mda_credits(zero_model(), j))
         assert all(c == pytest.approx(1.0 / 3.0) for c in credits.values())
 
     def test_asymmetric_split_possible(self):
@@ -149,12 +152,12 @@ class TestMdaCredits:
         model = MdaModel(names, (0.0, 0.0, 1.0, 0.0, 1.2, 0.4), -1.5,
                          TrainingInfo(0, 0.0, 0.0, 0.0))
         j = simple_journey(3.0, 1.0, kinds=["view", "click"], channels=["Upper", "Lower"])
-        credits = by_touchpoint_id(mda_credits(model, j))
+        credits = by_touchpoint_id(j, mda_credits(model, j))
         assert credits["t1"] > credits["t0"] > 0.0
         assert credits["t0"] + credits["t1"] == pytest.approx(1.0, abs=1e-9)
 
     def test_permutation_invariance(self):
-        names = feature_names_for([simple_journey(1.0, channels=["Upper"])])
+        names = feature_names_for(journey_table([simple_journey(1.0, channels=["Upper"])]))
         model = MdaModel(names, (0.2, 0.1, 0.3, -0.05, 0.4), -1.0, TrainingInfo(0, 0, 0, 0))
         j = simple_journey(5.0, 3.0, 1.0, kinds=["view", "click", "view"])
         reversed_j = mk_journey(tuple(reversed(j.touchpoints)), j.conversion)
@@ -183,7 +186,8 @@ def training_fixture():
 class TestTrainMda:
     def test_separable_set_ranks_converters_first(self):
         journeys = training_fixture()
-        model = train_mda(journeys, MdaHyperparams(learning_rate=0.5, iterations=800, seed=3))
+        hyper = MdaHyperparams(learning_rate=0.5, iterations=800, seed=3)
+        model = train_mda(journey_table(journeys), hyper)
         scores = [(predict_proba(model, j), j.converted) for j in journeys]
         worst_converter = min(s for s, conv in scores if conv)
         best_abstainer = max(s for s, conv in scores if not conv)
@@ -195,7 +199,7 @@ class TestTrainMda:
             tp = mk_tp(f"t{i}", customer=f"c{i}", ts=T0)
             conv = mk_conv(f"x{i}", customer=f"c{i}", ts=T0) if i < 2 else None
             journeys.append(mk_journey([tp], conv, customer=f"c{i}"))
-        model = train_mda(journeys, MdaHyperparams(iterations=500, seed=0))
+        model = train_mda(journey_table(journeys), MdaHyperparams(iterations=500, seed=0))
         p = predict_proba(model, journeys[0])
         base_rate = 2.0 / 5.0
         assert abs(p - base_rate) < 1e-3
@@ -209,20 +213,21 @@ class TestTrainMda:
         hyper = MdaHyperparams(seed=7)
         permuted = list(reversed(journeys))
         canonical = sorted(permuted, key=lambda j: j.customer_id)
-        reference = train_mda(sorted(journeys, key=lambda j: j.customer_id), hyper)
-        again = train_mda(canonical, hyper)
+        reference = train_mda(journey_table(sorted(journeys, key=lambda j: j.customer_id)), hyper)
+        again = train_mda(journey_table(canonical), hyper)
         assert reference.weights == again.weights
         assert reference.bias == again.bias
 
     def test_degenerate_labels(self):
         converters = [j for j in training_fixture() if j.converted]
         with pytest.raises(DegenerateLabelsError):
-            train_mda(converters)
+            train_mda(journey_table(converters))
         with pytest.raises(DegenerateLabelsError):
-            train_mda([])
+            train_mda(journey_table([]))
 
     def test_loss_monotone_and_metadata(self):
-        model = train_mda(training_fixture(), MdaHyperparams(learning_rate=5.0, iterations=200))
+        hyper = MdaHyperparams(learning_rate=5.0, iterations=200)
+        model = train_mda(journey_table(training_fixture()), hyper)
         history = model.training.loss_history
         assert len(history) == 201
         assert all(history[i + 1] <= history[i] + 1e-12 for i in range(len(history) - 1))
@@ -230,7 +235,7 @@ class TestTrainMda:
         assert model.training.learning_rate_used <= 5.0
 
     def test_json_round_trip_bit_exact(self):
-        model = train_mda(training_fixture(), MdaHyperparams(seed=11))
+        model = train_mda(journey_table(training_fixture()), MdaHyperparams(seed=11))
         # perturb weights to awkward floats
         weights = tuple(np.nextafter(w, 1.0) for w in model.weights)
         model = MdaModel(model.feature_names, weights, model.bias / 3.0, model.training)
@@ -271,21 +276,19 @@ class TestCreditInvariants:
     @settings(max_examples=150)
     @given(converting_journeys())
     def test_all_models_sum_to_one_in_unit_interval(self, journey):
-        vectors = [
+        for credits in (
             lta_credits(journey),
             linear_credits(journey),
             decay_credits(journey, HL3D),
             mda_credits(PROPERTY_MODEL, journey),
-        ]
-        for vector in vectors:
-            credits = vector.credits
+        ):
             assert abs(sum(credits) - 1.0) < 1e-9
             assert all(0.0 <= c <= 1.0 for c in credits)
             ids = {tp.touchpoint_id for tp in journey.touchpoints}
-            assert by_touchpoint_id(vector).keys() == ids
+            assert by_touchpoint_id(journey, credits).keys() == ids
 
 
-def loo_reference(model: MdaModel, journey: Journey) -> CreditVector:
+def loo_reference(model: MdaModel, journey: Journey) -> tuple[float, ...]:
     """MDA credits by their definition: rebuild and score the feature vector
     of every leave-one-out journey from scratch, O(n^2) per journey."""
     tps = sorted(journey.touchpoints, key=lambda t: (t.timestamp, t.touchpoint_id))
@@ -302,7 +305,7 @@ def loo_reference(model: MdaModel, journey: Journey) -> CreditVector:
     else:
         credits = [1.0 / len(tps)] * len(tps)
     assert tuple(tps) == journey.touchpoints
-    return CreditVector(journey, tuple(credits))
+    return tuple(credits)
 
 
 # A few fixed offsets make ties, including ties at the latest timestamp, common.
@@ -358,8 +361,8 @@ def shared_vector_journeys(draw):
     return mk_journey(tps, mk_conv("x1", ts=T0))
 
 
-def credit_bits(vector: CreditVector) -> bytes:
-    return np.array(vector.credits, dtype=np.float64).tobytes()
+def credit_bits(credits: tuple[float, ...]) -> bytes:
+    return np.array(credits, dtype=np.float64).tobytes()
 
 
 def proba_calls(model: MdaModel, journey: Journey) -> int:

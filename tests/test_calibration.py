@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from mta_engine.attribution import CreditVector, ModelCredits
+from mta_engine import pipeline
 from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -17,7 +17,7 @@ from mta_engine.calibration import (
 )
 from mta_engine.errors import ConfigError, DataIntegrityError, InsufficientDataError
 
-from conftest import mk_conv, mk_journey, mk_tp, predict_campaign
+from conftest import credit_table, mk_conv, mk_journey, mk_tp, predict_campaign
 from mta_engine.rct import CampaignSpec
 
 
@@ -61,8 +61,8 @@ def make_rows(weights, n=8, seed=0, noise=0.0, channel="Upper"):
 
 
 def lta_table(journey, credits):
-    """The credit table of one journey's LTA vector."""
-    return ModelCredits.of([journey], {"lta": [CreditVector(journey, credits)]})
+    """The credit table of one journey's LTA credits."""
+    return credit_table([journey], {"lta": [credits]})
 
 
 class TestAggregate:
@@ -75,7 +75,7 @@ class TestAggregate:
 
     def test_figure_fixture_hand_sums(self, credit_example):
         journeys, credits, campaigns, rct_results = credit_example
-        rows = aggregate_campaign_features(ModelCredits.of(journeys, credits), campaigns, rct_results)
+        rows = aggregate_campaign_features(credit_table(journeys, credits), campaigns, rct_results)
         by_id = {r.campaign_id: r for r in rows}
         assert by_id["campU"].features["lta"] == pytest.approx(1.0)
         assert by_id["campL"].features["lta"] == pytest.approx(2.0)
@@ -87,7 +87,7 @@ class TestAggregate:
     def test_zero_credit_campaign_row_retained(self, credit_example):
         journeys, credits, campaigns, rct_results = credit_example
         extra = campaigns + (CampaignSpec("campZ", "Upper", "display", 0.5, 0.2, 0.0),)
-        rows = aggregate_campaign_features(ModelCredits.of(journeys, credits), extra, rct_results)
+        rows = aggregate_campaign_features(credit_table(journeys, credits), extra, rct_results)
         zero_row = next(r for r in rows if r.campaign_id == "campZ")
         assert zero_row.features == {"lta": 0.0, "mda": 0.0}
 
@@ -100,14 +100,14 @@ class TestAggregate:
     def test_unknown_touchpoint_rejected(self):
         # A credit for a touchpoint the journey does not have: one credit too many.
         journey = mk_journey([mk_tp("t1", campaign="campA")], mk_conv("x1"))
-        with pytest.raises(DataIntegrityError, match="2 credit"):
-            CreditVector(journey, (1.0, 1.0))
+        with pytest.raises(DataIntegrityError, match="column 'lta' has 2 row"):
+            lta_table(journey, (1.0, 1.0))
 
     def test_unknown_conversion_rejected(self):
         # A credit for a conversion that does not exist: the journey has none.
         journey = mk_journey([mk_tp("t1", campaign="campA")], None)
-        with pytest.raises(DataIntegrityError, match="no conversion"):
-            CreditVector(journey, (1.0,))
+        with pytest.raises(DataIntegrityError, match="without a conversion"):
+            pipeline.ensemble_credits([journey], ())
 
     def test_campaign_outside_the_campaign_list_rejected(self):
         journey = mk_journey([mk_tp("t1", campaign="campB")], mk_conv("x1"))

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import dataclasses
 import io
@@ -703,9 +704,13 @@ class TestCreditWriter:
     def test_text_equals_csv_writer(self, drawn, chunk_rows):
         table, by_model = drawn
         buf = io.StringIO()
-        with mock.patch.object(cli, "_WRITE_ROWS", chunk_rows):
-            cli._write_credit_csv(buf, table, cli._plain_prefixes(table.labels), by_model)
-        assert buf.getvalue() == csv_writer_text(table, by_model)
+        # The drawn credits and units include inf and nan, so scaling a column
+        # overflows or multiplies inf by 0, in the writer and the reference alike.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(cli, "_WRITE_ROWS", chunk_rows):
+                cli._write_credit_csv(buf, table, cli._plain_prefixes(table.labels), by_model)
+            expected = csv_writer_text(table, by_model)
+        assert buf.getvalue() == expected
 
     def test_equal_credits_keep_their_own_text(self):
         labels = [("x1", f"t{i}", "c", "Upper", "display") for i in range(4)]
@@ -939,8 +944,8 @@ class TestEventLogInputs:
 
     @pytest.mark.parametrize(
         "edit_header",
-        [lambda header: header.replace("campaign_id", "campaign"), lambda header: "\ufeff" + header],
-        ids=["misnamed-column", "byte-order-mark"],
+        [lambda header: header.replace("campaign_id", "campaign")],
+        ids=["misnamed-column"],
     )
     def test_csv_header_matching_neither_schema_exits_4_naming_the_file(
         self, attributed_run, tmp_path, capsys, edit_header
@@ -959,6 +964,36 @@ class TestEventLogInputs:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"UnusableArtifactError: {path}: CSV header (")
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".csv"], ids=["jsonl", "csv"])
+    def test_logs_led_by_a_byte_order_mark_read_as_without_it(
+        self, attributed_run, tmp_path, suffix
+    ):
+        """A JSONL log led by a UTF-8 byte-order mark used to lose its first
+        record (one line skipped, exit 0), and such a CSV log was refused (exit 4)."""
+        _, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        paths = {}
+        for name, fields in (("touchpoints", TOUCHPOINT_FIELDS), ("conversions", CONVERSION_FIELDS)):
+            path = tmp_path / f"{name}{suffix}"
+            if suffix == ".csv":
+                jsonl_to_csv(out / f"{name}.jsonl", path, fields)
+            else:
+                shutil.copyfile(out / f"{name}.jsonl", path)
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+            paths[name] = str(path)
+        cfg_path = write_config(tmp_path, base_config(out, paths=paths))
+        artifacts = ("calibration_model.json", "mda_model.json", "campaign_features.csv",
+                     "mta_credits.csv", "model_credits.csv", "attribution_summary.json")
+        for name in artifacts:
+            (out / name).unlink()
+        for command in ("fit", "attribute"):
+            assert run(command, "--config", cfg_path) == 0, command
+            manifest = json.loads((out / f"manifest_{command}.json").read_text())
+            assert manifest["counts"]["lines_skipped"] == 0
+        for name in artifacts:
+            assert (out / name).read_bytes() == (source / name).read_bytes(), name
 
     def test_fit_and_attribute_manifests_record_counts(self, workspace, capsys):
         cfg_path, out = workspace

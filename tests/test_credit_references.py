@@ -22,7 +22,6 @@ from mta_engine.attribution import (
     DecayConfig,
     MdaHyperparams,
     MdaModel,
-    ModelCredits,
     TrainingInfo,
     decay_credits,
     linear_credits,
@@ -35,7 +34,7 @@ from mta_engine.events import Journey, LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 from mta_engine.shares import MtaCredit
 
-from conftest import T0, credit_rows, exact_rct, mk_conv, mk_tp
+from conftest import T0, credit_rows, credit_table, exact_rct, mk_conv, mk_tp, touchpoint_table
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,10 @@ class RawJourney:
     conversion: object
 
 
-def id_keyed(vector) -> IdKeyedVector:
+def id_keyed(journey, credits) -> IdKeyedVector:
     return IdKeyedVector(
-        vector.journey.conversion.conversion_id,
-        tuple((tp.touchpoint_id, c) for tp, c in zip(vector.journey.touchpoints, vector.credits)),
+        journey.conversion.conversion_id,
+        tuple((tp.touchpoint_id, c) for tp, c in zip(journey.touchpoints, credits, strict=True)),
     )
 
 
@@ -167,8 +166,10 @@ CALIBRATIONS = (
 def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rct_results=None):
     """The three consumers equal their references exactly, with every model
     present and with one weighted model missing."""
-    keyed = {name: [id_keyed(v) for v in vectors] for name, vectors in credits.items()}
-    table = ModelCredits.of(attributable, credits)
+    keyed = {
+        name: list(map(id_keyed, attributable, per_journey)) for name, per_journey in credits.items()
+    }
+    table = credit_table(attributable, credits)
     assert aggregate_campaign_features(table, campaigns, rct_results) == aggregate_reference(
         raw_journeys, keyed, campaigns, rct_results
     )
@@ -179,7 +180,7 @@ def assert_same_as_references(attributable, raw_journeys, credits, campaigns, rc
     without_decay = [name for name in credits if name != "decay"]
     for model in CALIBRATIONS:
         for names in (list(credits), without_decay):
-            selected = ModelCredits.of(attributable, {name: credits[name] for name in names})
+            selected = credit_table(attributable, {name: credits[name] for name in names})
             expected = []
             for i, raw in enumerate(raw_journeys):
                 expected += score_journey_reference(
@@ -266,6 +267,13 @@ class TestAgainstIdKeyedReferences:
         assert len(attributable) > 50 and max(len(j.touchpoints) for j in attributable) > 2
         mda = pipeline.train_attributor(journeys, MdaHyperparams(0.5, 50, 0))
         credits = all_credits(attributable, mda)
+        table = pipeline.ensemble_credits(attributable, MODEL_NAMES, DecayConfig(), mda)
+        expected = credit_table(attributable, credits)
+        assert table.labels == expected.labels
+        assert table.units.tobytes() == expected.units.tobytes()
+        assert {name: column.tobytes() for name, column in table.columns.items()} == {
+            name: column.tobytes() for name, column in expected.columns.items()
+        }
         assert_same_as_references(
             attributable, attributable, credits, campaigns, estimate_all(config, conversions)
         )
@@ -281,7 +289,7 @@ class TestAgainstIdKeyedReferences:
         table = touchpoints.touchpoint_table()
         shuffled = list(table)
         random.Random(3).shuffle(shuffled)
-        journeys = build_journeys(shuffled, conversions, window)
+        journeys = build_journeys(touchpoint_table(shuffled), conversions, window)
         assert list(journeys) == list(build_journeys(table, conversions, window))
         attributable, _ = pipeline.split_attributable(journeys)
         # The references get each journey's touchpoints in their shuffled order.

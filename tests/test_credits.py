@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mta_engine.attribution import CreditVector, ModelCredits
+from mta_engine import pipeline
+from mta_engine.attribution import ModelCredits
 from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -23,7 +24,8 @@ from mta_engine.shares import (
     shares_from_totals,
 )
 
-from conftest import T0, credit_rows, mk_conv, mk_journey, mk_tp, predict_campaign, score_one
+from conftest import (
+    T0, credit_rows, credit_table, mk_conv, mk_journey, mk_tp, predict_campaign, score_one)
 
 
 def weight_model(weights: dict[str, float]) -> CalibrationModel:
@@ -48,12 +50,9 @@ def two_touch_journey(units: int = 1):
     )
 
 
-def paper_vectors(journey=None):
+def paper_vectors():
     """The worked example's credits, (u1, l1) in time order."""
-    journey = journey or two_touch_journey()
-    lta = CreditVector(journey, (0.0, 1.0))
-    mda = CreditVector(journey, (0.3, 0.7))
-    return {"lta": lta, "mda": mda}
+    return {"lta": (0.0, 1.0), "mda": (0.3, 0.7)}
 
 
 class TestScoreTouchpoints:
@@ -78,29 +77,44 @@ class TestScoreTouchpoints:
     def test_units_scale_credits(self):
         model = weight_model({"lta": 0.6, "mda": 0.4})
         journey = two_touch_journey(units=3)
-        credits = score_one(model, paper_vectors(journey), journey)
+        credits = score_one(model, paper_vectors(), journey)
         assert total_credit(credits) == pytest.approx(3.0)
 
     def test_touchpoint_set_mismatch_rejected(self):
         # One credit for a two-touchpoint journey.
-        with pytest.raises(DataIntegrityError):
-            CreditVector(two_touch_journey(), (1.0,))
+        with pytest.raises(DataIntegrityError, match="column 'lta' has 1 row"):
+            credit_table([two_touch_journey()], {"lta": [(1.0,)]})
 
     def test_wrong_conversion_rejected(self):
-        # Both vectors claim conversion x1, but "mda" was computed on another
+        # Both models credit conversion x1, but "mda" was computed on another
         # journey: x1 with only its Upper touchpoint.
         journey = two_touch_journey()
-        other = mk_journey(journey.touchpoints[:1], journey.conversion)
-        bad = {"lta": [CreditVector(journey, (0.0, 1.0))], "mda": [CreditVector(other, (1.0,))]}
-        with pytest.raises(DataIntegrityError, match="'mda'.*another journey"):
-            ModelCredits.of([journey], bad)
+        bad = {"lta": [(0.0, 1.0)], "mda": [(1.0,)]}
+        with pytest.raises(DataIntegrityError, match="column 'mda' has 1 row"):
+            credit_table([journey], bad)
 
     def test_table_needs_a_conversion_and_one_vector_per_journey(self):
         journey = two_touch_journey()
         with pytest.raises(DataIntegrityError, match="without a conversion"):
-            ModelCredits.of([mk_journey(journey.touchpoints)], {})
-        with pytest.raises(ValueError):
-            ModelCredits.of([journey, journey], {"lta": [CreditVector(journey, (0.0, 1.0))]})
+            pipeline.ensemble_credits([mk_journey(journey.touchpoints)], ())
+        with pytest.raises(DataIntegrityError, match="column 'lta' has 2 row"):
+            credit_table([journey, journey], {"lta": [(0.0, 1.0)]})
+
+    @pytest.mark.parametrize(
+        "units, columns",
+        [
+            (np.ones(1), {"lta": np.ones(2)}),
+            (np.ones(3), {"lta": np.ones(2)}),
+            (np.ones(2), {"lta": np.ones(2), "mda": np.ones(3)}),
+            (np.ones(2), {"lta": np.ones(2), "units": np.ones(1)}),
+        ],
+        ids=["units-short", "units-long", "column-long", "column-named-units"],
+    )
+    def test_table_needs_one_row_per_label(self, units, columns):
+        labels = [("x1", "t1", "campA", "Upper", "display"), ("x1", "t2", "campA", "Upper", "display")]
+        with pytest.raises(DataIntegrityError, match=r"row\(s\) for 2 label\(s\)$"):
+            ModelCredits(labels, units, columns)
+        assert len(ModelCredits(labels, np.ones(2), {"lta": np.ones(2)})) == 2
 
     def test_missing_model_warns_and_zeroes(self, caplog):
         model = weight_model({"lta": 0.6, "mda": 0.4})
@@ -124,7 +138,7 @@ class TestPerConversionTotal:
         assert total_credit(credits) == pytest.approx(0.9, abs=1e-9)
 
     def test_empty(self):
-        empty = ModelCredits.of([], {"lta": []})
+        empty = credit_table([], {"lta": []})
         assert total_credit(credit_rows(score_all(weight_model({"lta": 0.9}), empty))) == 0.0
 
 
@@ -135,7 +149,7 @@ def score_reference(model, attributable, credits_by_model):
     for i, journey in enumerate(attributable):
         absent = (0.0,) * len(journey.touchpoints)
         columns = [
-            credits_by_model[name][i].credits if name in credits_by_model else absent
+            credits_by_model[name][i] if name in credits_by_model else absent
             for name in model.feature_names
         ]
         for k, tp in enumerate(journey.touchpoints):
@@ -171,10 +185,7 @@ def scoring_inputs(draw):
     credit = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 1 / 3]), st.floats(0.0, 1.0))
     present = draw(st.lists(st.sampled_from(["lta", "mda", "decay"]), unique=True))
     credits_by_model = {
-        name: [
-            CreditVector(j, tuple(draw(credit) for _ in j.touchpoints)) for j in journeys
-        ]
-        for name in present
+        name: [tuple(draw(credit) for _ in j.touchpoints) for j in journeys] for name in present
     }
     weight = st.floats(0.0, 5.0)
     names = ("lta", "decay", "mda")
@@ -195,7 +206,7 @@ class TestScoreAllTable:
     @given(scoring_inputs())
     def test_equals_per_touchpoint_sum_bitwise(self, inputs):
         model, journeys, credits_by_model = inputs
-        credits = ModelCredits.of(journeys, credits_by_model)
+        credits = credit_table(journeys, credits_by_model)
         table = score_all(model, credits)
         expected = score_reference(model, journeys, credits_by_model)
         assert credit_rows(table) == expected
@@ -213,9 +224,9 @@ class TestScoreAllTable:
             conv,
         )
         model = CalibrationModel(("lta", "mda"), "per_channel", {"Upper": (0.7, 0.2)}, None)
-        vectors = {"lta": [CreditVector(journey, (0.0, 1.0))], "mda": [CreditVector(journey, (0.3, 0.7))]}
+        vectors = {"lta": [(0.0, 1.0)], "mda": [(0.3, 0.7)]}
         with caplog.at_level(logging.WARNING):
-            table = score_all(model, ModelCredits.of([journey], vectors))
+            table = score_all(model, credit_table([journey], vectors))
         assert table.scaled("mta").tolist() == [4 * (0.7 * 0.0 + 0.2 * 0.3), 0.0]
         assert credit_rows(table) == score_reference(model, [journey], vectors)
         assert "'Mid'; 1 touchpoint(s) get zero credit" in caplog.text
@@ -325,7 +336,7 @@ class TestConservation:
     def test_campaign_sums_match_predictions(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
         rows = aggregate_campaign_features(
-            ModelCredits.of(journeys, credits_by_model), campaigns, rct_results
+            credit_table(journeys, credits_by_model), campaigns, rct_results
         )
         model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
         totals: dict[str, float] = {}
@@ -342,7 +353,7 @@ class TestConservation:
         """The calibration intercept is no touchpoint's credit: each unclipped
         campaign's MTA credits sum to its prediction minus the intercept."""
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        table = ModelCredits.of(journeys, credits_by_model)
+        table = credit_table(journeys, credits_by_model)
         rows = aggregate_campaign_features(table, campaigns, rct_results)
         fitted = fit_calibration(rows, CalibrationOptions(("lta",), intercept=True))
         negative = CalibrationModel(("lta", "mda"), "global", {"global": (0.6, 0.4)},
@@ -363,7 +374,7 @@ class TestConservation:
         journey = two_touch_journey()
         base = score_one(model, paper_vectors(), journey)
         bumped_vectors = paper_vectors()
-        bumped_vectors["mda"] = CreditVector(journey, (0.5, 0.7))
+        bumped_vectors["mda"] = (0.5, 0.7)
         bumped = score_one(model, bumped_vectors, journey)
         base_u1 = next(c.credit for c in base if c.touchpoint_id == "u1")
         bumped_u1 = next(c.credit for c in bumped if c.touchpoint_id == "u1")

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
     format_timestamp,
     mk_conv,
     mk_tp,
+    touchpoint_table,
     touchpoint_to_record,
 )
 
@@ -235,13 +237,13 @@ class TestBuildJourneys:
     def test_inside_window(self):
         tps = [mk_tp("t1", ts=T0)]
         convs = [mk_conv("x1", ts=T0 + timedelta(days=3))]
-        (journey,) = build_journeys(tps, convs, WEEK)
+        (journey,) = build_journeys(touchpoint_table(tps), convs, WEEK)
         assert [tp.touchpoint_id for tp in journey.touchpoints] == ["t1"]
 
     def test_outside_window(self):
         tps = [mk_tp("t1", ts=T0)]
         convs = [mk_conv("x1", ts=T0 + timedelta(days=10))]
-        (journey,) = build_journeys(tps, convs, WEEK)
+        (journey,) = build_journeys(touchpoint_table(tps), convs, WEEK)
         assert journey.touchpoints == ()
         assert journey.conversion is not None
 
@@ -257,7 +259,7 @@ class TestBuildJourneys:
             mk_conv("x1", ts=T0 + timedelta(days=4)),
             mk_conv("x2", ts=T0 + timedelta(days=8)),
         ]
-        first, second = build_journeys(tps, convs, WEEK)
+        first, second = build_journeys(touchpoint_table(tps), convs, WEEK)
         assert [tp.touchpoint_id for tp in first.touchpoints] == ["t1"]
         assert [tp.touchpoint_id for tp in second.touchpoints] == ["t5"]
 
@@ -267,19 +269,21 @@ class TestBuildJourneys:
         just_inside = mk_tp("t_in", ts=T0 + timedelta(milliseconds=1))
         at_conversion = mk_tp("t_now", ts=conv_ts)
         (journey,) = build_journeys(
-            [at_boundary, just_inside, at_conversion], [mk_conv("x1", ts=conv_ts)], WEEK
+            touchpoint_table([at_boundary, just_inside, at_conversion]),
+            [mk_conv("x1", ts=conv_ts)],
+            WEEK,
         )
         assert [tp.touchpoint_id for tp in journey.touchpoints] == ["t_in", "t_now"]
 
     def test_non_converting_customer_retained(self):
         tps = [mk_tp("t1", customer="quiet")]
-        journeys = build_journeys(tps, [], WEEK)
+        journeys = build_journeys(touchpoint_table(tps), [], WEEK)
         assert len(journeys) == 1
         assert journeys[0].conversion is None
         assert list(journeys[0].touchpoints) == tps
 
     def test_conversion_without_touchpoints_kept(self):
-        journeys = build_journeys([], [mk_conv("x1", customer="cold")], WEEK)
+        journeys = build_journeys(touchpoint_table([]), [mk_conv("x1", customer="cold")], WEEK)
         assert len(journeys) == 1
         assert journeys[0].touchpoints == ()
 
@@ -290,19 +294,19 @@ class TestBuildJourneys:
             mk_conv("x1", customer="c0", ts=T0 + timedelta(days=1)),
             mk_conv("x0", customer="c0", ts=T0 + timedelta(days=1)),
         ]
-        a = list(build_journeys(tps, convs, WEEK))
-        b = list(build_journeys(list(reversed(tps)), list(reversed(convs)), WEEK))
+        a = list(build_journeys(touchpoint_table(tps), convs, WEEK))
+        b = list(build_journeys(touchpoint_table(list(reversed(tps))), list(reversed(convs)), WEEK))
         assert a == b
         keys = [(j.customer_id, j.conversion.conversion_id if j.conversion else "") for j in a]
         assert keys == sorted(keys)
 
     def test_empty_inputs(self):
-        assert list(build_journeys([], [], WEEK)) == []
+        assert list(build_journeys(touchpoint_table([]), [], WEEK)) == []
 
     def test_duplicate_touchpoint_id_rejected(self):
         tps = [mk_tp("t1", customer="c1"), mk_tp("t2"), mk_tp("t1", customer="c2")]
         with pytest.raises(DataIntegrityError, match="1 touchpoint_id .*'t1'"):
-            build_journeys(tps, [mk_conv("x1")], WEEK)
+            build_journeys(touchpoint_table(tps), [mk_conv("x1")], WEEK)
 
     def test_duplicate_conversion_id_rejected(self):
         convs = [
@@ -310,7 +314,7 @@ class TestBuildJourneys:
             mk_conv("x1", customer="c2", ts=T0 + timedelta(days=1)),
         ]
         with pytest.raises(DataIntegrityError, match="conversion_id .*'x1'"):
-            build_journeys(iter([mk_tp("t1")]), iter(convs), WEEK)
+            build_journeys(touchpoint_table(iter([mk_tp("t1")])), iter(convs), WEEK)
 
     def test_ids_with_colliding_hashes_are_compared_exactly(self):
         ids = [CollidingHash(v) for v in ("c", "a", "b", "d", "b", "c", "c")]
@@ -349,7 +353,7 @@ class TestJourneyProperties:
     @given(event_sets())
     def test_window_invariant_and_conversion_conservation(self, data):
         tps, convs = data
-        journeys = build_journeys(tps, convs, WEEK)
+        journeys = build_journeys(touchpoint_table(tps), convs, WEEK)
         converting = [j for j in journeys if j.conversion is not None]
         assert sum(j.conversion.units for j in converting) == sum(c.units for c in convs)
         for j in converting:
@@ -366,11 +370,64 @@ class TestJourneyProperties:
         shuffled_tps, shuffled_convs = list(tps), list(convs)
         rnd.shuffle(shuffled_tps)
         rnd.shuffle(shuffled_convs)
-        assert list(build_journeys(tps, convs, WEEK)) == list(
-            build_journeys(shuffled_tps, shuffled_convs, WEEK)
+        assert list(build_journeys(touchpoint_table(tps), convs, WEEK)) == list(
+            build_journeys(touchpoint_table(shuffled_tps), shuffled_convs, WEEK)
         )
 
 
 def test_conversion_units_validated():
     with pytest.raises(ValueError):
         ConversionEvent("x", "c", T0, units=-1)
+
+
+class TestConversionUnits:
+    """``ConversionEvent`` holds the reader's unit rule: an ``int`` that is not
+    a ``bool``, >= 0. It used to check only the sign, so ``write_conversions``
+    failed on ``units=1.5`` and wrote ``units=True`` as 1."""
+
+    @pytest.mark.parametrize(
+        "lines, format, reason",
+        [
+            ([conv_line(units=1.5)], "jsonl", "units must be an integer, got 1.5"),
+            ([conv_line(units=2.0)], "jsonl", "units must be an integer, got 2.0"),
+            ([conv_line(units=True)], "jsonl", "units must be an integer, got true"),
+            ([conv_line(units="1.5")], "jsonl", 'units must be an integer, got "1.5"'),
+            ([conv_line(units=[1])], "jsonl", "units must be an integer, got [1]"),
+            ([conv_line(units={"n": 1})], "jsonl", 'units must be an integer, got {"n": 1}'),
+            ([conv_line(units=-2)], "jsonl", "units must be >= 0, got -2"),
+            ([conv_line(units=" -2")], "jsonl", "units must be >= 0, got -2"),
+            (conv_csv("1.5"), "csv", 'units must be an integer, got "1.5"'),
+            (conv_csv("true"), "csv", 'units must be an integer, got "true"'),
+            (conv_csv("+-1"), "csv", "invalid literal for int() with base 10: '+-1'"),
+            (conv_csv("-3"), "csv", "units must be >= 0, got -3"),
+        ],
+        ids=["float", "integral-float", "bool", "string-float", "array", "object", "negative",
+             "string-negative", "csv-float", "csv-bool", "csv-two-signs", "csv-negative"],
+    )
+    def test_reader_diagnostic_for_each_malformed_value(self, lines, format, reason):
+        result = parse_event_log(lines, format=format)
+        line_no = 1 if format == "jsonl" else 2
+        assert result.conversions == [] and result.diagnostics == [f"line {line_no}: {reason}"]
+
+    @pytest.mark.parametrize(
+        "units, reason",
+        [
+            (1.5, "units must be an integer, got 1.5"),
+            (2.0, "units must be an integer, got 2.0"),
+            (True, "units must be an integer, got true"),
+            (False, "units must be an integer, got false"),
+            ("1", 'units must be an integer, got "1"'),
+            (None, "units must be an integer, got null"),
+            (-1, "units must be >= 0, got -1"),
+        ],
+        ids=["float", "integral-float", "true", "false", "string", "null", "negative"],
+    )
+    def test_constructor_refuses_what_no_log_carries(self, units, reason):
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            ConversionEvent("x", "c", T0, units)
+
+    def test_integers_are_kept_and_written(self):
+        conversions = [ConversionEvent("x", "c", T0, 0), ConversionEvent("y", "c", T0, 7)]
+        buf = io.StringIO()
+        write_conversions(buf, conversions)
+        assert [json.loads(line)["units"] for line in buf.getvalue().splitlines()] == [0, 7]

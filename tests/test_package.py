@@ -12,8 +12,8 @@ import mta_engine
 
 # Every name the package exports, by the module that defines it.
 EXPORTS = {
-    "attribution": ("CreditVector", "MdaModel", "ModelCredits", "decay_credits", "linear_credits",
-                    "lta_credits", "mda_credits", "train_mda"),
+    "attribution": ("MdaModel", "ModelCredits", "decay_credits", "linear_credits", "lta_credits",
+                    "mda_credits", "train_mda"),
     "calibration": ("CalibrationModel", "CampaignFeatureRow", "aggregate_campaign_features",
                     "evaluate_oos", "fit_calibration", "nnls"),
     "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",
@@ -54,6 +54,16 @@ def test_unknown_name_raises_attribute_error():
         mta_engine.no_such_name  # noqa: B018
 
 
+def test_object_adapters_are_gone():
+    """Each layer takes one input type: no credit vector, and no constructor
+    that turns objects back into a table."""
+    from mta_engine import attribution, events
+
+    assert not hasattr(mta_engine, "CreditVector") and not hasattr(attribution, "CreditVector")
+    for cls in (attribution.ModelCredits, events.TouchpointTable, events.Journeys):
+        assert not hasattr(cls, "of"), cls.__name__
+
+
 def run_fresh(code: str) -> None:
     """Run ``code`` in a new interpreter that imports this package; it must exit 0."""
     src = str(Path(mta_engine.__file__).parents[1])
@@ -75,17 +85,16 @@ def test_fresh_import_loads_no_numpy_and_keeps_the_nnls_function():
 
 
 def test_build_journeys_loads_no_simulator():
-    """``build_journeys`` on a touchpoint table, and on touchpoint objects,
-    leaves ``mta_engine.rct`` unimported."""
+    """Reading a touchpoint table and building its journeys leaves
+    ``mta_engine.rct`` unimported."""
     run_fresh(
         "import sys\n"
         "from datetime import datetime, timezone\n"
         "from mta_engine.events import (\n"
-        "    ConversionEvent, InteractionKind, Touchpoint, TouchpointTable, build_journeys)\n"
-        "ts = datetime(2025, 1, 2, tzinfo=timezone.utc)\n"
-        "tps = [Touchpoint('t1', 'c1', 'a', 'Upper', 'display', InteractionKind.VIEW, ts)]\n"
-        "conversions = [ConversionEvent('x1', 'c1', ts)]\n"
-        "for touchpoints in (TouchpointTable.of(tps), tps):\n"
-        "    assert len(build_journeys(touchpoints, conversions)) == 1\n"
+        "    TOUCHPOINT_FIELDS, ConversionEvent, build_journeys, parse_event_log)\n"
+        "lines = [','.join(TOUCHPOINT_FIELDS), 't1,c1,a,Upper,display,view,2025-01-02T00:00:00Z']\n"
+        "table = parse_event_log(lines, 'csv').touchpoints\n"
+        "conversions = [ConversionEvent('x1', 'c1', datetime(2025, 1, 2, tzinfo=timezone.utc))]\n"
+        "assert len(build_journeys(table, conversions)) == 1\n"
         "assert 'mta_engine.rct' not in sys.modules\n"
     )

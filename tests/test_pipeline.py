@@ -5,7 +5,6 @@ import pytest
 
 from mta_engine import pipeline
 from mta_engine.attribution import DecayConfig, MdaHyperparams
-from mta_engine.attribution import CreditVector, ModelCredits
 from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -16,7 +15,9 @@ from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 from mta_engine.shares import column_shares
 
-from conftest import T0, credit_rows, mk_conv, mk_journey, mk_tp, predict_campaign
+from conftest import (
+    T0, credit_rows, credit_table, journey_table, mk_conv, mk_journey, mk_tp, predict_campaign,
+    touchpoint_table)
 
 
 def two_channel_config(n_customers=20_000, seed=11, n_per_channel=4):
@@ -40,7 +41,7 @@ class TestBuildingBlocks:
             mk_journey([], mk_conv("x2", customer="c2"), customer="c2"),
             mk_journey([mk_tp("t3", customer="c3")], None, customer="c3"),
         ]
-        attributable, unattributed = pipeline.split_attributable(journeys)
+        attributable, unattributed = pipeline.split_attributable(journey_table(journeys))
         assert [j.conversion.conversion_id for j in attributable] == ["x1"]
         assert unattributed == 1
 
@@ -50,8 +51,8 @@ class TestBuildingBlocks:
             mk_journey([mk_tp(f"t{i}", customer=f"n{i}")], None, customer=f"n{i}")
             for i in range(1, 40)
         ]
-        a = pipeline.mda_training_set(journeys, max_negatives=10, seed=4)
-        b = pipeline.mda_training_set(journeys, max_negatives=10, seed=4)
+        a = pipeline.mda_training_set(journey_table(journeys), max_negatives=10, seed=4)
+        b = pipeline.mda_training_set(journey_table(journeys), max_negatives=10, seed=4)
         assert list(a) == list(b)
         assert sum(1 for j in a if not j.converted) == 10
         assert sum(1 for j in a if j.converted) == 1
@@ -90,7 +91,7 @@ class TestBuildingBlocks:
         assert model.cv_metrics["r_squared"] >= 0.999
         journeys, credits_by_model, campaigns, rct_results = credit_example
         two_rows = pipeline.calibration_rows(
-            ModelCredits.of(journeys, credits_by_model), campaigns, rct_results, ("lta", "mda")
+            credit_table(journeys, credits_by_model), campaigns, rct_results, ("lta", "mda")
         )
         skipped = pipeline.fit_with_cv(two_rows, CalibrationOptions(("lta", "mda")), cv_folds=5)
         assert skipped.cv_metrics is None
@@ -99,7 +100,7 @@ class TestBuildingBlocks:
         from mta_engine.errors import InsufficientDataError
 
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        only_lta = ModelCredits.of(journeys, {"lta": credits_by_model["lta"]})
+        only_lta = credit_table(journeys, {"lta": credits_by_model["lta"]})
         with pytest.raises(InsufficientDataError, match="mda"):
             pipeline.calibration_rows(only_lta, campaigns, rct_results, ("lta", "mda"))
 
@@ -115,7 +116,7 @@ class TestBuildingBlocks:
 class TestFigureFixtureThroughPipeline:
     def test_share_vectors_differ_pairwise(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        table = ModelCredits.of(journeys, credits_by_model)
+        table = credit_table(journeys, credits_by_model)
         rows = pipeline.calibration_rows(table, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
         mta_shares = column_shares(pipeline.score_all(model, table), "mta").shares()
@@ -129,7 +130,7 @@ class TestFigureFixtureThroughPipeline:
 
     def test_conservation_per_conversion(self, credit_example):
         journeys, credits_by_model, campaigns, rct_results = credit_example
-        table = ModelCredits.of(journeys, credits_by_model)
+        table = credit_table(journeys, credits_by_model)
         rows = pipeline.calibration_rows(table, campaigns, rct_results, ("lta", "mda"))
         model = fit_calibration(rows, CalibrationOptions(("lta", "mda")))
         weight_sum = sum(model.weights.values())
@@ -141,15 +142,14 @@ class TestFigureFixtureThroughPipeline:
 
 
 def many_conversions(n=50):
-    journeys, lta = [], []
+    journeys = []
     for i in range(n):
         tps = [
             mk_tp(f"u{i}", customer=f"c{i}", channel="Upper", ts=T0 - timedelta(days=2)),
             mk_tp(f"l{i}", customer=f"c{i}", channel="Lower", ts=T0 - timedelta(days=1)),
         ]
         journeys.append(mk_journey(tps, mk_conv(f"x{i}", customer=f"c{i}"), customer=f"c{i}"))
-        lta.append(CreditVector(journeys[-1], (0.0, 1.0)))
-    return ModelCredits.of(journeys, {"lta": lta})
+    return credit_table(journeys, {"lta": [(0.0, 1.0)] * n})
 
 
 class TestScoreAllWarnings:
@@ -183,7 +183,7 @@ class TestDuplicateIds:
         ]
         convs = [mk_conv("x1", customer="c1"), mk_conv("x2", customer="c2")]
         with pytest.raises(DataIntegrityError, match="touchpoint_id.*'t1'"):
-            build_journeys(tps, convs, LookbackWindow(timedelta(days=7)))
+            build_journeys(touchpoint_table(tps), convs, LookbackWindow(timedelta(days=7)))
 
 
 class TestEndToEndSmoke:

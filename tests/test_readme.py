@@ -17,9 +17,9 @@ def test_library_use_block_runs():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace: dict = {}
     exec(compile(block, str(README), "exec"), namespace)
-    vector = namespace["vector"]
-    assert len(vector.credits) == len(vector.journey.touchpoints) > 0
-    assert sum(vector.credits) == 1.0
+    journey, credits = namespace["journey"], namespace["credits"]
+    assert len(credits) == len(journey.touchpoints) > 0
+    assert sum(credits) == 1.0
     table, lta_shares = namespace["table"], namespace["lta_shares"]
     assert list(table.columns) == ["lta", "linear"] and len(table) == 2 * len(table.labels) > 0
     rows = [MtaCredit(*label, c) for label, c in zip(table.labels, table.scaled("lta").tolist())]

@@ -24,17 +24,16 @@ from mta_engine import attribution, events, pipeline
 from mta_engine.attribution import MdaHyperparams, feature_names_for
 from mta_engine.events import (
     TOUCHPOINT_FIELDS,
-    Journeys,
     LookbackWindow,
     PackedStrings,
-    TouchpointTable,
     build_journeys,
     parse_event_log,
     write_conversions,
 )
 from mta_engine.rct import CampaignSpec, SimConfig, simulate
 
-from conftest import T0, feature_vector, mk_conv, mk_journey, mk_tp
+from conftest import (
+    T0, feature_vector, journey_table, mk_conv, mk_journey, mk_tp, touchpoint_table)
 
 WEEK = LookbackWindow(timedelta(days=7))
 
@@ -225,11 +224,11 @@ class TestTrainingMatrix:
     @settings(max_examples=300, deadline=None)
     @given(journey_lists())
     def test_matrix_equals_stacked_feature_vectors(self, journeys):
-        names = feature_names_for(journeys)
+        names = feature_names_for(journey_table(journeys))
         channels = sorted({tp.channel for j in journeys for tp in j.touchpoints})
         assert names == attribution._BASE_FEATURES + tuple(f"channel_count:{c}" for c in channels)
         names += ("channel_count:Other",)
-        matrix = attribution._feature_matrix(names, Journeys.of(journeys))
+        matrix = attribution._feature_matrix(names, journey_table(journeys))
         assert np.array_equal(matrix, stacked_feature_vectors(names, journeys))
 
     @settings(max_examples=100, deadline=None)
@@ -237,10 +236,10 @@ class TestTrainingMatrix:
     def test_matrix_of_built_journeys(self, journey_list, max_negatives):
         touchpoints = [tp for j in journey_list for tp in j.touchpoints]
         conversions = [j.conversion for j in journey_list if j.conversion is not None]
-        journeys = build_journeys(touchpoints, conversions, WEEK)
+        journeys = build_journeys(touchpoint_table(touchpoints), conversions, WEEK)
         rows = pipeline.mda_training_set(journeys, max_negatives, seed=1)
         names = feature_names_for(rows)
-        assert names == feature_names_for(list(rows))
+        assert names == feature_names_for(journey_table(list(rows)))
         matrix = attribution._feature_matrix(names, rows)
         assert np.array_equal(matrix, stacked_feature_vectors(names, list(rows)))
 
@@ -249,7 +248,9 @@ class TestTrainingMatrix:
         journeys = build_journeys(touchpoints.touchpoint_table(), conversions, WEEK)
         rows = pipeline.mda_training_set(journeys, max_negatives=300, seed=2)
         hyper = MdaHyperparams(0.5, 40, 0)
-        assert attribution.train_mda(rows, hyper) == attribution.train_mda(list(rows), hyper)
+        assert attribution.train_mda(rows, hyper) == attribution.train_mda(
+            journey_table(list(rows)), hyper
+        )
 
 
 class TestEventLogJourneys:
@@ -275,7 +276,8 @@ class TestEventLogJourneys:
         round_trip = build_journeys(logs[0].touchpoints, logs[1].conversions, WEEK)
         assert len(journeys) == len(round_trip) > 0
         assert list(journeys) == list(round_trip)
-        assert list(journeys) == list(build_journeys(list(table), conversions, WEEK))
+        from_objects = build_journeys(touchpoint_table(list(table)), conversions, WEEK)
+        assert list(journeys) == list(from_objects)
         assert (attributable, unattributed) == pipeline.split_attributable(round_trip)
 
 
@@ -292,7 +294,7 @@ class TestPackedStrings:
     @given(st.lists(odd_ids | st.text(max_size=5), max_size=12), st.integers(1, 4), st.data())
     def test_behaves_as_the_list_of_its_strings(self, ids, batch_rows, data):
         with mock.patch.object(events, "_BATCH_ROWS", batch_rows):
-            column = TouchpointTable.of([mk_tp(tp_id) for tp_id in ids]).touchpoint_id
+            column = touchpoint_table([mk_tp(tp_id) for tp_id in ids]).touchpoint_id
         assert isinstance(column, PackedStrings)
         assert len(column) == len(ids)
         assert list(column) == ids
@@ -307,4 +309,4 @@ class TestPackedStrings:
         assert column[window] == ids[window]
         rows = data.draw(st.lists(st.integers(-len(ids), len(ids) - 1), max_size=8)) if ids else []
         assert column.take(np.array(rows, dtype=np.intp)) == [ids[r] for r in rows]
-        assert [tp.touchpoint_id for tp in TouchpointTable.of(map(mk_tp, ids))] == ids
+        assert [tp.touchpoint_id for tp in touchpoint_table(map(mk_tp, ids))] == ids
