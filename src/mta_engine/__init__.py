@@ -30,8 +30,7 @@ _EXPORTS = {
                    "Touchpoint", "TouchpointTable", "build_journeys", "parse_event_log"),
         "rct": ("GroundTruthRow", "RctResult", "assign_treatment", "estimate_lift",
                 "lift_from_counts", "replication_study", "simulate"),
-        "shares": ("AttributionShareReport", "MtaCredit", "ShareRow", "aggregate_shares",
-                   "column_shares"),
+        "shares": ("AttributionShareReport", "ShareRow", "aggregate_shares", "column_shares"),
     }.items()
     for name in names
 }

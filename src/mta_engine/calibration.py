@@ -271,9 +271,14 @@ def _fit_group(
     rows: Sequence[CampaignFeatureRow],
     names: tuple[str, ...],
     options: CalibrationOptions,
-) -> tuple[tuple[float, ...], float | None, float]:
+    in_fold: bool,
+) -> tuple[tuple[float, ...], float | None, float] | None:
+    """The group's weights, intercept and residual norm. A fold's training rows
+    that cannot identify the weights give None, and a full fit raises."""
     n_params = len(names) + (1 if options.intercept else 0)
     if len(rows) < n_params:
+        if in_fold:
+            return None
         raise InsufficientDataError(
             f"group {group!r}: {len(rows)} RCT row(s) cannot identify {n_params} weight(s)"
         )
@@ -281,7 +286,7 @@ def _fit_group(
     b = np.array([row.target for row in rows], dtype=float)
 
     for j, name in enumerate(names):
-        if not np.any(A[:, j] != 0.0):
+        if not (in_fold or np.any(A[:, j] != 0.0)):
             logger.warning("group %r: feature %r is all-zero; weight fixed at 0", group, name)
 
     if options.inverse_variance_weighting:
@@ -316,6 +321,14 @@ def fit_calibration(
     Rows without a target are skipped. The fit is deterministic: rows are
     sorted by campaign_id internally, so input order never changes weights.
     """
+    return _fit(rows, options, in_fold=False)
+
+
+def _fit(
+    rows: Sequence[CampaignFeatureRow], options: CalibrationOptions, in_fold: bool
+) -> CalibrationModel:
+    """``fit_calibration``, or in a CV fold (``in_fold``) the same fit that
+    leaves a group its rows cannot identify without weights and logs nothing."""
     names = _resolve_feature_names(rows, options)
     if not names:
         raise InsufficientDataError("no feature columns to fit")
@@ -337,12 +350,14 @@ def fit_calibration(
     total_rss = 0.0
     targets: list[float] = []
     for group in sorted(grouped):
-        weights, intercept, res_norm = _fit_group(group, grouped[group], names, options)
-        weights_by_group[group] = weights
+        targets.extend(row.target for row in grouped[group])
+        fitted = _fit_group(group, grouped[group], names, options, in_fold)
+        if fitted is None:
+            continue
+        weights_by_group[group], intercept, res_norm = fitted
         if intercept is not None:
             intercepts[group] = intercept
         total_rss += res_norm**2
-        targets.extend(row.target for row in grouped[group])
 
     b_all = np.array(targets)
     tss = float(np.sum((b_all - np.mean(b_all)) ** 2))
@@ -390,6 +405,8 @@ def evaluate_oos(
 ) -> dict[str, float]:
     """K-fold cross-validation over RCT campaigns.
 
+    A group that a fold's training rows cannot identify gets no weights in
+    that fold: its held-out rows are predicted as 0 and reported as a gap.
     Returns out-of-sample R^2 and MAPE; rows with |target| < 1 are excluded
     from the MAPE (their count is reported separately as ``mape_excluded``).
     """
@@ -409,7 +426,7 @@ def evaluate_oos(
     for fold in folds:
         held_out = set(int(i) for i in fold)
         train = [usable[i] for i in range(n) if i not in held_out]
-        fold_model = fit_calibration(train, options)
+        fold_model = _fit(train, options, in_fold=True)
         for i in fold:
             predictions[int(i)], row_gaps = _predict(fold_model, usable[int(i)])
             gaps.update(row_gaps)

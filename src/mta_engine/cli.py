@@ -43,7 +43,8 @@ from .config import (
     MODEL_LTA, MODEL_MDA, MODEL_NAMES, CalibrationOptions, CampaignSpec, DecayConfig,
     LookbackWindow, MdaHyperparams, SimConfig)
 from .errors import (
-    ConfigError, InsufficientDataError, MissingArtifactError, ParseError, UnusableArtifactError)
+    ConfigError, DegenerateDesignError, InsufficientDataError, MissingArtifactError, ParseError,
+    UnusableArtifactError)
 from .shares import (  # noqa: F401  -- perfbench/tracing.py times report through aggregate_shares
     DIMENSION_FIELDS, DIMENSIONS, LABEL_FIELDS, AttributionShareReport, aggregate_shares,
     credit_totals, render_share_table, shares_from_totals)
@@ -59,7 +60,8 @@ logger = logging.getLogger(__name__)
 _LAZY = {"pipeline": "pipeline", "MdaModel": "attribution", "CalibrationModel": "calibration",
          "feature_rows_to_csv": "calibration", "parse_event_log": "events",
          "build_journeys": "events", "write_conversions": "events", "RctResult": "rct",
-         "simulate": "rct", "estimate_all": "rct", "lift_from_counts": "rct"}
+         "GroundTruthRow": "rct", "simulate": "rct", "estimate_all": "rct",
+         "lift_from_counts": "rct"}
 
 
 def __getattr__(name: str) -> Any:
@@ -273,17 +275,35 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
     )
 
 
-def _write_manifest(cfg: RunConfig, command: str, outputs: Sequence[str], **blocks: dict) -> Path:
-    manifest = {
-        "command": command,
-        "seed": cfg.seed,
-        "config_sha256": cfg.config_hash(),
-        "outputs": {name: str(cfg.artifact(name)) for name in outputs},
-        **blocks,
-    }
-    path = cfg.out_dir / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return path
+def _write_outputs(cfg: RunConfig, command: str, outputs: dict[str, Any], **blocks: dict) -> None:
+    """Write a stage's ``outputs`` (artifact name -> its text, or a writer of the
+    open file), then ``manifest_<command>.json`` listing exactly those written.
+    An output mapped to None, which this run did not produce, is removed, so
+    that no later stage reads an earlier run's."""
+    written = {}
+    for name, content in outputs.items():
+        path = cfg.artifact(name)
+        if content is None:
+            path.unlink(missing_ok=True)
+            continue
+        with path.open("w") as fh:
+            if isinstance(content, str):
+                fh.write(content)
+            else:
+                content(fh)
+        written[name] = str(path)
+    manifest = {"command": command, "seed": cfg.seed, "config_sha256": cfg.config_hash(),
+                "outputs": written, **blocks}
+    with (cfg.out_dir / f"manifest_{command}.json").open("w") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+
+
+def _csv_rows(cls: type, rows: Sequence) -> Callable[[IO[str]], None]:
+    """A writer of ``rows``, instances of dataclass ``cls``, as CSV: a header of
+    its field names, then a line of each row's fields in field order."""
+    columns = [f.name for f in fields(cls)]
+    return lambda fh: csv.writer(fh, lineterminator="\n").writerows(
+        [columns, *map(attrgetter(*columns), rows)])
 
 
 @contextmanager
@@ -327,19 +347,9 @@ def _load_journeys(cfg: RunConfig):
     return journeys, attributable, counts
 
 
-def _write_rct_results(results: dict[str, RctResult], path: Path) -> None:
-    """A row per campaign, in id order, of the ``RctResult`` fields in field order."""
-    columns = [f.name for f in fields(RctResult)]
-    with path.open("w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        row = attrgetter(*columns)
-        writer.writerows(row(results[campaign_id]) for campaign_id in sorted(results))
-
-
 def _read_rct_results(path: Path) -> dict[str, RctResult]:
     results: dict[str, RctResult] = {}
-    with _reading(path) as fh:
+    with _reading(path, DegenerateDesignError) as fh:
         for record in csv.DictReader(fh):
             campaign_id = record["campaign_id"]
             if campaign_id in results:
@@ -375,32 +385,21 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     # Everything is computed before the first artifact is opened, so a run
     # that fails leaves the previous run's artifact set whole.
     results = estimate_all(cfg.sim, conversions)
-
-    with cfg.artifact("touchpoints").open("w") as fh:
-        touchpoints.write_jsonl(fh)
-    with cfg.artifact("conversions").open("w") as fh:
-        write_conversions(fh, conversions)
-    with cfg.artifact("ground_truth").open("w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["campaign_id", "true_incremental", "n_treatment", "n_holdout"])
-        for row in ground_truth:
-            writer.writerow(
-                [row.campaign_id, repr(row.true_incremental), row.n_treatment, row.n_holdout]
-            )
-    _write_rct_results(results, cfg.artifact("rct_results"))
     payload = {
         "touchpoints": len(touchpoints),
         "conversions": len(conversions),
         "campaigns": len(cfg.sim.campaigns),
         "rct_campaigns": len(results),
     }
-    _write_manifest(
-        cfg,
-        "simulate",
-        ["touchpoints", "conversions", "ground_truth", "rct_results"],
-        counts={k: v for k, v in payload.items() if k != "campaigns"},
-        diagnostics={"clamped_fraction": simulation.clamped_fraction},
-    )
+    outputs = {
+        "touchpoints": touchpoints.write_jsonl,
+        "conversions": lambda fh: write_conversions(fh, conversions),
+        "ground_truth": _csv_rows(GroundTruthRow, ground_truth),
+        "rct_results": _csv_rows(RctResult, [results[cid] for cid in sorted(results)]),
+    }
+    _write_outputs(cfg, "simulate", outputs,
+                   counts={k: v for k, v in payload.items() if k != "campaigns"},
+                   diagnostics={"clamped_fraction": simulation.clamped_fraction})
 
     table = "\n".join(f"{k}: {v}" for k, v in payload.items())
     _emit(args, payload, table)
@@ -420,15 +419,12 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     )
     model = pipeline.fit_with_cv(rows, cfg.calibration, cfg.cv_folds, cfg.cv_seed)
 
-    cfg.artifact("calibration_model").write_text(model.to_json())
-    if mda is not None:
-        cfg.artifact("mda_model").write_text(mda.to_json())
-    with cfg.artifact("campaign_features").open("w") as fh:
-        feature_rows_to_csv(rows, fh)
-    outputs = ["calibration_model", "campaign_features"]
-    if mda is not None:
-        outputs.append("mda_model")
-    _write_manifest(cfg, "fit", outputs, counts=counts)
+    outputs = {
+        "calibration_model": model.to_json(),
+        "mda_model": None if mda is None else mda.to_json(),
+        "campaign_features": lambda fh: feature_rows_to_csv(rows, fh),
+    }
+    _write_outputs(cfg, "fit", outputs, counts=counts)
 
     payload = {
         "weights": {g: dict(zip(model.feature_names, w)) for g, w in model.weights_by_group.items()},
@@ -495,20 +491,18 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
     records = pipeline.model_credit_records(credits)
 
     prefixes = _plain_prefixes(credits.labels)
-    with cfg.artifact("mta_credits").open("w") as fh:
-        _write_credit_csv(fh, mta_credits, prefixes, by_model=False)
-    with cfg.artifact("model_credits").open("w") as fh:
-        _write_credit_csv(fh, records, prefixes, by_model=True)
     summary = {
         "conversions": len(attributable) + unattributed,
         "attributed_conversions": len(attributable),
         "unattributed_conversions": unattributed,
         "mta_credit_rows": len(mta_credits),
     }
-    cfg.artifact("attribution_summary").write_text(json.dumps(summary, indent=2, sort_keys=True))
-    _write_manifest(
-        cfg, "attribute", ["mta_credits", "model_credits", "attribution_summary"], counts=counts
-    )
+    outputs = {
+        "mta_credits": lambda fh: _write_credit_csv(fh, mta_credits, prefixes, by_model=False),
+        "model_credits": lambda fh: _write_credit_csv(fh, records, prefixes, by_model=True),
+        "attribution_summary": json.dumps(summary, indent=2, sort_keys=True),
+    }
+    _write_outputs(cfg, "attribute", outputs, counts=counts)
     _emit(args, summary, "\n".join(f"{k}: {v}" for k, v in summary.items()))
     return 0
 
@@ -556,10 +550,9 @@ def cmd_report(cfg: RunConfig, args) -> int:
 
     doc = asdict(report)
     doc["comparisons"] = {name: asdict(rep) for name, rep in comparisons.items()}
-    cfg.artifact("shares_json").write_text(json.dumps(doc, indent=2, sort_keys=True))
     table = render_share_table(report, comparisons)
-    cfg.artifact("shares_table").write_text(table + "\n")
-    _write_manifest(cfg, "report", ["shares_json", "shares_table"])
+    outputs = {"shares_json": json.dumps(doc, indent=2, sort_keys=True), "shares_table": table + "\n"}
+    _write_outputs(cfg, "report", outputs)
     csv_lines = [f"{cfg.report_dimension},total_credit,share"]
     csv_lines += [f"{r.value},{r.total_credit!r},{r.share!r}" for r in report.rows]
     _emit(args, doc, table, "\n".join(csv_lines))

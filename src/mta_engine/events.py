@@ -155,7 +155,24 @@ def label_codes(values: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     return np.fromiter(map(code.__getitem__, values), np.intp, len(values)), vocabulary
 
 
-class PackedStrings(Sequence):
+class _Rows(Sequence):
+    """A read-only sequence whose items are built on access by
+    ``take(rows)``, the items at an integer array of rows: indexing, slicing
+    and iterating all go through it. A negative index counts from the end,
+    one out of range raises IndexError and one that is no integer TypeError."""
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        return self.take(np.array([operator.index(index)]))[0]
+
+    def __iter__(self) -> Iterator:
+        return iter(self.take(np.arange(len(self))))
+
+
+class PackedStrings(_Rows):
     """A read-only sequence of strings held as one ``str``: string ``i`` is
     ``text[ends[i - 1]:ends[i]]`` (from 0 for the first). A table of a
     million ids then holds two objects, not a million. Indexing, slicing and
@@ -176,11 +193,6 @@ class PackedStrings(Sequence):
     def __len__(self) -> int:
         return len(self.ends)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        return self.take(np.array([operator.index(index)]))[0]
-
     def __iter__(self) -> Iterator[str]:
         ends = self.ends.tolist()
         return map(self.text.__getitem__, map(slice, chain((0,), ends), ends))
@@ -195,7 +207,7 @@ class PackedStrings(Sequence):
 
 
 @dataclass(frozen=True, eq=False)
-class TouchpointTable(Sequence):
+class TouchpointTable(_Rows):
     """Touchpoints as columns, in input order.
 
     Row ``r`` is touchpoint ``touchpoint_id[r]`` of customer
@@ -220,15 +232,7 @@ class TouchpointTable(Sequence):
     def __len__(self) -> int:
         return len(self.touchpoint_id)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.objects(np.arange(len(self))[index])
-        return self.objects(np.array([index]))[0]
-
-    def __iter__(self) -> Iterator[Touchpoint]:
-        return iter(self.objects(np.arange(len(self))))
-
-    def objects(self, rows: np.ndarray) -> list[Touchpoint]:
+    def take(self, rows: np.ndarray) -> list[Touchpoint]:
         """The touchpoints of the given rows, as new objects."""
         return list(
             map(
@@ -518,7 +522,7 @@ def _reject_duplicate_ids(ids: Sequence[str], field: str) -> None:
     )
 
 
-class Journeys(Sequence):
+class Journeys(_Rows):
     """Journeys over one touchpoint table, built as objects only on access.
 
     Journey ``i`` belongs to ``customer_ids[i]``, ends in ``conversions[i]``
@@ -549,14 +553,6 @@ class Journeys(Sequence):
     def __len__(self) -> int:
         return len(self.conversions)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.take(np.arange(len(self))[index])
-        return self.take(np.array([index]))[0]
-
-    def __iter__(self) -> Iterator[Journey]:
-        return iter(self.take(np.arange(len(self))))
-
     def select(self, indices: np.ndarray) -> Journeys:
         """The journeys at ``indices``, still as a table."""
         return Journeys(
@@ -574,7 +570,7 @@ class Journeys(Sequence):
         ends = np.cumsum(lengths)
         offsets = np.repeat(start - ends + lengths, lengths)
         positions = np.arange(len(offsets)) + offsets
-        touchpoints = self.table.objects(self.rows[positions])
+        touchpoints = self.table.take(self.rows[positions])
         return [
             Journey(self.customer_ids[i], tuple(touchpoints[end - n:end]), self.conversions[i])
             for i, end, n in zip(indices.tolist(), ends.tolist(), lengths.tolist())

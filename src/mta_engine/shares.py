@@ -1,35 +1,24 @@
-"""Aggregation of touchpoint credits (credit objects, credit CSV rows or a
-credit table's column) into normalized attribution shares, and their text
-table; free of numpy, so ``report`` runs without it."""
+"""Aggregation of touchpoint credits, given as (dimension value, credit)
+pairs, into normalized attribution shares, and their text table. A credit
+CSV's rows and a credit table's column are read into such pairs; the module
+is free of numpy, so ``report`` runs without it."""
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 if TYPE_CHECKING:
     from .attribution import ModelCredits
 
-# Reporting dimension -> the field that carries it, on credit objects and in
-# credit CSV rows alike.
+# Reporting dimension -> the field that carries it in a credit CSV row and a
+# credit table's label.
 DIMENSION_FIELDS = {"channel": "channel", "ad_product": "ad_product", "campaign": "campaign_id"}
 DIMENSIONS = tuple(DIMENSION_FIELDS)
 # The field each entry of a credit table's label holds; a credit CSV row is these and the credit.
 LABEL_FIELDS = ("conversion_id", "touchpoint_id", "campaign_id", "channel", "ad_product")
-
-
-@dataclass(frozen=True, slots=True)
-class MtaCredit:
-    """Calibration-weighted credit for one touchpoint of one conversion."""
-
-    conversion_id: str
-    touchpoint_id: str
-    campaign_id: str
-    channel: str
-    ad_product: str
-    credit: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,13 +74,11 @@ def credit_totals(
 
 
 def aggregate_shares(
-    credits: Iterable[MtaCredit],
-    dimension: str = "channel",
-    unattributed_conversions: int = 0,
+    pairs: Iterable[tuple[str, float | str]], dimension: str = "channel", unattributed: int = 0
 ) -> AttributionShareReport:
-    """Total and normalize credits by the requested reporting dimension."""
-    pairs = map(attrgetter(_field_of(dimension), "credit"), credits)
-    return shares_from_totals(credit_totals(pairs), dimension, unattributed_conversions)
+    """Total the credits of (dimension value, credit) pairs by value, in
+    first-seen order, and normalize the totals into a share report."""
+    return shares_from_totals(credit_totals(pairs), dimension, unattributed)
 
 
 def column_shares(
@@ -101,8 +88,7 @@ def column_shares(
     dimension, totalled as ``report`` totals a credit CSV: in row order, each
     value where it is first seen."""
     values = map(itemgetter(LABEL_FIELDS.index(_field_of(dimension))), table.labels)
-    pairs = zip(values, table.scaled(name).tolist())
-    return shares_from_totals(credit_totals(pairs), dimension, unattributed)
+    return aggregate_shares(zip(values, table.scaled(name).tolist()), dimension, unattributed)
 
 
 def shares_from_totals(

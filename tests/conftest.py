@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import islice
 from typing import Iterable, Mapping, Sequence
@@ -14,7 +15,6 @@ from mta_engine.events import (
     ConversionEvent, InteractionKind, Journey, Journeys, Touchpoint, TouchpointTable)
 from mta_engine.pipeline import score_all
 from mta_engine.rct import CampaignSpec, RctResult
-from mta_engine.shares import MtaCredit
 
 UTC = timezone.utc
 T0 = datetime(2025, 3, 1, 12, 0, 0, tzinfo=UTC)
@@ -86,9 +86,22 @@ def credit_table(
     })
 
 
-def credit_rows(table: ModelCredits, name: str = "mta") -> list[MtaCredit]:
-    """Column ``name`` of a credit table as ``MtaCredit`` rows: its labels and credits."""
-    return [MtaCredit(*label, c) for label, c in zip(table.labels, table.scaled(name).tolist())]
+@dataclass(frozen=True, slots=True)
+class CreditRow:
+    """One touchpoint's credit for one conversion, as an object: a credit
+    table's label fields and the credit. The package's tables hold columns."""
+
+    conversion_id: str
+    touchpoint_id: str
+    campaign_id: str
+    channel: str
+    ad_product: str
+    credit: float
+
+
+def credit_rows(table: ModelCredits, name: str = "mta") -> list[CreditRow]:
+    """Column ``name`` of a credit table as ``CreditRow`` objects: its labels and credits."""
+    return [CreditRow(*label, c) for label, c in zip(table.labels, table.scaled(name).tolist())]
 
 
 def score_one(model, credits_by_model, journey):

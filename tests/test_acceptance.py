@@ -30,7 +30,7 @@ from mta_engine.calibration import (
 from mta_engine.cli import ARTIFACTS, main
 from mta_engine.events import LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, replication_study, simulate
-from mta_engine.shares import MtaCredit, aggregate_shares, column_shares
+from mta_engine.shares import aggregate_shares, column_shares
 
 from conftest import (
     T0, by_touchpoint_id, credit_table, journey_table, mk_conv, mk_journey, mk_tp,
@@ -87,11 +87,7 @@ def test_criterion_2_ensemble_worked_example(credit_example):
 
 
 def test_criterion_3_figure1_shares():
-    credits = [
-        MtaCredit("agg", "tU", "campU", "Upper", "display", 2000.0),
-        MtaCredit("agg", "tL", "campL", "Lower", "product_ad", 6000.0),
-    ]
-    shares = aggregate_shares(credits).shares()
+    shares = aggregate_shares([("Upper", 2000.0), ("Lower", 6000.0)]).shares()
     ok = abs(shares["Upper"] - 0.25) < 1e-9 and abs(shares["Lower"] - 0.75) < 1e-9
     check("3 (Figure-1 shares 25/75)", ok, f"shares={shares}")
 

@@ -3,11 +3,14 @@ module attributes of the package; a refactor that renames or removes one of
 them breaks that run. Installing the tracer proves every target exists."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_traced_attribute_exists_and_is_restored(monkeypatch):
@@ -50,3 +53,12 @@ def test_traced_pass_counts_every_layer(monkeypatch, tmp_path, workload):
         assert metrics[f"attribution.credits.{model}_s"] > 0
     assert metrics["pipeline.model_credit_rows"] == 4 * metrics["credits.mta_rows"] > 0
     assert checks.check_pass(out, result.summaries) == []
+
+
+def test_benchmark_smoke_check_passes():
+    """``perfbench/smoke.py`` runs every workload at a tiny size in both trace
+    modes and checks the benchmark's own output checks; it writes only under
+    the git-ignored ``.perfbench_work/``."""
+    done = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=600)
+    assert done.stdout.splitlines()[-1:] == ["smoke: ok"], done.stdout + done.stderr

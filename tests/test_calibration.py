@@ -1,6 +1,7 @@
 import csv
 import io
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,6 +312,36 @@ class TestEvaluateOos:
             evaluate_oos(rows, CalibrationOptions(("lta", "mda")), k=5)
         with pytest.raises(ConfigError):
             evaluate_oos(rows, CalibrationOptions(("lta", "mda")), k=1)
+
+    def test_a_group_a_fold_cannot_identify_is_a_gap_not_a_failure(self, caplog):
+        """Four Upper rows identify lta, mda and an intercept, but the folds of
+        seed 1 train on two of them once. That fold's fit used to raise
+        InsufficientDataError; now its two held-out Upper rows are predicted
+        as 0 and counted as a gap, and each other row is predicted exactly."""
+        upper = [replace(r, campaign_id=f"up{i}") for i, r in enumerate(make_rows((0.6, 0.4), 4, 5))]
+        lower = make_rows((0.3, 0.9), n=8, seed=6, channel="Lower")
+        options = CalibrationOptions(("lta", "mda"), "per_channel", intercept=True)
+        assert set(fit_calibration(upper + lower, options).weights_by_group) == {"Lower", "Upper"}
+        with caplog.at_level(logging.WARNING):
+            metrics = evaluate_oos(upper + lower, options, k=5, seed=1)
+        assert [r.message for r in caplog.records] == [
+            "2 campaign row(s): no fitted weights for group 'Upper'; treated as 0"]
+        assert metrics["n_rows"] == 12.0 and metrics["mape"] == pytest.approx(2 / 12)
+        with pytest.raises(InsufficientDataError, match="group 'Upper': 2 RCT row"):
+            fit_calibration(upper[:2] + lower, options)
+
+    def test_an_all_zero_feature_is_logged_once_by_a_fit_with_cv(self, caplog):
+        """The folds refit the group too, and each used to log the line again."""
+        upper = [replace(r, features={"lta": 0.0, "mda": r.features["mda"]})
+                 for r in make_rows((0.6, 0.4), n=6, seed=5)]
+        lower = make_rows((0.3, 0.9), n=6, seed=6, channel="Lower")
+        lower = [replace(r, campaign_id=f"low{i}") for i, r in enumerate(lower)]
+        options = CalibrationOptions(("lta", "mda"), "per_channel")
+        with caplog.at_level(logging.WARNING):
+            model = pipeline.fit_with_cv(upper + lower, options, cv_folds=3, cv_seed=0)
+        assert model.cv_metrics is not None
+        assert [r.message for r in caplog.records] == [
+            "group 'Upper': feature 'lta' is all-zero; weight fixed at 0"]
 
     def test_small_targets_excluded_from_mape(self):
         rows = make_rows((0.6, 0.4), n=7, seed=2)

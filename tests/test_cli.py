@@ -479,6 +479,8 @@ class TestUnusableArtifacts:
                 "ltaa" if n == "lta" else n for n in names]), "attribute"),
             # Used to exit 0, the last row of the campaign silently winning.
             ("rct_results.csv", repeat_first_row, "fit"),
+            # Used to exit 1 with "DegenerateDesignError: low0: both groups must be nonempty".
+            ("rct_results.csv", set_field("n_holdout", "0"), "fit"),
         ],
         ids=["truncated-calibration-model", "empty-mda-model", "rct-results-without-counts",
              "non-utf8-touchpoints", "credits-without-credit", "empty-summary",
@@ -487,7 +489,7 @@ class TestUnusableArtifacts:
              "infinite-model-credit", "calibration-weight-missing", "calibration-weights-extra",
              "nan-calibration-weight", "unknown-mda-feature", "duplicate-calibration-feature",
              "unknown-calibration-pooling", "unknown-calibration-feature",
-             "rct-results-repeated-campaign"],
+             "rct-results-repeated-campaign", "rct-results-empty-arm"],
     )
     def test_exits_4_with_one_line(self, attributed_run, tmp_path, capsys, artifact, corrupt,
                                    command):
@@ -503,8 +505,9 @@ class TestUnusableArtifacts:
 
     def test_rct_results_naming_a_campaign_twice_are_refused(self, tmp_path):
         path = tmp_path / "rct_results.csv"
-        cli._write_rct_results({"low0": rct.lift_from_counts(
-            "low0", n_treatment=100, n_holdout=100, conv_treatment=9.0, conv_holdout=4.0)}, path)
+        with path.open("w") as fh:
+            cli._csv_rows(rct.RctResult, [rct.lift_from_counts(
+                "low0", n_treatment=100, n_holdout=100, conv_treatment=9.0, conv_holdout=4.0)])(fh)
         repeat_first_row(path)
         with pytest.raises(UnusableArtifactError) as raised:
             cli._read_rct_results(path)
@@ -751,6 +754,26 @@ class TestInsufficientData:
         err = capsys.readouterr().err
         assert "InsufficientDataError" in err and "1 RCT row" in err
 
+    def test_a_fold_that_cannot_identify_a_group_does_not_fail_the_fit(
+        self, tmp_path, capsys, caplog
+    ):
+        """Three Lower RCT rows identify lta, mda and an intercept, but a fold
+        that holds one out trains on two. ``fit`` used to exit 3 for such a
+        fold; now the full fit's weights stand and the fold's gap is counted."""
+        config = base_config(tmp_path / "out")
+        campaigns = config["simulation"]["campaigns"]
+        campaigns.append({**campaigns[2], "campaign_id": "up3"})
+        config["calibration"].update(pooling="per_channel", intercept=True)
+        cfg_path = write_config(tmp_path, config)
+        assert run("simulate", "--config", cfg_path) == 0
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING):
+            assert run("fit", "--config", cfg_path, "--format", "json") == 0
+        assert set(json.loads(capsys.readouterr().out)["weights"]) == {"Lower", "Upper"}
+        assert "campaign row(s): no fitted weights for group 'Lower'; treated as 0" in caplog.text
+        model = json.loads((tmp_path / "out" / ARTIFACTS["calibration_model"]).read_text())
+        assert model["cv_metrics"]["folds"] == 4.0
+
 
 class TestFullPipeline:
     def test_all_stages_produce_artifacts(self, workspace, capsys):
@@ -828,6 +851,29 @@ class TestFullPipeline:
         shares = json.loads((out / "attribution_shares.json").read_text())
         assert shares["unattributed_conversions"] == summary["unattributed_conversions"]
         assert summary["conversions"] == summary["attributed_conversions"] + summary["unattributed_conversions"]
+
+
+class TestStaleOutputs:
+    def test_fit_without_an_mda_removes_the_earlier_mda_model(self, workspace, tmp_path):
+        """When MDA training is skipped, ``fit`` used to leave the previous run's
+        ``mda_model.json`` in place, and ``attribute`` and ``report`` then
+        credited and compared the earlier run's MDA."""
+        cfg_path, out = workspace
+        for command in ("simulate", "fit"):
+            assert run(command, "--config", cfg_path) == 0, command
+        assert (out / ARTIFACTS["mda_model"]).exists()
+        config = base_config(out, calibration={"features": ["lta"], "cv_folds": 4})
+        config["simulation"]["baseline_conversion_rate"] = 1.0  # no negatives: no MDA
+        (tmp_path / "no_mda").mkdir()
+        no_mda = write_config(tmp_path / "no_mda", config)
+        for command in ("simulate", "fit", "attribute", "report"):
+            assert run(command, "--config", no_mda) == 0, command
+        assert not (out / ARTIFACTS["mda_model"]).exists()
+        assert "mda_model" not in json.loads((out / "manifest_fit.json").read_text())["outputs"]
+        with (out / ARTIFACTS["model_credits"]).open() as fh:
+            assert {row["model"] for row in csv.DictReader(fh)} == {"lta", "linear", "decay"}
+        shares = json.loads((out / ARTIFACTS["shares_json"]).read_text())
+        assert set(shares["comparisons"]) == {"lta"}
 
 
 class TestSimulateStage:

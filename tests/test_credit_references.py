@@ -6,7 +6,7 @@ The references below are the former ``aggregate_campaign_features``,
 verbatim apart from their inputs: a credit vector is given as
 ``(conversion_id, ((touchpoint_id, credit), ...))`` and each stage rebuilds
 its own id -> record maps from the journeys. The per-model rows are
-``(model, MtaCredit)`` pairs, which ``model_credit_records``' table gives
+``(model, CreditRow)`` pairs, which ``model_credit_records``' table gives
 column by column. Every float must come out equal with ``==``, not approximately.
 """
 
@@ -32,9 +32,9 @@ from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, aggrega
 from mta_engine.errors import DataIntegrityError
 from mta_engine.events import Journey, LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
-from mta_engine.shares import MtaCredit
 
-from conftest import T0, credit_rows, credit_table, exact_rct, mk_conv, mk_tp, touchpoint_table
+from conftest import (
+    T0, CreditRow, credit_rows, credit_table, exact_rct, mk_conv, mk_tp, touchpoint_table)
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def score_journey_reference(model, credits_by_model, journey):
             for name, weight in weights.items()
         )
         out.append(
-            MtaCredit(
+            CreditRow(
                 conversion_id, tp.touchpoint_id, tp.campaign_id, tp.channel, tp.ad_product, combined
             )
         )
@@ -136,7 +136,7 @@ def model_credit_records_reference(attributable, credits_by_model):
             for tp_id, credit in vector.entries:
                 tp = tp_meta[tp_id]
                 records.append(
-                    (name, MtaCredit(
+                    (name, CreditRow(
                         vector.conversion_id, tp_id, tp.campaign_id, tp.channel,
                         tp.ad_product, credit * units.get(vector.conversion_id, 1),
                     ))

@@ -1,11 +1,13 @@
+import io
 import logging
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mta_engine import pipeline
+from mta_engine import cli, pipeline
 from mta_engine.attribution import ModelCredits
 from mta_engine.calibration import (
     CalibrationModel,
@@ -16,16 +18,18 @@ from mta_engine.calibration import (
 from mta_engine.errors import DataIntegrityError
 from mta_engine.pipeline import score_all
 from mta_engine.shares import (
+    DIMENSION_FIELDS,
     DIMENSIONS,
-    MtaCredit,
     aggregate_shares,
     column_shares,
+    credit_totals,
     render_share_table,
     shares_from_totals,
 )
 
 from conftest import (
-    T0, credit_rows, credit_table, mk_conv, mk_journey, mk_tp, predict_campaign, score_one)
+    T0, CreditRow, credit_rows, credit_table, mk_conv, mk_journey, mk_tp, predict_campaign,
+    score_one)
 
 
 def weight_model(weights: dict[str, float]) -> CalibrationModel:
@@ -156,7 +160,7 @@ def score_reference(model, attributable, credits_by_model):
             weights = model.group_weights(tp.channel).values()
             total = sum(weight * column[k] for weight, column in zip(weights, columns))
             out.append(
-                MtaCredit(
+                CreditRow(
                     journey.conversion.conversion_id, tp.touchpoint_id, tp.campaign_id,
                     tp.channel, tp.ad_product, journey.conversion.units * total,
                 )
@@ -232,25 +236,16 @@ class TestScoreAllTable:
         assert "'Mid'; 1 touchpoint(s) get zero credit" in caplog.text
 
 
-def credit(value: str, amount: float, dimension: str = "channel") -> MtaCredit:
-    return MtaCredit(
-        "x", "t", value if dimension == "campaign" else "campA",
-        value if dimension == "channel" else "Upper",
-        value if dimension == "ad_product" else "display",
-        amount,
-    )
-
-
 class TestAggregateShares:
     def test_three_times_as_effective(self):
-        report = aggregate_shares([credit("Upper", 2000.0), credit("Lower", 6000.0)])
+        report = aggregate_shares([("Upper", 2000.0), ("Lower", 6000.0)])
         shares = report.shares()
         assert abs(shares["Upper"] - 0.25) < 1e-9
         assert abs(shares["Lower"] - 0.75) < 1e-9
         assert report.rows[0].value == "Lower"  # sorted by descending share
 
     def test_single_dimension_value(self):
-        report = aggregate_shares([credit("Upper", 12.0)])
+        report = aggregate_shares([("Upper", 12.0)])
         assert report.shares() == {"Upper": 1.0}
 
     def test_empty_credits_flagged_not_error(self):
@@ -259,21 +254,18 @@ class TestAggregateShares:
         assert report.zero_total
 
     def test_zero_totals_flagged(self):
-        report = aggregate_shares([credit("Upper", 0.0), credit("Lower", 0.0)])
+        report = aggregate_shares([("Upper", 0.0), ("Lower", 0.0)])
         assert report.zero_total
         assert all(r.share == 0.0 for r in report.rows)
 
     def test_ties_sorted_by_value(self):
-        report = aggregate_shares([credit("B", 1.0), credit("A", 1.0)])
+        report = aggregate_shares([("B", 1.0), ("A", 1.0)])
         assert [r.value for r in report.rows] == ["A", "B"]
 
     def test_other_dimensions(self):
-        by_product = aggregate_shares(
-            [credit("sponsored", 3.0, "ad_product"), credit("display", 1.0, "ad_product")],
-            dimension="ad_product",
-        )
+        by_product = aggregate_shares([("sponsored", 3.0), ("display", 1.0)], dimension="ad_product")
         assert by_product.shares()["sponsored"] == 0.75
-        by_campaign = aggregate_shares([credit("campX", 5.0, "campaign")], dimension="campaign")
+        by_campaign = aggregate_shares([("campX", 5.0)], dimension="campaign")
         assert by_campaign.shares() == {"campX": 1.0}
 
     def test_unknown_dimension(self):
@@ -288,13 +280,13 @@ class TestAggregateShares:
             for i, journey in enumerate(journeys):
                 per_model = {m: credits_by_model[m][i] for m in credits_by_model}
                 all_credits.extend(score_one(model, per_model, journey))
-            report = aggregate_shares(all_credits)
+            report = aggregate_shares((c.channel, c.credit) for c in all_credits)
             assert report.shares()["Upper"] == pytest.approx(1.12 / 3.0, abs=1e-9)
             assert report.shares()["Lower"] == pytest.approx(1.88 / 3.0, abs=1e-9)
 
     def test_a_channel_total_that_overflows_raises(self):
         with pytest.raises(ValueError, match="'Upper' total more than the largest float"):
-            aggregate_shares([credit("Upper", 1e308), credit("Upper", 1e308)])
+            aggregate_shares([("Upper", 1e308), ("Upper", 1e308)])
 
     def test_a_grand_total_that_overflows_raises(self):
         """Every share used to read 0.0 with ``zero_total`` false."""
@@ -320,10 +312,18 @@ def credit_tables(draw):
 class TestColumnShares:
     @settings(max_examples=200, deadline=None)
     @given(credit_tables(), st.sampled_from(["lta", "mta"]), st.integers(0, 5))
-    def test_equals_aggregate_shares_over_credit_rows_bitwise(self, table, name, unattributed):
+    def test_equals_report_over_the_credit_csv_bitwise(self, table, name, unattributed):
+        """The shares ``report`` totals from the credit CSV that ``attribute``
+        writes for the column."""
+        buf = io.StringIO()
+        column = replace(table, columns={name: table.columns[name]})
+        cli._write_credit_csv(buf, column, cli._plain_prefixes(table.labels), by_model=False)
         for dimension in DIMENSIONS:
+            buf.seek(0)
+            rows, columns = cli._credit_csv(buf)
+            totals = credit_totals(map(columns(DIMENSION_FIELDS[dimension], "credit"), rows))
+            expected = shares_from_totals(totals, dimension, unattributed)
             report = column_shares(table, name, dimension, unattributed)
-            expected = aggregate_shares(credit_rows(table, name), dimension, unattributed)
             assert report == expected
             assert repr(report) == repr(expected)
 
@@ -383,9 +383,7 @@ class TestConservation:
 
 class TestRendering:
     def test_table_contains_comparisons_and_flags(self):
-        report = aggregate_shares(
-            [credit("Upper", 1.12), credit("Lower", 1.88)], unattributed_conversions=2
-        )
+        report = aggregate_shares([("Upper", 1.12), ("Lower", 1.88)], unattributed=2)
         lta_only = shares_from_totals({"Upper": 1.0, "Lower": 2.0})
         text = render_share_table(report, {"lta": lta_only})
         lines = text.splitlines()

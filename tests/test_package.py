@@ -26,8 +26,7 @@ EXPORTS = {
                "Touchpoint", "TouchpointTable", "build_journeys", "parse_event_log"),
     "rct": ("GroundTruthRow", "RctResult", "assign_treatment", "estimate_lift",
             "lift_from_counts", "replication_study", "simulate"),
-    "shares": ("AttributionShareReport", "MtaCredit", "ShareRow", "aggregate_shares",
-               "column_shares"),
+    "shares": ("AttributionShareReport", "ShareRow", "aggregate_shares", "column_shares"),
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
@@ -55,13 +54,24 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_object_adapters_are_gone():
-    """Each layer takes one input type: no credit vector, and no constructor
-    that turns objects back into a table."""
-    from mta_engine import attribution, events
+    """Each layer takes one input type: no credit vector, no credit object for
+    shares, and no constructor that turns objects back into a table."""
+    from mta_engine import attribution, events, shares
 
     assert not hasattr(mta_engine, "CreditVector") and not hasattr(attribution, "CreditVector")
+    assert not hasattr(mta_engine, "MtaCredit") and not hasattr(shares, "MtaCredit")
     for cls in (attribution.ModelCredits, events.TouchpointTable, events.Journeys):
         assert not hasattr(cls, "of"), cls.__name__
+
+
+def test_columnar_tables_share_one_row_protocol():
+    """The columnar sequences index, slice and iterate through one base built
+    on ``take(rows)``; none re-implements indexing."""
+    from mta_engine import events
+
+    for cls in (events.PackedStrings, events.TouchpointTable, events.Journeys):
+        assert "__getitem__" not in vars(cls) and "take" in vars(cls), cls.__name__
+        assert not hasattr(cls, "objects"), cls.__name__
 
 
 def run_fresh(code: str) -> None:

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 from mta_engine.cli import load_run_config
-from mta_engine.shares import MtaCredit, aggregate_shares
+from mta_engine.shares import aggregate_shares
 
 from conftest import config_keys
 
@@ -22,8 +22,8 @@ def test_library_use_block_runs():
     assert sum(credits) == 1.0
     table, lta_shares = namespace["table"], namespace["lta_shares"]
     assert list(table.columns) == ["lta", "linear"] and len(table) == 2 * len(table.labels) > 0
-    rows = [MtaCredit(*label, c) for label, c in zip(table.labels, table.scaled("lta").tolist())]
-    assert lta_shares == aggregate_shares(rows, "channel", namespace["unattributed"])
+    pairs = zip([label[3] for label in table.labels], table.scaled("lta").tolist())
+    assert lta_shares == aggregate_shares(pairs, "channel", namespace["unattributed"])
     assert set(lta_shares.shares()) == {"Upper", "Lower"} and not lta_shares.zero_total
 
 
