@@ -15,7 +15,7 @@ import json
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -92,9 +92,6 @@ class CalibrationModel:
         if values is None:
             values = (0.0,) * len(self.feature_names)
         return dict(zip(self.feature_names, values))
-
-    def with_cv_metrics(self, metrics: dict[str, float]) -> "CalibrationModel":
-        return replace(self, cv_metrics=metrics)
 
     def to_json(self) -> str:
         doc = {
@@ -273,8 +270,9 @@ def _fit_group(
     options: CalibrationOptions,
     in_fold: bool,
 ) -> tuple[tuple[float, ...], float | None, float] | None:
-    """The group's weights, intercept and residual norm. A fold's training rows
-    that cannot identify the weights give None, and a full fit raises."""
+    """The w >= 0 and c minimising ``sum s^2 (b - A.w - c)^2``, with s = 1/SE under
+    inverse-variance weighting and 1 otherwise, and the norm of ``b - A.w - c``.
+    A fold's rows that cannot identify the weights give None; a full fit raises."""
     n_params = len(names) + (1 if options.intercept else 0)
     if len(rows) < n_params:
         if in_fold:
@@ -285,31 +283,30 @@ def _fit_group(
     A = np.array([[row.features.get(name, 0.0) for name in names] for row in rows])
     b = np.array([row.target for row in rows], dtype=float)
 
-    for j, name in enumerate(names):
-        if not (in_fold or np.any(A[:, j] != 0.0)):
-            logger.warning("group %r: feature %r is all-zero; weight fixed at 0", group, name)
-
+    s = np.ones(len(rows))
     if options.inverse_variance_weighting:
-        ses = np.array(
-            [row.target_std_error if row.target_std_error else 0.0 for row in rows]
-        )
-        scale = 1.0 / np.maximum(ses, np.max(ses) * 1e-6 if np.max(ses) > 0 else 1.0)
-        A = A * scale[:, None]
-        b = b * scale
+        ses = np.array([row.target_std_error or 0.0 for row in rows])
+        floor = float(np.max(ses)) * 1e-6 if np.max(ses) > 0 else 1.0
+        zero = int(np.count_nonzero(ses == 0.0))
+        if zero and not in_fold:
+            logger.warning("group %r: %d RCT row(s) have standard error 0; "
+                           "inverse-variance weighting floors it at %g", group, zero, floor)
+        s = 1.0 / np.maximum(ses, floor)
 
+    A_mean, b_mean = np.zeros(len(names)), 0.0
     if options.intercept:
-        # Unconstrained intercept via a +/- column pair inside the NNLS.
-        ones = np.ones((len(rows), 1))
-        design = np.hstack([A, ones, -ones])
-        solution, _ = nnls(design, b)
-        weights = solution[: len(names)]
-        intercept = float(solution[len(names)] - solution[len(names) + 1])
-        residual = b - design @ solution
-    else:
-        weights, _ = nnls(A, b)
-        intercept = None
-        residual = b - A @ weights
+        # Centring takes c out of the NNLS; shifting by the first row first
+        # makes a constant column exact zeros.
+        A_mean, b_mean = (x[0] + np.average(x - x[0], axis=0, weights=s * s) for x in (A, b))
+    design = (A - A_mean) * s[:, None]
+    for j, name in enumerate(names):
+        if not (in_fold or np.any(design[:, j] != 0.0)):
+            logger.warning("group %r: feature %r is %s; weight fixed at 0", group, name,
+                           "constant" if options.intercept else "all-zero")
 
+    weights, _ = nnls(design, (b - b_mean) * s)
+    intercept = float(b_mean - A_mean @ weights) if options.intercept else None
+    residual = b - A @ weights - (intercept or 0.0)
     return tuple(float(w) for w in weights), intercept, float(np.sqrt(residual @ residual))
 
 
@@ -409,6 +406,8 @@ def evaluate_oos(
     that fold: its held-out rows are predicted as 0 and reported as a gap.
     Returns out-of-sample R^2 and MAPE; rows with |target| < 1 are excluded
     from the MAPE (their count is reported separately as ``mape_excluded``).
+    ``gap_rows`` counts the held-out rows whose prediction counted a group
+    without weights or a missing feature as 0.
     """
     usable = sorted(
         (row for row in rows if row.target is not None), key=lambda r: r.campaign_id
@@ -423,6 +422,7 @@ def evaluate_oos(
     folds = np.array_split(order, k)
     predictions = np.empty(n)
     gaps: Counter = Counter()
+    gap_rows = 0
     for fold in folds:
         held_out = set(int(i) for i in fold)
         train = [usable[i] for i in range(n) if i not in held_out]
@@ -430,6 +430,7 @@ def evaluate_oos(
         for i in fold:
             predictions[int(i)], row_gaps = _predict(fold_model, usable[int(i)])
             gaps.update(row_gaps)
+            gap_rows += bool(row_gaps)
     _warn_gaps(gaps)
 
     targets = np.array([row.target for row in usable], dtype=float)
@@ -449,6 +450,7 @@ def evaluate_oos(
         "r_squared": r_squared,
         "mape": mape,
         "mape_excluded": float(excluded),
+        "gap_rows": float(gap_rows),
         "n_rows": float(n),
         "folds": float(k),
     }

@@ -377,11 +377,6 @@ def write_conversions(fh: IO[str], conversions: Sequence[ConversionEvent]) -> No
     )
 
 
-def _iter_lines(stream: Iterable[str] | IO[str]) -> Iterator[str]:
-    for line in stream:
-        yield line.rstrip("\r\n")
-
-
 # The line the simulator writes for a touchpoint (``rct._touchpoint_source``),
 # with the stamp's trailing ``Z`` left out of its group. A string group admits
 # no quote, backslash or control character, so its text is the JSON value
@@ -446,8 +441,9 @@ def _parse_jsonl(stream: Iterable[str], result: ParseResult, table: _TableBuilde
         table.add(rows)
 
 
-def _parse_csv(lines: Iterator[str], result: ParseResult, table: _TableBuilder) -> None:
-    reader = csv.reader(lines)
+def _parse_csv(stream: Iterable[str], result: ParseResult, table: _TableBuilder) -> None:
+    # Lines keep their ends, so a quoted field keeps its newline.
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -462,16 +458,16 @@ def _parse_csv(lines: Iterator[str], result: ParseResult, table: _TableBuilder) 
         raise ParseError(
             f"CSV header {header!r} matches neither the touchpoint nor the conversion schema"
         )
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(header):
-            result._skip(line_no, f"expected {len(header)} columns, got {len(row)}")
+            result._skip(reader.line_num, f"expected {len(header)} columns, got {len(row)}")
             continue
         try:
             sink.append(build(dict(zip(header, row))))
         except (ValueError, TypeError) as exc:
-            result._skip(line_no, str(exc))
+            result._skip(reader.line_num, str(exc))
         if len(rows) == _BATCH_ROWS:
             table.add(rows)
             rows.clear()
@@ -486,7 +482,8 @@ def parse_event_log(stream: Iterable[str] | IO[str], format: str = "jsonl") -> P
     A line in exactly the simulator's touchpoint format is read by one
     pattern match; any other line is decoded with ``json.loads`` and
     validated, which gives the same row. CSV streams hold one record kind,
-    declared by the header row. Malformed records are skipped with a
+    declared by the header row; a quoted field may span lines, and a record
+    is numbered by its last line. Malformed records are skipped with a
     per-line diagnostic; an undecodable stream (e.g. a CSV header matching
     neither schema) raises :class:`ParseError`.
     """
@@ -495,7 +492,7 @@ def parse_event_log(stream: Iterable[str] | IO[str], format: str = "jsonl") -> P
     if format == "jsonl":
         _parse_jsonl(stream, result, table)
     elif format == "csv":
-        _parse_csv(_iter_lines(stream), result, table)
+        _parse_csv(stream, result, table)
     else:
         raise ParseError(f"unknown event log format {format!r}")
     result.touchpoints = table.build()

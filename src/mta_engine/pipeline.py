@@ -145,7 +145,7 @@ def fit_with_cv(
     model = fit_calibration(rows, options)
     n_rct = sum(1 for row in rows if row.target is not None)
     if cv_folds >= 2 and n_rct >= cv_folds:
-        model = model.with_cv_metrics(evaluate_oos(rows, options, k=cv_folds, seed=cv_seed))
+        model = replace(model, cv_metrics=evaluate_oos(rows, options, k=cv_folds, seed=cv_seed))
     else:
         logger.warning("skipping CV: %d RCT row(s) < %d folds", n_rct, cv_folds)
     return model

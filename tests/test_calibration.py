@@ -158,13 +158,23 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             fit_calibration([row("campA", 100.0, target=None)])
 
-    def test_zero_feature_column_warns_and_zeroes(self, caplog):
-        rows = [row(f"c{i}", lta=0.0, mda=float(i + 1), target=float(i + 1)) for i in range(4)]
+    @pytest.mark.parametrize("intercept, lta, word",
+                             [(False, 0.0, "all-zero"), (True, 4.0, "constant")],
+                             ids=["no-intercept", "intercept"])
+    def test_zero_feature_column_warns_and_zeroes(self, caplog, intercept, lta, word):
+        """With an intercept the solved column is centred, so a constant one is
+        zero and the intercept carries its level; least-norm used to split
+        the two."""
+        c = 8.0 if intercept else 0.0
+        rows = [row(f"c{i}", lta, float(i + 1), target=float(i + 1) + c) for i in range(4)]
         with caplog.at_level(logging.WARNING):
-            model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))
+            model = fit_calibration(rows, CalibrationOptions(("lta", "mda"), intercept=intercept))
         assert model.weights["lta"] == 0.0
         assert model.weights["mda"] == pytest.approx(1.0)
-        assert any("all-zero" in r.message for r in caplog.records)
+        assert [r.message for r in caplog.records] == [
+            f"group 'global': feature 'lta' is {word}; weight fixed at 0"]
+        if intercept:
+            assert model.intercept_by_group["global"] == pytest.approx(8.0, abs=1e-9)
 
     def test_intercept_flag(self):
         rng = np.random.default_rng(3)
@@ -258,6 +268,101 @@ class TestFit:
             assert np.all(gradient[w == 0] >= -1e-8 * scale)
 
 
+# Per group: (lta weight, mda weight, intercept). Global pooling fits every
+# row with the Upper group's.
+TRUE_FIT = {"Upper": (2.0, 0.5, 5.0), "Lower": (0.25, 3.0, 1.5)}
+
+
+def exact_rows(pooling, intercept):
+    """Rows exactly on a nonnegative-linear model, each with its own SE."""
+    features = [(1.0, 7.0), (3.0, 2.0), (5.0, 11.0), (8.0, 4.0), (13.0, 6.0)]
+    rows = []
+    for channel in ("Upper", "Lower"):
+        lta_w, mda_w, c = TRUE_FIT["Upper" if pooling == "global" else channel]
+        for i, (lta, mda) in enumerate(features):
+            target = lta_w * lta + mda_w * mda + (c if intercept else 0.0)
+            se = 0.5 + 0.7 * i + (3.1 if channel == "Lower" else 0.0)
+            rows.append(row(f"{channel}{i}", lta, mda, target, channel, se))
+    return rows
+
+
+class TestOneWeightedDesign:
+    """Every option combination fits the model that prediction applies. An
+    intercept used to be a +/- column pair left unscaled beside rows scaled
+    by 1/SE, so inverse-variance weighting with an intercept fitted wrong
+    weights on exact rows; and the residual was taken after the scaling."""
+
+    @pytest.mark.parametrize("ivw", [False, True], ids=["unweighted", "ivw"])
+    @pytest.mark.parametrize("intercept", [False, True], ids=["no-intercept", "intercept"])
+    @pytest.mark.parametrize("pooling", ["global", "per_channel"])
+    def test_exact_rows_are_recovered(self, pooling, intercept, ivw):
+        rows = exact_rows(pooling, intercept)
+        options = CalibrationOptions(("lta", "mda"), pooling, intercept, ivw)
+        model = fit_calibration(rows, options)
+        groups = ["global"] if pooling == "global" else ["Lower", "Upper"]
+        assert sorted(model.weights_by_group) == groups
+        for group in groups:
+            lta_w, mda_w, c = TRUE_FIT["Upper" if group == "global" else group]
+            assert model.weights_by_group[group] == pytest.approx((lta_w, mda_w), abs=1e-9)
+            if intercept:
+                assert model.intercept_by_group[group] == pytest.approx(c, abs=1e-9)
+        assert (model.intercept_by_group is not None) == intercept
+        assert model.fit_diagnostics["r_squared"] == pytest.approx(1.0, abs=1e-9)
+        for r in rows:
+            assert predict_campaign(model, r) == pytest.approx(r.target, abs=1e-9)
+
+    def test_weighted_intercept_fit_of_exact_rows(self):
+        """b = 2a + 5 with unequal SEs used to fit w = 2.484, c = 1.752."""
+        rows = [row(f"c{i}", a, target=2.0 * a + 5.0, se=se)
+                for i, (a, se) in enumerate(zip((1.0, 3.0, 5.0, 8.0, 13.0), (1, 2, 4, 0.5, 3)))]
+        options = CalibrationOptions(("lta",), intercept=True, inverse_variance_weighting=True)
+        model = fit_calibration(rows, options)
+        assert model.weights["lta"] == pytest.approx(2.0, abs=1e-9)
+        assert model.intercept_by_group["global"] == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("intercept", [False, True], ids=["no-intercept", "intercept"])
+    def test_weighted_diagnostics_are_in_target_units(self, intercept):
+        """The residual used to be taken on the 1/SE-scaled rows, so R^2 and
+        the residual norm described those rows, not the fitted model's."""
+        rng = np.random.default_rng(9)
+        rows = [row(f"c{i}", float(rng.uniform(10, 100)), float(rng.uniform(10, 100)),
+                    target=float(rng.uniform(10, 300)), se=float(rng.uniform(0.5, 20)))
+                for i in range(12)]
+        options = CalibrationOptions(("lta", "mda"), intercept=intercept,
+                                     inverse_variance_weighting=True)
+        model = fit_calibration(rows, options)
+        A = np.array([[r.features["lta"], r.features["mda"]] for r in rows])
+        b = np.array([r.target for r in rows])
+        c = model.intercept_by_group["global"] if intercept else 0.0
+        residual = b - A @ np.array(model.weights_by_group["global"]) - c
+        rss, tss = residual @ residual, np.sum((b - b.mean()) ** 2)
+        assert model.fit_diagnostics["residual_norm"] == pytest.approx(np.sqrt(rss), rel=1e-12)
+        assert model.fit_diagnostics["r_squared"] == pytest.approx(1.0 - rss / tss, rel=1e-12)
+        assert model.fit_diagnostics["r_squared"] < 0.9
+
+    def test_zero_standard_errors_are_reported_once_per_group(self, caplog):
+        """Under inverse-variance weighting an SE of 0 is floored at 1e-6 of
+        the group's largest, 10^12 times the weight of its noisiest row; the
+        full fit says so, and neither the folds nor an unweighted fit do."""
+        upper = [replace(r, target_std_error=0.0 if i < 2 else 1.0 + i)
+                 for i, r in enumerate(make_rows((0.6, 0.4), n=6, seed=5))]
+        lower = [replace(r, campaign_id=f"low{i}", target_std_error=0.0 if i == 0 else 2.0)
+                 for i, r in enumerate(make_rows((0.3, 0.9), n=6, seed=6, channel="Lower"))]
+        for ivw, expected in ((True, [
+            "group 'Lower': 1 RCT row(s) have standard error 0; "
+            "inverse-variance weighting floors it at 2e-06",
+            "group 'Upper': 2 RCT row(s) have standard error 0; "
+            "inverse-variance weighting floors it at 6e-06",
+        ]), (False, [])):
+            options = CalibrationOptions(("lta", "mda"), "per_channel",
+                                         inverse_variance_weighting=ivw)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                model = pipeline.fit_with_cv(upper + lower, options, cv_folds=3, cv_seed=0)
+            assert model.cv_metrics is not None
+            assert [r.message for r in caplog.records] == expected
+
+
 class TestPredict:
     def test_examples(self):
         single = fit_calibration(
@@ -327,6 +432,7 @@ class TestEvaluateOos:
         assert [r.message for r in caplog.records] == [
             "2 campaign row(s): no fitted weights for group 'Upper'; treated as 0"]
         assert metrics["n_rows"] == 12.0 and metrics["mape"] == pytest.approx(2 / 12)
+        assert metrics["gap_rows"] == 2.0
         with pytest.raises(InsufficientDataError, match="group 'Upper': 2 RCT row"):
             fit_calibration(upper[:2] + lower, options)
 

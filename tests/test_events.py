@@ -184,6 +184,17 @@ class TestParseCsv:
         assert result.skipped == 1
         assert "line 3" in result.diagnostics[0]
 
+    def test_a_quoted_newline_is_kept_as_in_jsonl(self):
+        """Each physical line used to be stripped before the CSV reader saw
+        it, so the id ``"t\n1"`` read as ``t1``. A record is numbered by its
+        last line."""
+        text = (f"{self.HEADER}\n" '"t\n1",c1,campA,Upper,display,view,2025-03-01T12:00:00.000Z\n'
+                "t2,c1\n")
+        result = parse_event_log(io.StringIO(text), format="csv")
+        (jsonl,) = parse_event_log([tp_line("t\n1")]).touchpoints
+        assert list(result.touchpoints) == [jsonl] and jsonl.touchpoint_id == "t\n1"
+        assert result.diagnostics == ["line 4: expected 7 columns, got 2"]
+
     def test_unrecognized_header_is_fatal(self):
         with pytest.raises(ParseError):
             parse_event_log(["id,when,what", "1,2,3"], format="csv")

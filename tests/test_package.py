@@ -64,6 +64,12 @@ def test_object_adapters_are_gone():
         assert not hasattr(cls, "of"), cls.__name__
 
 
+def test_cv_metrics_are_attached_by_replace():
+    """A fitted model gets its CV metrics through ``dataclasses.replace``; the
+    one-field copy method is gone."""
+    assert not hasattr(mta_engine.CalibrationModel, "with_cv_metrics")
+
+
 def test_columnar_tables_share_one_row_protocol():
     """The columnar sequences index, slice and iterate through one base built
     on ``take(rows)``; none re-implements indexing."""
