@@ -204,7 +204,7 @@ def _feature_matrix(feature_names: Sequence[str], journeys: Journeys) -> np.ndar
     recency = np.zeros(len(journeys))
     if dated.any():
         last_us = table.ts_us[journeys.rows[journeys.stop[dated] - 1]]
-        age_s = (journeys.conversion_us[dated] - last_us).astype(np.float64) / 1e6
+        age_s = (journeys.conversions.ts_us[journeys.conversion[dated]] - last_us) / 1e6
         recency[dated] = np.maximum(age_s / _SECONDS_PER_DAY, 0.0)
     is_recency = np.array([name == "recency_days" for name in feature_names], dtype=bool)
     X[:, is_recency] = recency[:, None]

@@ -370,7 +370,7 @@ def _emit(args, payload: dict, table: str, csv_text: str | None = None) -> None:
         if csv_text is None:
             lines = ["key,value"]
             for key, value in payload.items():
-                lines.append(f"{key},{json.dumps(value) if isinstance(value, dict) else value}")
+                lines.append(f"{key},{json.dumps(value)}")
             csv_text = "\n".join(lines)
         print(csv_text)
     else:
@@ -426,16 +426,20 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     }
     _write_outputs(cfg, "fit", outputs, counts=counts)
 
+    intercepts = model.intercept_by_group or {}
     payload = {
         "weights": {g: dict(zip(model.feature_names, w)) for g, w in model.weights_by_group.items()},
         "diagnostics": model.fit_diagnostics,
         "cv_metrics": model.cv_metrics,
         "unattributed_conversions": counts["unattributed_conversions"],
+        **({"intercepts": intercepts} if intercepts else {}),
     }
     lines = ["group  model  weight"]
     for group in sorted(model.weights_by_group):
         for name, weight in zip(model.feature_names, model.weights_by_group[group]):
             lines.append(f"{group}  {name}  {weight:.6f}")
+        if group in intercepts:
+            lines.append(f"{group}  intercept  {intercepts[group]:.6f}")
     _emit(args, payload, "\n".join(lines))
     return 0
 

@@ -1,13 +1,13 @@
 """Event-history data model: touchpoints, conversions, journeys.
 
 Input records arrive as JSONL or CSV event logs (see ``TOUCHPOINT_FIELDS``
-and ``CONVERSION_FIELDS`` for the wire schemas). Touchpoints are read into
-a columnar :class:`TouchpointTable`, the one form every later layer takes,
-and conversions into a list of :class:`ConversionEvent`, the list
-``write_conversions`` writes back as JSONL. ``build_journeys`` sorts a
-table once and assembles per-customer :class:`Journeys`, applying the
-lookback window to each conversion. Touchpoint and journey objects are
-built from the columns on access, never the other way round.
+and ``CONVERSION_FIELDS`` for the wire schemas) and are read into columns:
+touchpoints into a :class:`TouchpointTable` and conversions into a
+:class:`ConversionTable`, the forms every later layer takes.
+``build_journeys`` sorts a touchpoint table once and assembles per-customer
+:class:`Journeys`, applying the lookback window to each conversion. Event
+and journey objects are built from the columns on access, never the other
+way round.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import operator
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import chain, count, islice, repeat
@@ -62,10 +62,23 @@ class Touchpoint:
     timestamp: datetime
 
 
+def _check_units(units) -> int:
+    """``units`` if it is a unit count: an ``int``, not a ``bool``, in
+    [0, 2**63), so that an int64 column holds it."""
+    if isinstance(units, bool) or not isinstance(units, int):
+        raise ValueError(f"units must be an integer, got {json.dumps(units, default=repr)}")
+    if units < 0:
+        raise ValueError(f"units must be >= 0, got {units}")
+    if units >= 2**63:
+        raise ValueError(f"units must be < 2**63, got {units}")
+    return units
+
+
 @dataclass(frozen=True, slots=True)
 class ConversionEvent:
-    """The outcome event being credited, counted in units (default 1): an
-    ``int``, not a ``bool``, and >= 0, as an event log can carry them."""
+    """The outcome event being credited, counted in units (default 1) that
+    obey ``_check_units`` as an event log's do. A ``ConversionTable`` builds
+    its rows as these."""
 
     conversion_id: str
     customer_id: str
@@ -73,11 +86,7 @@ class ConversionEvent:
     units: int = 1
 
     def __post_init__(self) -> None:
-        if isinstance(self.units, bool) or not isinstance(self.units, int):
-            shown = json.dumps(self.units, default=repr)
-            raise ValueError(f"units must be an integer, got {shown}")
-        if self.units < 0:
-            raise ValueError(f"units must be >= 0, got {self.units}")
+        _check_units(self.units)
 
 
 _TIME_ORDER = operator.attrgetter("timestamp", "touchpoint_id")
@@ -128,19 +137,6 @@ def _utc_iso(ts: datetime) -> str:
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc).replace(tzinfo=None)
     return ts.isoformat(timespec="microseconds")
-
-
-def _micros(stamps: Iterable[datetime]) -> np.ndarray:
-    """Microseconds since the Unix epoch of each time, as int64; a naive
-    time is taken as UTC."""
-    return np.fromiter(
-        (
-            ((ts if ts.tzinfo is not None else ts.replace(tzinfo=timezone.utc)) - _UNIX_EPOCH)
-            // _MICROSECOND
-            for ts in stamps
-        ),
-        np.int64,
-    )
 
 
 def _datetime(us: int) -> datetime:
@@ -248,6 +244,48 @@ class TouchpointTable(_Rows):
         )
 
 
+@dataclass(frozen=True, eq=False)
+class ConversionTable(_Rows):
+    """Conversions as columns, in input order.
+
+    Row ``r`` is conversion ``conversion_id[r]`` of customer
+    ``customers[customer[r]]`` (a sorted vocabulary), at ``ts_us[r]``
+    microseconds since the Unix epoch (UTC), counting ``units[r]``.
+    Indexing or iterating builds :class:`ConversionEvent` objects afresh.
+    """
+
+    conversion_id: list[str]
+    customer: np.ndarray
+    ts_us: np.ndarray
+    units: np.ndarray
+    customers: list[str]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple[str, str, int, int]]) -> ConversionTable:
+        """The table of ``(conversion_id, customer_id, ts_us, units)`` rows,
+        as ``_conversion_row`` makes them."""
+        ids, customer_ids, stamps, units = zip(*rows) if rows else ((),) * 4
+        customer, customers = label_codes(customer_ids)
+        return cls(
+            list(ids), customer, np.array(stamps, np.int64), np.array(units, np.int64), customers
+        )
+
+    def __len__(self) -> int:
+        return len(self.conversion_id)
+
+    def take(self, rows: np.ndarray) -> list[ConversionEvent]:
+        """The conversions of the given rows, as new objects."""
+        return list(
+            map(
+                ConversionEvent,
+                map(self.conversion_id.__getitem__, rows.tolist()),
+                map(self.customers.__getitem__, self.customer[rows].tolist()),
+                map(_datetime, self.ts_us[rows].tolist()),
+                self.units[rows].tolist(),
+            )
+        )
+
+
 # Rows per batch while a table is read: each batch's ids are packed, its
 # label strings deduplicated and its stamps parsed before the next is read.
 # A batch's lines, matches and row tuples are all alive at once. With 4096
@@ -299,7 +337,7 @@ class ParseResult:
     """Parsed event records plus per-line diagnostics for skipped input."""
 
     touchpoints: TouchpointTable = field(default_factory=lambda: _TableBuilder().build())
-    conversions: list[ConversionEvent] = field(default_factory=list)
+    conversions: ConversionTable = field(default_factory=lambda: ConversionTable.from_rows([]))
     skipped: int = 0
     diagnostics: list[str] = field(default_factory=list)
 
@@ -333,10 +371,10 @@ def _touchpoint_row(record: dict) -> tuple[str, ...]:
     )
 
 
-def _conversion_from_record(record: dict) -> ConversionEvent:
-    """A conversion record's event; raises ValueError naming what is wrong.
-    Text ``units`` that spell an integer are read as one; ``ConversionEvent``
-    refuses any other value that is no integer >= 0."""
+def _conversion_row(record: dict) -> tuple[str, str, int, int]:
+    """A conversion record's row ``(conversion_id, customer_id, ts_us, units)``;
+    raises ValueError naming what is wrong. Text ``units`` that spell an
+    integer are read as one, and ``_check_units`` judges the value."""
     missing = [f for f in ("conversion_id", "customer_id", "timestamp") if record.get(f) in (None, "")]
     if missing:
         raise ValueError(f"missing field(s) {', '.join(missing)}")
@@ -345,34 +383,36 @@ def _conversion_from_record(record: dict) -> ConversionEvent:
         units = 1
     elif isinstance(units, str) and units.strip().lstrip("+-").isdecimal():
         units = int(units)
-    return ConversionEvent(
-        conversion_id=_text(record, "conversion_id"),
-        customer_id=_text(record, "customer_id"),
-        timestamp=parse_timestamp(_text(record, "timestamp")),
-        units=units,
+    return (
+        _text(record, "conversion_id"),
+        _text(record, "customer_id"),
+        (parse_timestamp(_text(record, "timestamp")) - _UNIX_EPOCH) // _MICROSECOND,
+        _check_units(units),
     )
 
 
-def write_conversions(fh: IO[str], conversions: Sequence[ConversionEvent]) -> None:
+def write_conversions(fh: IO[str], conversions: ConversionTable) -> None:
     """Write one JSONL line per conversion: ``json.dumps`` of its
     ``CONVERSION_FIELDS`` record, the stamp in UTC to the millisecond. A
     stamp with a finer part raises ValueError rather than being truncated."""
-    us = _micros(conv.timestamp for conv in conversions)
-    finer = np.flatnonzero(us % 1000)
+    finer = np.flatnonzero(conversions.ts_us % 1000)
     if len(finer):
-        conv = conversions[finer[0]]
+        conv = conversions[int(finer[0])]
         raise ValueError(
             f"conversion {conv.conversion_id!r}: timestamp {conv.timestamp.isoformat()} "
             "is finer than a millisecond"
         )
-    stamps = np.datetime_as_string(us.view("datetime64[us]"), unit="ms").tolist()
+    stamps = np.datetime_as_string(conversions.ts_us.view("datetime64[us]"), unit="ms").tolist()
+    customers = map(conversions.customers.__getitem__, conversions.customer.tolist())
     dumps = json.dumps
     fh.write(
         "".join(
-            f'{{"conversion_id": {dumps(conv.conversion_id)}, '
-            f'"customer_id": {dumps(conv.customer_id)}, '
-            f'"timestamp": "{stamp}Z", "units": {conv.units:d}}}\n'
-            for conv, stamp in zip(conversions, stamps)
+            f'{{"conversion_id": {dumps(conversion_id)}, '
+            f'"customer_id": {dumps(customer_id)}, '
+            f'"timestamp": "{stamp}Z", "units": {units:d}}}\n'
+            for conversion_id, customer_id, stamp, units in zip(
+                conversions.conversion_id, customers, stamps, conversions.units.tolist()
+            )
         )
     )
 
@@ -398,9 +438,11 @@ _CANONICAL_TOUCHPOINT = re.compile(
 )
 
 
-def _parse_json_line(line_no: int, line: str, result: ParseResult, rows: list) -> None:
+def _parse_json_line(
+    line_no: int, line: str, result: ParseResult, rows: list, conversions: list
+) -> None:
     """Decode and validate one JSONL line: a touchpoint becomes a row of
-    ``rows``, a conversion an event of ``result``; anything else is skipped."""
+    ``rows``, a conversion one of ``conversions``; anything else is skipped."""
     if not line.strip():
         return
     try:
@@ -415,14 +457,16 @@ def _parse_json_line(line_no: int, line: str, result: ParseResult, rows: list) -
         if "touchpoint_id" in record:
             rows.append(_touchpoint_row(record))
         elif "conversion_id" in record:
-            result.conversions.append(_conversion_from_record(record))
+            conversions.append(_conversion_row(record))
         else:
             result._skip(line_no, "record has neither touchpoint_id nor conversion_id")
     except (ValueError, TypeError) as exc:
         result._skip(line_no, str(exc))
 
 
-def _parse_jsonl(stream: Iterable[str], result: ParseResult, table: _TableBuilder) -> None:
+def _parse_jsonl(
+    stream: Iterable[str], result: ParseResult, table: _TableBuilder, conversions: list
+) -> None:
     match = _CANONICAL_TOUCHPOINT.fullmatch
     lines = iter(stream)
     line_no = 0
@@ -434,14 +478,16 @@ def _parse_jsonl(stream: Iterable[str], result: ParseResult, table: _TableBuilde
                 if canonical is not None:
                     rows.append(canonical.groups())
                 else:
-                    _parse_json_line(line_no, line.rstrip("\r\n"), result, rows)
+                    _parse_json_line(line_no, line.rstrip("\r\n"), result, rows, conversions)
         else:
             rows = list(map(re.Match.groups, found))
             line_no += len(batch)
         table.add(rows)
 
 
-def _parse_csv(stream: Iterable[str], result: ParseResult, table: _TableBuilder) -> None:
+def _parse_csv(
+    stream: Iterable[str], result: ParseResult, table: _TableBuilder, conversions: list
+) -> None:
     # Lines keep their ends, so a quoted field keeps its newline.
     reader = csv.reader(stream)
     try:
@@ -453,7 +499,7 @@ def _parse_csv(stream: Iterable[str], result: ParseResult, table: _TableBuilder)
     if header == TOUCHPOINT_FIELDS:
         build, sink = _touchpoint_row, rows
     elif header == CONVERSION_FIELDS:
-        build, sink = _conversion_from_record, result.conversions
+        build, sink = _conversion_row, conversions
     else:
         raise ParseError(
             f"CSV header {header!r} matches neither the touchpoint nor the conversion schema"
@@ -475,7 +521,7 @@ def _parse_csv(stream: Iterable[str], result: ParseResult, table: _TableBuilder)
 
 
 def parse_event_log(stream: Iterable[str] | IO[str], format: str = "jsonl") -> ParseResult:
-    """Parse a line-delimited event log into a touchpoint table and conversions.
+    """Parse a line-delimited event log into a touchpoint and a conversion table.
 
     JSONL streams may mix touchpoint and conversion records; the record kind
     is inferred from the presence of ``touchpoint_id`` vs ``conversion_id``.
@@ -489,13 +535,15 @@ def parse_event_log(stream: Iterable[str] | IO[str], format: str = "jsonl") -> P
     """
     result = ParseResult()
     table = _TableBuilder()
+    conversions: list[tuple[str, str, int, int]] = []
     if format == "jsonl":
-        _parse_jsonl(stream, result, table)
+        _parse_jsonl(stream, result, table, conversions)
     elif format == "csv":
-        _parse_csv(stream, result, table)
+        _parse_csv(stream, result, table, conversions)
     else:
         raise ParseError(f"unknown event log format {format!r}")
     result.touchpoints = table.build()
+    result.conversions = ConversionTable.from_rows(conversions)
     if result.skipped:
         logger.warning("skipped %d malformed line(s) while parsing", result.skipped)
     return result
@@ -519,58 +567,57 @@ def _reject_duplicate_ids(ids: Sequence[str], field: str) -> None:
     )
 
 
+@dataclass(frozen=True, eq=False)
 class Journeys(_Rows):
-    """Journeys over one touchpoint table, built as objects only on access.
+    """Journeys over one touchpoint and one conversion table, built as
+    objects only on access.
 
-    Journey ``i`` belongs to ``customer_ids[i]``, ends in ``conversions[i]``
-    (None for a non-converting journey; ``conversion_us[i]`` is its time) and
-    holds the table rows ``rows[start[i]:stop[i]]``, which are in timestamp
-    order. The windows of one customer's conversions may share rows.
+    Journey ``i`` belongs to customer ``customers[customer[i]]`` (a sorted
+    vocabulary), ends in row ``conversion[i]`` of ``conversions`` (-1 for a
+    non-converting journey) and holds the touchpoint table rows
+    ``rows[start[i]:stop[i]]``, which are in timestamp order. The windows of
+    one customer's conversions may share rows.
     """
 
-    def __init__(
-        self,
-        table: TouchpointTable,
-        rows: np.ndarray,
-        start: np.ndarray,
-        stop: np.ndarray,
-        customer_ids: list[str],
-        conversions: list[ConversionEvent | None],
-        conversion_us: np.ndarray,
-    ) -> None:
-        self.table = table
-        self.rows = rows
-        self.start = start
-        self.stop = stop
-        self.customer_ids = customer_ids
-        self.conversions = conversions
-        self.conversion_us = conversion_us
-        self.converted = np.array([c is not None for c in conversions], dtype=bool)
+    table: TouchpointTable
+    rows: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    customer: np.ndarray
+    customers: list[str]
+    conversions: ConversionTable
+    conversion: np.ndarray
+
+    @property
+    def converted(self) -> np.ndarray:
+        return self.conversion >= 0
 
     def __len__(self) -> int:
-        return len(self.conversions)
+        return len(self.conversion)
 
     def select(self, indices: np.ndarray) -> Journeys:
         """The journeys at ``indices``, still as a table."""
-        return Journeys(
-            self.table, self.rows, self.start[indices], self.stop[indices],
-            [self.customer_ids[i] for i in indices.tolist()],
-            [self.conversions[i] for i in indices.tolist()],
-            self.conversion_us[indices],
+        return replace(
+            self, start=self.start[indices], stop=self.stop[indices],
+            customer=self.customer[indices], conversion=self.conversion[indices],
         )
 
     def take(self, indices: np.ndarray) -> list[Journey]:
-        """The journeys at ``indices`` as objects, their touchpoints built in
-        one pass."""
+        """The journeys at ``indices`` as objects, their touchpoints and
+        conversions each built in one pass."""
         start, stop = self.start[indices], self.stop[indices]
         lengths = stop - start
         ends = np.cumsum(lengths)
         offsets = np.repeat(start - ends + lengths, lengths)
         positions = np.arange(len(offsets)) + offsets
         touchpoints = self.table.take(self.rows[positions])
+        found = self.conversion[indices]
+        views = iter(self.conversions.take(found[found >= 0]))
+        conversions = [next(views) if row >= 0 else None for row in found.tolist()]
+        customers = map(self.customers.__getitem__, self.customer[indices].tolist())
         return [
-            Journey(self.customer_ids[i], tuple(touchpoints[end - n:end]), self.conversions[i])
-            for i, end, n in zip(indices.tolist(), ends.tolist(), lengths.tolist())
+            Journey(cid, tuple(touchpoints[end - n:end]), conv)
+            for cid, conv, end, n in zip(customers, conversions, ends.tolist(), lengths.tolist())
         ]
 
 
@@ -580,7 +627,7 @@ _MAX_LOOKBACK_US = 2**62
 
 def build_journeys(
     table: TouchpointTable,
-    conversions: Iterable[ConversionEvent],
+    conversions: ConversionTable,
     window: LookbackWindow = LookbackWindow(),
 ) -> Journeys:
     """Assemble one journey per conversion, plus one per non-converting customer.
@@ -591,20 +638,20 @@ def build_journeys(
     carrying all their touchpoints. Output order is deterministic: sorted by
     customer_id, then conversion timestamp, ties by conversion_id.
 
-    The table's rows are sorted once, and no :class:`Touchpoint` is built.
-    The result is a read-only sequence whose journeys are built on access.
+    The table's rows are sorted once, and no :class:`Touchpoint` or
+    :class:`ConversionEvent` is built. The result is a read-only sequence
+    whose journeys are built on access.
 
     A ``touchpoint_id`` or ``conversion_id`` that occurs twice in the input
     raises :class:`DataIntegrityError`: ids are how credits are reported, and
     a repeated one would make two records indistinguishable downstream.
     """
-    conversions = list(conversions)
     _reject_duplicate_ids(table.touchpoint_id, "touchpoint_id")
-    _reject_duplicate_ids([conv.conversion_id for conv in conversions], "conversion_id")
+    _reject_duplicate_ids(conversions.conversion_id, "conversion_id")
 
     # Customer codes over the table's customers and the converters without
     # touchpoints; the sort merges two sorted runs.
-    extra = sorted({c.customer_id for c in conversions}.difference(table.customers))
+    extra = sorted(set(conversions.customers).difference(table.customers))
     customer_ids = sorted(table.customers + extra)
     is_extra = np.zeros(len(customer_ids), dtype=bool)
     is_extra[[bisect_left(customer_ids, cid) for cid in extra]] = True
@@ -614,11 +661,10 @@ def build_journeys(
     rows = np.lexsort((table.ts_us, tp_customer))
     customer, ts = tp_customer[rows], table.ts_us[rows]
 
-    conv_customer = np.array(
-        [bisect_left(customer_ids, c.customer_id) for c in conversions], dtype=np.intp
-    )
-    conv_us = _micros(c.timestamp for c in conversions)
-    keys = zip(conv_customer.tolist(), conv_us.tolist(), (c.conversion_id for c in conversions))
+    conv_codes = [bisect_left(customer_ids, cid) for cid in conversions.customers]
+    conv_customer = np.array(conv_codes, dtype=np.intp)[conversions.customer]
+    conv_us = conversions.ts_us
+    keys = zip(conv_customer.tolist(), conv_us.tolist(), conversions.conversion_id)
     by_time = np.array(sorted(range(len(conversions)), key=list(keys).__getitem__), dtype=np.intp)
     conv_customer, conv_us = conv_customer[by_time], conv_us[by_time]
 
@@ -643,13 +689,8 @@ def build_journeys(
     order = np.argsort(journey_customer, kind="stable")
     start = np.concatenate([rows_up_to(conv_us - lookback), np.searchsorted(customer, quiet)])
     stop = np.concatenate([rows_up_to(conv_us), np.searchsorted(customer, quiet, side="right")])
-    journey_conversions = [conversions[i] for i in by_time.tolist()] + [None] * len(quiet)
+    conversion = np.concatenate([by_time, np.full(len(quiet), -1, np.intp)])
     return Journeys(
-        table,
-        rows,
-        start[order],
-        stop[order],
-        [customer_ids[c] for c in journey_customer[order].tolist()],
-        [journey_conversions[i] for i in order.tolist()],
-        np.concatenate([conv_us, np.zeros(len(quiet), np.int64)])[order],
+        table, rows, start[order], stop[order], journey_customer[order], customer_ids,
+        conversions, conversion[order],
     )

@@ -10,7 +10,7 @@ campaign available in closed form as a ground-truth table.
 
 A simulated run holds its touchpoints as an :class:`EventLog` of columns,
 which writes its JSONL and gives its ``TouchpointTable`` without building
-event objects, and its conversions as the list of ``ConversionEvent`` that
+event objects, and its conversions as the ``ConversionTable`` that
 ``events.parse_event_log`` also returns.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from functools import lru_cache
 from typing import IO, Iterable, Mapping
 
@@ -29,7 +29,7 @@ from . import rng
 from .config import CampaignSpec, SimConfig
 from .errors import ConfigError, DegenerateDesignError
 from .events import (
-    ConversionEvent,
+    ConversionTable,
     InteractionKind,
     PackedStrings,
     TouchpointTable,
@@ -342,15 +342,14 @@ def _touchpoint_log(draws: _SimDraws) -> EventLog:
     return EventLog(ms[order], source[order], customer[order], tuple(sources))
 
 
-def _conversions(draws: _SimDraws) -> list[ConversionEvent]:
+def _conversions(draws: _SimDraws) -> ConversionTable:
     """Every conversion, sorted by timestamp, then customer index."""
     rows = np.flatnonzero(draws.converted)
     rows = rows[np.argsort(draws.conv_ms[rows], kind="stable")]
     ids = customer_ids(draws.config.n_customers)
-    return [
-        ConversionEvent("X-" + ids[i], ids[i], SIM_EPOCH + timedelta(milliseconds=ms), 1)
-        for i, ms in zip(rows.tolist(), draws.conv_ms[rows].tolist())
-    ]
+    stamps = (_EPOCH_MS + draws.conv_ms[rows]).astype("datetime64[us]").view(np.int64).tolist()
+    return ConversionTable.from_rows(
+        [("X-" + ids[i], ids[i], us, 1) for i, us in zip(rows.tolist(), stamps)])
 
 
 class Simulation(tuple):
@@ -363,7 +362,7 @@ class Simulation(tuple):
     def __new__(
         cls,
         touchpoints: EventLog,
-        conversions: list[ConversionEvent],
+        conversions: ConversionTable,
         ground_truth: list[GroundTruthRow],
         clamped_fraction: float,
     ) -> Simulation:
@@ -379,8 +378,8 @@ def simulate(config: SimConfig) -> Simulation:
     Each exposure emits one view touchpoint and, with probability
     ``click_rate``, a click shortly after. The touchpoints are an
     :class:`EventLog` sorted by timestamp, then touchpoint id; the
-    conversions a list of ``ConversionEvent`` sorted by timestamp, then
-    customer. Both are byte-stable for a fixed config.
+    conversions a ``ConversionTable`` sorted by timestamp, then customer.
+    Both are byte-stable for a fixed config.
     """
     draws = _simulate_core(config)
     return Simulation(
@@ -437,33 +436,28 @@ def _lift(
     )
 
 
-def _customer_units(
-    customers: Iterable[str], conversions: Iterable[ConversionEvent]
-) -> np.ndarray:
+def _customer_units(customers: Iterable[str], conversions: ConversionTable) -> np.ndarray:
     """Converted units per customer, in ``customers`` order; conversions of
-    anyone else are ignored."""
+    anyone else are ignored. Units are summed in conversion order."""
     index = {cid: i for i, cid in enumerate(customers)}
-    units = np.zeros(len(index))
-    for conv in conversions:
-        i = index.get(conv.customer_id)
-        if i is not None:
-            units[i] += conv.units
-    return units
+    # Anyone else is counted in one extra slot, which is dropped.
+    position = np.array([index.get(cid, len(index)) for cid in conversions.customers], np.intp)
+    return np.bincount(position[conversions.customer], conversions.units, len(index) + 1)[:-1]
 
 
 def estimate_lift(
     assignment: Mapping[str, str],
-    conversions: Iterable[ConversionEvent],
+    conversions: ConversionTable,
     campaign_id: str,
 ) -> RctResult:
     """Estimate a campaign's incremental conversions from an assignment map
-    and the observed conversion events."""
+    and the observed conversions."""
     arms = np.array(list(assignment.values()), dtype=str)
     units = _customer_units(assignment, conversions)
     return _lift(campaign_id, arms == TREATMENT, arms == HOLDOUT, units)
 
 
-def estimate_all(config: SimConfig, conversions: Iterable[ConversionEvent]) -> dict[str, RctResult]:
+def estimate_all(config: SimConfig, conversions: ConversionTable) -> dict[str, RctResult]:
     """Reconstruct assignments from the config and estimate every RCT campaign."""
     hashes = population_hashes(config.n_customers)
     units = _customer_units(customer_ids(config.n_customers), conversions)

@@ -12,7 +12,8 @@ from mta_engine.attribution import MdaModel, ModelCredits, _recency_days
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, _predict, _warn_gaps
 from mta_engine.cli import CONFIG_KEYS
 from mta_engine.events import (
-    ConversionEvent, InteractionKind, Journey, Journeys, Touchpoint, TouchpointTable)
+    ConversionEvent, ConversionTable, InteractionKind, Journey, Journeys, Touchpoint,
+    TouchpointTable)
 from mta_engine.pipeline import score_all
 from mta_engine.rct import CampaignSpec, RctResult
 
@@ -55,17 +56,33 @@ def touchpoint_table(touchpoints: Iterable[Touchpoint]) -> TouchpointTable:
     return builder.build()
 
 
+def conversion_table(conversions: Iterable[ConversionEvent]) -> ConversionTable:
+    """The table of some conversion objects, in their order, each encoded by
+    the reader's own row rule from its record; stamps keep their
+    microseconds."""
+    return ConversionTable.from_rows([
+        events._conversion_row({
+            "conversion_id": c.conversion_id,
+            "customer_id": c.customer_id,
+            "timestamp": c.timestamp.isoformat(),
+            "units": c.units,
+        })
+        for c in conversions
+    ])
+
+
 def journey_table(journeys: Iterable[Journey]) -> Journeys:
     """The :class:`Journeys` table of some journey objects, in their order."""
     journeys = list(journeys)
     table = touchpoint_table(tp for j in journeys for tp in j.touchpoints)
     lengths = np.array([len(j.touchpoints) for j in journeys], dtype=np.intp)
     stop = np.cumsum(lengths)
-    conversions = [j.conversion for j in journeys]
-    stamps = (events._UNIX_EPOCH if c is None else c.timestamp for c in conversions)
+    converted = np.array([j.conversion is not None for j in journeys], dtype=bool)
+    customer, customers = events.label_codes([j.customer_id for j in journeys])
     return Journeys(
-        table, np.arange(len(table)), stop - lengths, stop,
-        [j.customer_id for j in journeys], conversions, events._micros(stamps),
+        table, np.arange(len(table)), stop - lengths, stop, customer, customers,
+        conversion_table(j.conversion for j in journeys if j.conversion is not None),
+        np.where(converted, np.cumsum(converted) - 1, -1),
     )
 
 

@@ -775,6 +775,52 @@ class TestInsufficientData:
         assert model["cv_metrics"]["folds"] == 4.0
 
 
+class TestFitOutput:
+    """``fit`` prints the intercepts its model holds, and its CSV summary
+    writes every value as JSON. It used to print no ``intercepts`` although
+    ``calibration_model.json`` held them, and ``cv_metrics,None`` for CSV."""
+
+    @pytest.fixture
+    def intercept_run(self, tmp_path):
+        config = base_config(tmp_path / "out")
+        config["calibration"].update(intercept=True, cv_folds=50)
+        cfg_path = write_config(tmp_path, config)
+        assert run("simulate", "--config", cfg_path) == 0
+        return cfg_path, tmp_path / "out"
+
+    def fit(self, cfg_path, capsys, format):
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path, "--format", format) == 0
+        return capsys.readouterr().out
+
+    def test_json_and_table_show_the_models_intercepts(self, intercept_run, capsys):
+        cfg_path, out = intercept_run
+        payload = json.loads(self.fit(cfg_path, capsys, "json"))
+        model = json.loads((out / ARTIFACTS["calibration_model"]).read_text())
+        assert set(model["intercepts"]) == {"global"}
+        assert payload["intercepts"] == model["intercepts"]
+        assert payload["cv_metrics"] is None
+        lines = self.fit(cfg_path, capsys, "table").splitlines()
+        assert lines[0] == "group  model  weight"
+        assert lines[-1] == f"global  intercept  {model['intercepts']['global']:.6f}"
+
+    def test_csv_writes_each_value_as_json(self, intercept_run, capsys):
+        cfg_path, _ = intercept_run
+        payload = json.loads(self.fit(cfg_path, capsys, "json"))
+        lines = self.fit(cfg_path, capsys, "csv").splitlines()
+        assert lines[0] == "key,value"
+        assert "cv_metrics,null" in lines
+        assert dict(
+            (key, json.loads(value)) for key, value in (line.split(",", 1) for line in lines[1:])
+        ) == payload
+
+    def test_a_fit_without_intercepts_prints_none(self, workspace, capsys):
+        cfg_path, _ = workspace
+        assert run("simulate", "--config", cfg_path) == 0
+        assert "intercepts" not in json.loads(self.fit(cfg_path, capsys, "json"))
+        assert "intercept" not in self.fit(cfg_path, capsys, "table")
+
+
 class TestFullPipeline:
     def test_all_stages_produce_artifacts(self, workspace, capsys):
         cfg_path, out = workspace

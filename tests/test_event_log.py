@@ -1,12 +1,12 @@
-"""The simulator's touchpoint log and conversion list against the object
+"""The simulator's touchpoint log and conversion table against the object
 path they replaced.
 
 The reference below is the former body of ``simulate``: staged tuples
 sorted by (timestamp, touchpoint_id), ``Touchpoint`` and ``ConversionEvent``
 objects with ``datetime`` stamps, and one ``json.dumps`` per record. The
 touchpoint log's table must hold equal objects in the same order, the
-conversions must equal the reference's, and both must be written as the
-same bytes.
+conversion table's rows must equal the reference's, and both must be
+written as the same bytes.
 """
 
 import json
@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from mta_engine import rct
-from mta_engine.events import ConversionEvent, InteractionKind, Touchpoint, write_conversions
+from mta_engine.events import (
+    ConversionEvent, ConversionTable, InteractionKind, Touchpoint, write_conversions)
 from mta_engine.rct import SIM_EPOCH, CampaignSpec, SimConfig, estimate_all, simulate
 
 from conftest import conversion_to_record, touchpoint_to_record
@@ -59,9 +60,9 @@ def reference_events(config: SimConfig) -> tuple[list[Touchpoint], list[Conversi
 
 
 def written(log, path) -> bytes:
-    """The bytes of the touchpoint log's JSONL, or of a conversion list's."""
+    """The bytes of the touchpoint log's JSONL, or of a conversion table's."""
     with path.open("w") as fh:
-        if isinstance(log, list):
+        if isinstance(log, ConversionTable):
             write_conversions(fh, log)
         else:
             log.write_jsonl(fh)
@@ -74,7 +75,7 @@ def assert_same_as_reference(config: SimConfig, tmp_path) -> list[Touchpoint]:
     assert len(touchpoints) == len(ref_touchpoints)
     assert list(touchpoints.touchpoint_table()) == ref_touchpoints
     assert len(conversions) == len(ref_conversions)
-    assert conversions == ref_conversions
+    assert list(conversions) == ref_conversions
     expected = "".join(json.dumps(touchpoint_to_record(tp)) + "\n" for tp in ref_touchpoints)
     assert written(touchpoints, tmp_path / "touchpoints.jsonl") == expected.encode()
     expected = "".join(json.dumps(conversion_to_record(c)) + "\n" for c in ref_conversions)
@@ -118,7 +119,7 @@ class TestMatchesObjectPath:
         config = SimConfig(1200, (campaign("up"), campaign("low", channel="Lower")), 0.05, seed=8)
         touchpoints, conversions, _ = simulate(config)
         ref_touchpoints, ref_conversions = reference_events(config)
-        # The conversion list is written in one piece; only the touchpoint log chunks.
+        # The conversion table is written in one piece; only the touchpoint log chunks.
         monkeypatch.setattr(rct, "_CHUNK_ROWS", len(touchpoints) - extra_rows)
         for log, ref, to_record in (
             (touchpoints, ref_touchpoints, touchpoint_to_record),

@@ -3,6 +3,7 @@ import json
 import re
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from mta_engine.events import (
 
 from conftest import (
     T0,
+    conversion_table,
     conversion_to_record,
     format_timestamp,
     mk_conv,
@@ -90,7 +92,8 @@ millisecond_stamps = st.datetimes(timezones=st.just(timezone.utc)).map(
     lambda ts: ts.replace(microsecond=ts.microsecond // 1000 * 1000)
 )
 conversion_events = st.builds(
-    ConversionEvent, conversion_ids, conversion_ids, millisecond_stamps, st.integers(min_value=0)
+    ConversionEvent, conversion_ids, conversion_ids, millisecond_stamps,
+    st.integers(min_value=0, max_value=2**63 - 1),
 )
 
 
@@ -99,23 +102,23 @@ class TestWriteConversions:
     @given(st.lists(conversion_events, max_size=6))
     def test_lines_are_json_dumps_of_the_records_and_parse_back(self, conversions):
         buffer = io.StringIO()
-        write_conversions(buffer, conversions)
+        write_conversions(buffer, conversion_table(conversions))
         text = buffer.getvalue()
         assert text == "".join(json.dumps(conversion_to_record(c)) + "\n" for c in conversions)
-        assert parse_event_log(io.StringIO(text)).conversions == conversions
+        assert list(parse_event_log(io.StringIO(text)).conversions) == conversions
 
     def test_a_stamp_finer_than_a_millisecond_raises(self):
         finer = mk_conv("x2", ts=T0 + timedelta(microseconds=1_500))
         buffer = io.StringIO()
         with pytest.raises(ValueError, match="'x2'.*finer than a millisecond"):
-            write_conversions(buffer, [mk_conv("x1"), finer])
+            write_conversions(buffer, conversion_table([mk_conv("x1"), finer]))
         assert buffer.getvalue() == ""
 
 
 class TestParseJsonl:
     def test_empty_stream(self):
         result = parse_event_log([])
-        assert list(result.touchpoints) == [] and result.conversions == []
+        assert list(result.touchpoints) == [] and list(result.conversions) == []
         assert result.skipped == 0
 
     def test_missing_timestamp_is_skipped_with_line_number(self):
@@ -123,7 +126,7 @@ class TestParseJsonl:
         del record["timestamp"]
         result = parse_event_log([tp_line("t1"), json.dumps(record)])
         assert [tp.touchpoint_id for tp in result.touchpoints] == ["t1"]
-        assert result.conversions == []
+        assert list(result.conversions) == []
         assert result.skipped == 1
         assert "line 2" in result.diagnostics[0]
         assert "timestamp" in result.diagnostics[0]
@@ -219,14 +222,14 @@ class TestFormatsAgree:
             parse_event_log([conv_line("x1", units=json_units)]),
             parse_event_log(conv_csv(csv_units), format="csv"),
         ):
-            assert result.conversions == [] and result.skipped == 1
+            assert list(result.conversions) == [] and result.skipped == 1
             assert "units must be an integer" in result.diagnostics[0]
 
     @pytest.mark.parametrize("json_units, csv_units", [(3, "3"), ("3", " 3"), (0, "0"), (None, "")])
     def test_integer_units_read_the_same(self, json_units, csv_units):
         from_jsonl = parse_event_log([conv_line("x1", units=json_units)]).conversions
         from_csv = parse_event_log(conv_csv(csv_units), format="csv").conversions
-        assert from_jsonl == from_csv and len(from_jsonl) == 1
+        assert list(from_jsonl) == list(from_csv) and len(from_jsonl) == 1
 
     @pytest.mark.parametrize(
         "line",
@@ -240,7 +243,7 @@ class TestFormatsAgree:
     )
     def test_an_array_object_or_boolean_field_skips_the_record(self, line):
         result = parse_event_log([line])
-        assert list(result.touchpoints) == [] and result.conversions == []
+        assert list(result.touchpoints) == [] and list(result.conversions) == []
         assert result.skipped == 1 and "must be a string" in result.diagnostics[0]
 
 
@@ -248,13 +251,13 @@ class TestBuildJourneys:
     def test_inside_window(self):
         tps = [mk_tp("t1", ts=T0)]
         convs = [mk_conv("x1", ts=T0 + timedelta(days=3))]
-        (journey,) = build_journeys(touchpoint_table(tps), convs, WEEK)
+        (journey,) = build_journeys(touchpoint_table(tps), conversion_table(convs), WEEK)
         assert [tp.touchpoint_id for tp in journey.touchpoints] == ["t1"]
 
     def test_outside_window(self):
         tps = [mk_tp("t1", ts=T0)]
         convs = [mk_conv("x1", ts=T0 + timedelta(days=10))]
-        (journey,) = build_journeys(touchpoint_table(tps), convs, WEEK)
+        (journey,) = build_journeys(touchpoint_table(tps), conversion_table(convs), WEEK)
         assert journey.touchpoints == ()
         assert journey.conversion is not None
 
@@ -270,7 +273,7 @@ class TestBuildJourneys:
             mk_conv("x1", ts=T0 + timedelta(days=4)),
             mk_conv("x2", ts=T0 + timedelta(days=8)),
         ]
-        first, second = build_journeys(touchpoint_table(tps), convs, WEEK)
+        first, second = build_journeys(touchpoint_table(tps), conversion_table(convs), WEEK)
         assert [tp.touchpoint_id for tp in first.touchpoints] == ["t1"]
         assert [tp.touchpoint_id for tp in second.touchpoints] == ["t5"]
 
@@ -281,20 +284,22 @@ class TestBuildJourneys:
         at_conversion = mk_tp("t_now", ts=conv_ts)
         (journey,) = build_journeys(
             touchpoint_table([at_boundary, just_inside, at_conversion]),
-            [mk_conv("x1", ts=conv_ts)],
+            conversion_table([mk_conv("x1", ts=conv_ts)]),
             WEEK,
         )
         assert [tp.touchpoint_id for tp in journey.touchpoints] == ["t_in", "t_now"]
 
     def test_non_converting_customer_retained(self):
         tps = [mk_tp("t1", customer="quiet")]
-        journeys = build_journeys(touchpoint_table(tps), [], WEEK)
+        journeys = build_journeys(touchpoint_table(tps), conversion_table([]), WEEK)
         assert len(journeys) == 1
         assert journeys[0].conversion is None
         assert list(journeys[0].touchpoints) == tps
 
     def test_conversion_without_touchpoints_kept(self):
-        journeys = build_journeys(touchpoint_table([]), [mk_conv("x1", customer="cold")], WEEK)
+        journeys = build_journeys(
+            touchpoint_table([]), conversion_table([mk_conv("x1", customer="cold")]), WEEK
+        )
         assert len(journeys) == 1
         assert journeys[0].touchpoints == ()
 
@@ -305,19 +310,21 @@ class TestBuildJourneys:
             mk_conv("x1", customer="c0", ts=T0 + timedelta(days=1)),
             mk_conv("x0", customer="c0", ts=T0 + timedelta(days=1)),
         ]
-        a = list(build_journeys(touchpoint_table(tps), convs, WEEK))
-        b = list(build_journeys(touchpoint_table(list(reversed(tps))), list(reversed(convs)), WEEK))
+        a = list(build_journeys(touchpoint_table(tps), conversion_table(convs), WEEK))
+        b = list(build_journeys(
+            touchpoint_table(list(reversed(tps))), conversion_table(reversed(convs)), WEEK
+        ))
         assert a == b
         keys = [(j.customer_id, j.conversion.conversion_id if j.conversion else "") for j in a]
         assert keys == sorted(keys)
 
     def test_empty_inputs(self):
-        assert list(build_journeys(touchpoint_table([]), [], WEEK)) == []
+        assert list(build_journeys(touchpoint_table([]), conversion_table([]), WEEK)) == []
 
     def test_duplicate_touchpoint_id_rejected(self):
         tps = [mk_tp("t1", customer="c1"), mk_tp("t2"), mk_tp("t1", customer="c2")]
         with pytest.raises(DataIntegrityError, match="1 touchpoint_id .*'t1'"):
-            build_journeys(touchpoint_table(tps), [mk_conv("x1")], WEEK)
+            build_journeys(touchpoint_table(tps), conversion_table([mk_conv("x1")]), WEEK)
 
     def test_duplicate_conversion_id_rejected(self):
         convs = [
@@ -325,7 +332,9 @@ class TestBuildJourneys:
             mk_conv("x1", customer="c2", ts=T0 + timedelta(days=1)),
         ]
         with pytest.raises(DataIntegrityError, match="conversion_id .*'x1'"):
-            build_journeys(touchpoint_table(iter([mk_tp("t1")])), iter(convs), WEEK)
+            build_journeys(
+                touchpoint_table(iter([mk_tp("t1")])), conversion_table(iter(convs)), WEEK
+            )
 
     def test_ids_with_colliding_hashes_are_compared_exactly(self):
         ids = [CollidingHash(v) for v in ("c", "a", "b", "d", "b", "c", "c")]
@@ -364,7 +373,7 @@ class TestJourneyProperties:
     @given(event_sets())
     def test_window_invariant_and_conversion_conservation(self, data):
         tps, convs = data
-        journeys = build_journeys(touchpoint_table(tps), convs, WEEK)
+        journeys = build_journeys(touchpoint_table(tps), conversion_table(convs), WEEK)
         converting = [j for j in journeys if j.conversion is not None]
         assert sum(j.conversion.units for j in converting) == sum(c.units for c in convs)
         for j in converting:
@@ -381,9 +390,32 @@ class TestJourneyProperties:
         shuffled_tps, shuffled_convs = list(tps), list(convs)
         rnd.shuffle(shuffled_tps)
         rnd.shuffle(shuffled_convs)
-        assert list(build_journeys(touchpoint_table(tps), convs, WEEK)) == list(
-            build_journeys(touchpoint_table(shuffled_tps), shuffled_convs, WEEK)
+        assert list(build_journeys(touchpoint_table(tps), conversion_table(convs), WEEK)) == list(
+            build_journeys(touchpoint_table(shuffled_tps), conversion_table(shuffled_convs), WEEK)
         )
+
+
+class TestConversionTable:
+    """The reader's conversions are columns; their rows are built on access."""
+
+    def test_behaves_as_the_list_of_its_events(self):
+        convs = [
+            mk_conv("x2", "c2", T0 + timedelta(microseconds=7), units=3),
+            mk_conv("x1", "c1", T0 - timedelta(days=400)),
+            mk_conv("x3", "c2", T0, units=0),
+        ]
+        table = conversion_table(convs)
+        assert table.customers == ["c1", "c2"] and table.customer.tolist() == [1, 0, 1]
+        assert table.units.tolist() == [3, 1, 0] and table.units.dtype == np.int64
+        assert len(table) == 3 and list(table) == convs
+        for i in range(-3, 3):
+            assert table[i] == convs[i]
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                table[i]
+        assert table[::-2] == convs[::-2]
+        assert table.take(np.array([2, 0, 2])) == [convs[2], convs[0], convs[2]]
+        assert len(conversion_table([])) == 0 and list(conversion_table([])) == []
 
 
 def test_conversion_units_validated():
@@ -393,8 +425,11 @@ def test_conversion_units_validated():
 
 class TestConversionUnits:
     """``ConversionEvent`` holds the reader's unit rule: an ``int`` that is not
-    a ``bool``, >= 0. It used to check only the sign, so ``write_conversions``
-    failed on ``units=1.5`` and wrote ``units=True`` as 1."""
+    a ``bool``, >= 0 and below 2**63. It used to check only the sign, so
+    ``write_conversions`` failed on ``units=1.5`` and wrote ``units=True`` as
+    1; and a units value of 2**63, which no int64 column holds, was read."""
+
+    TOO_LARGE = f"units must be < 2**63, got {2**63}"
 
     @pytest.mark.parametrize(
         "lines, format, reason",
@@ -411,14 +446,17 @@ class TestConversionUnits:
             (conv_csv("true"), "csv", 'units must be an integer, got "true"'),
             (conv_csv("+-1"), "csv", "invalid literal for int() with base 10: '+-1'"),
             (conv_csv("-3"), "csv", "units must be >= 0, got -3"),
+            ([conv_line(units=2**63)], "jsonl", TOO_LARGE),
+            (conv_csv(str(2**63)), "csv", TOO_LARGE),
         ],
         ids=["float", "integral-float", "bool", "string-float", "array", "object", "negative",
-             "string-negative", "csv-float", "csv-bool", "csv-two-signs", "csv-negative"],
+             "string-negative", "csv-float", "csv-bool", "csv-two-signs", "csv-negative",
+             "too-large", "csv-too-large"],
     )
     def test_reader_diagnostic_for_each_malformed_value(self, lines, format, reason):
         result = parse_event_log(lines, format=format)
         line_no = 1 if format == "jsonl" else 2
-        assert result.conversions == [] and result.diagnostics == [f"line {line_no}: {reason}"]
+        assert list(result.conversions) == [] and result.diagnostics == [f"line {line_no}: {reason}"]
 
     @pytest.mark.parametrize(
         "units, reason",
@@ -430,8 +468,10 @@ class TestConversionUnits:
             ("1", 'units must be an integer, got "1"'),
             (None, "units must be an integer, got null"),
             (-1, "units must be >= 0, got -1"),
+            (2**63, TOO_LARGE),
         ],
-        ids=["float", "integral-float", "true", "false", "string", "null", "negative"],
+        ids=["float", "integral-float", "true", "false", "string", "null", "negative",
+             "too-large"],
     )
     def test_constructor_refuses_what_no_log_carries(self, units, reason):
         with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
@@ -440,5 +480,17 @@ class TestConversionUnits:
     def test_integers_are_kept_and_written(self):
         conversions = [ConversionEvent("x", "c", T0, 0), ConversionEvent("y", "c", T0, 7)]
         buf = io.StringIO()
-        write_conversions(buf, conversions)
+        write_conversions(buf, conversion_table(conversions))
         assert [json.loads(line)["units"] for line in buf.getvalue().splitlines()] == [0, 7]
+
+    @pytest.mark.parametrize(
+        "lines, format",
+        [([conv_line(units=2**63 - 1)], "jsonl"), (conv_csv(str(2**63 - 1)), "csv")],
+        ids=["jsonl", "csv"],
+    )
+    def test_the_largest_int64_is_kept_and_written(self, lines, format):
+        result = parse_event_log(lines, format=format)
+        assert result.skipped == 0 and [c.units for c in result.conversions] == [2**63 - 1]
+        buf = io.StringIO()
+        write_conversions(buf, result.conversions)
+        assert json.loads(buf.getvalue())["units"] == 2**63 - 1

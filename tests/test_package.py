@@ -75,9 +75,27 @@ def test_columnar_tables_share_one_row_protocol():
     on ``take(rows)``; none re-implements indexing."""
     from mta_engine import events
 
-    for cls in (events.PackedStrings, events.TouchpointTable, events.Journeys):
+    for cls in (events.PackedStrings, events.TouchpointTable, events.ConversionTable,
+                events.Journeys):
         assert "__getitem__" not in vars(cls) and "take" in vars(cls), cls.__name__
         assert not hasattr(cls, "objects"), cls.__name__
+
+
+def test_conversions_are_columns_end_to_end():
+    """Conversions reach the journeys as a ``ConversionTable``: no datetime
+    column is turned back into integers, and a journey table keeps customer
+    codes and conversion rows, not per-journey lists."""
+    from mta_engine import events, rct
+
+    assert not hasattr(events, "_micros")
+    journeys = events.build_journeys(
+        events.parse_event_log([]).touchpoints, events.parse_event_log([]).conversions
+    )
+    assert isinstance(journeys.conversions, events.ConversionTable)
+    for name in ("customer_ids", "conversion_us"):
+        assert not hasattr(journeys, name), name
+    config = rct.SimConfig(50, (), 0.5, seed=1)
+    assert isinstance(rct.simulate(config)[1], events.ConversionTable)
 
 
 def run_fresh(code: str) -> None:
@@ -105,12 +123,12 @@ def test_build_journeys_loads_no_simulator():
     ``mta_engine.rct`` unimported."""
     run_fresh(
         "import sys\n"
-        "from datetime import datetime, timezone\n"
         "from mta_engine.events import (\n"
-        "    TOUCHPOINT_FIELDS, ConversionEvent, build_journeys, parse_event_log)\n"
+        "    CONVERSION_FIELDS, TOUCHPOINT_FIELDS, build_journeys, parse_event_log)\n"
         "lines = [','.join(TOUCHPOINT_FIELDS), 't1,c1,a,Upper,display,view,2025-01-02T00:00:00Z']\n"
         "table = parse_event_log(lines, 'csv').touchpoints\n"
-        "conversions = [ConversionEvent('x1', 'c1', datetime(2025, 1, 2, tzinfo=timezone.utc))]\n"
+        "lines = [','.join(CONVERSION_FIELDS), 'x1,c1,2025-01-02T00:00:00Z,']\n"
+        "conversions = parse_event_log(lines, 'csv').conversions\n"
         "assert len(build_journeys(table, conversions)) == 1\n"
         "assert 'mta_engine.rct' not in sys.modules\n"
     )

@@ -16,8 +16,8 @@ from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 from mta_engine.shares import column_shares
 
 from conftest import (
-    T0, credit_rows, credit_table, journey_table, mk_conv, mk_journey, mk_tp, predict_campaign,
-    touchpoint_table)
+    T0, conversion_table, credit_rows, credit_table, journey_table, mk_conv, mk_journey, mk_tp,
+    predict_campaign, touchpoint_table)
 
 
 def two_channel_config(n_customers=20_000, seed=11, n_per_channel=4):
@@ -181,7 +181,7 @@ class TestDuplicateIds:
             mk_tp("t1", customer="c1", campaign="campA", ts=T0 - timedelta(days=1)),
             mk_tp("t1", customer="c2", campaign="campB", ts=T0 - timedelta(days=1)),
         ]
-        convs = [mk_conv("x1", customer="c1"), mk_conv("x2", customer="c2")]
+        convs = conversion_table([mk_conv("x1", customer="c1"), mk_conv("x2", customer="c2")])
         with pytest.raises(DataIntegrityError, match="touchpoint_id.*'t1'"):
             build_journeys(touchpoint_table(tps), convs, LookbackWindow(timedelta(days=7)))
 

@@ -19,7 +19,7 @@ from mta_engine.rct import (
     simulate,
 )
 
-from conftest import T0, conversion_to_record, mk_conv, touchpoint_to_record
+from conftest import T0, conversion_table, conversion_to_record, mk_conv, touchpoint_to_record
 
 
 def spec(campaign_id="campA", **overrides) -> CampaignSpec:
@@ -140,7 +140,7 @@ class TestEstimateLift:
         assignment.update({f"h{i}": HOLDOUT for i in range(100)})
         conversions = [mk_conv(f"xt{i}", f"t{i}", T0) for i in range(10)]
         conversions += [mk_conv(f"xh{i}", f"h{i}", T0) for i in range(10)]
-        result = estimate_lift(assignment, conversions, "campA")
+        result = estimate_lift(assignment, conversion_table(conversions), "campA")
         assert result.incremental_conversions == 0.0
         assert result.ci_low <= 0.0 <= result.ci_high
 
@@ -158,18 +158,20 @@ class TestEstimateLift:
         with pytest.raises(DegenerateDesignError):
             lift_from_counts("campA", n_treatment=0, n_holdout=10, conv_treatment=0, conv_holdout=0)
         with pytest.raises(DegenerateDesignError):
-            estimate_lift({"c1": TREATMENT}, [], "campA")
+            estimate_lift({"c1": TREATMENT}, conversion_table([]), "campA")
 
     def test_unassigned_customers_ignored(self):
         assignment = {"c1": TREATMENT, "c2": HOLDOUT}
         conversions = [mk_conv("x1", "c1", T0), mk_conv("x2", "stranger", T0)]
-        result = estimate_lift(assignment, conversions, "campA")
+        result = estimate_lift(assignment, conversion_table(conversions), "campA")
         assert result.conv_treatment == 1.0
         assert result.conv_holdout == 0.0
 
     def test_units_are_summed(self):
         assignment = {"c1": TREATMENT, "c2": HOLDOUT}
-        result = estimate_lift(assignment, [mk_conv("x1", "c1", T0, units=3)], "campA")
+        result = estimate_lift(
+            assignment, conversion_table([mk_conv("x1", "c1", T0, units=3)]), "campA"
+        )
         assert result.conv_treatment == 3.0
 
 
@@ -214,10 +216,11 @@ class TestPathConsistency:
         conversions = [mk_conv(f"x{i}", ids[7 * i], T0, units=1 + i % 4) for i in range(300)]
         conversions += [mk_conv(f"again{i}", ids[14], T0, units=5 + i) for i in range(3)]
         conversions.append(mk_conv("stranger", "C9999999", T0, units=9))
-        results = estimate_all(cfg, conversions)
+        table = conversion_table(conversions)
+        results = estimate_all(cfg, table)
         for s in cfg.campaigns:
             assignment = assign_treatment(ids, s.holdout_fraction, cfg.seed, s.campaign_id)
-            assert results[s.campaign_id] == estimate_lift(assignment, conversions, s.campaign_id)
+            assert results[s.campaign_id] == estimate_lift(assignment, table, s.campaign_id)
             for arm, total in ((TREATMENT, "conv_treatment"), (HOLDOUT, "conv_holdout")):
                 expected = sum(c.units for c in conversions if assignment.get(c.customer_id) == arm)
                 assert getattr(results[s.campaign_id], total) == expected

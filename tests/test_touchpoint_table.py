@@ -6,7 +6,9 @@
 * The MDA training matrix built from a journey table equals, row for row,
   the stacked per-journey ``conftest.feature_vector``.
 * ``build_journeys`` on the table of a simulated ``rct.EventLog`` builds no
-  ``Touchpoint`` and gives the journeys of the JSONL round trip.
+  ``Touchpoint`` and gives the journeys of the JSONL round trip; the
+  simulator's conversion table is, column for column, the one its JSONL
+  reads back as.
 * The packed touchpoint-id column behaves as the list of ids it holds.
 """
 
@@ -33,7 +35,8 @@ from mta_engine.events import (
 from mta_engine.rct import CampaignSpec, SimConfig, simulate
 
 from conftest import (
-    T0, feature_vector, journey_table, mk_conv, mk_journey, mk_tp, touchpoint_table)
+    T0, conversion_table, feature_vector, journey_table, mk_conv, mk_journey, mk_tp,
+    touchpoint_table)
 
 WEEK = LookbackWindow(timedelta(days=7))
 
@@ -52,8 +55,19 @@ def table_state(table) -> tuple:
     )
 
 
+def conversion_state(table) -> tuple:
+    return (
+        table.conversion_id,
+        table.customers,
+        *(column.tolist() for column in (table.customer, table.ts_us, table.units)),
+    )
+
+
 def parse_state(result) -> tuple:
-    return table_state(result.touchpoints), result.conversions, result.skipped, result.diagnostics
+    return (
+        table_state(result.touchpoints), conversion_state(result.conversions), result.skipped,
+        result.diagnostics,
+    )
 
 
 def parse_with_json_only(lines):
@@ -236,7 +250,9 @@ class TestTrainingMatrix:
     def test_matrix_of_built_journeys(self, journey_list, max_negatives):
         touchpoints = [tp for j in journey_list for tp in j.touchpoints]
         conversions = [j.conversion for j in journey_list if j.conversion is not None]
-        journeys = build_journeys(touchpoint_table(touchpoints), conversions, WEEK)
+        journeys = build_journeys(
+            touchpoint_table(touchpoints), conversion_table(conversions), WEEK
+        )
         rows = pipeline.mda_training_set(journeys, max_negatives, seed=1)
         names = feature_names_for(rows)
         assert names == feature_names_for(journey_table(list(rows)))
@@ -272,13 +288,27 @@ class TestEventLogJourneys:
         write_conversions(buffers[1], conversions)
         logs = [parse_event_log(b.getvalue().splitlines(keepends=True)) for b in buffers]
         assert table_state(table) == table_state(logs[0].touchpoints)
-        assert logs[1].conversions == conversions
+        assert conversion_state(logs[1].conversions) == conversion_state(conversions)
         round_trip = build_journeys(logs[0].touchpoints, logs[1].conversions, WEEK)
         assert len(journeys) == len(round_trip) > 0
         assert list(journeys) == list(round_trip)
         from_objects = build_journeys(touchpoint_table(list(table)), conversions, WEEK)
         assert list(journeys) == list(from_objects)
         assert (attributable, unattributed) == pipeline.split_attributable(round_trip)
+
+    @pytest.mark.parametrize("seed", [3, 8675309])
+    def test_simulated_conversions_are_the_columns_their_jsonl_reads_back_as(self, seed):
+        touchpoints, conversions, _ = simulate(small_config(seed))
+        buffer = io.StringIO()
+        write_conversions(buffer, conversions)
+        parsed = parse_event_log(buffer.getvalue().splitlines(keepends=True)).conversions
+        assert len(conversions) > 0
+        assert conversion_state(parsed) == conversion_state(conversions)
+        table = touchpoints.touchpoint_table()
+        built, read = (build_journeys(table, c, WEEK) for c in (conversions, parsed))
+        for name in ("rows", "start", "stop", "customer", "conversion"):
+            assert np.array_equal(getattr(built, name), getattr(read, name)), name
+        assert built.customers == read.customers
 
 
 # Strings an id column must hold: the empty string, non-ASCII text, control
