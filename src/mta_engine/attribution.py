@@ -137,12 +137,11 @@ def _sigmoid(z: float) -> float:
 
 
 def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """The logistic of each element, by the same branches as ``_sigmoid``:
+    ``e`` is ``exp(-z)`` where z >= 0 and ``exp(z)`` elsewhere. ``minimum``
+    passes a NaN on with its sign, which ``-abs`` would flip."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _recency_days(touchpoints: Sequence[Touchpoint], conversion) -> float:

@@ -119,6 +119,21 @@ class CalibrationModel:
         )
 
 
+def campaign_codes(
+    table: ModelCredits, campaigns: Sequence[CampaignSpec]
+) -> tuple[np.ndarray, dict[str, int]]:
+    """Each row's code in the sorted ids of ``campaigns``, and each id's code.
+    A row of a campaign that is not in ``campaigns`` raises
+    :class:`DataIntegrityError`, naming the first such touchpoint."""
+    index = {cid: i for i, cid in enumerate(sorted({spec.campaign_id for spec in campaigns}))}
+    campaign = np.array([index.get(label[2], -1) for label in table.labels], dtype=np.intp)
+    if np.any(campaign < 0):
+        _, tp_id, campaign_id, *_ = table.labels[int(np.argmax(campaign < 0))]
+        raise DataIntegrityError(f"touchpoint {tp_id!r} belongs to campaign {campaign_id!r} "
+                                 "which is not in the campaign list")
+    return campaign, index
+
+
 def aggregate_campaign_features(
     table: ModelCredits,
     campaigns: Sequence[CampaignSpec],
@@ -134,12 +149,7 @@ def aggregate_campaign_features(
     terms in row order.
     """
     rct_results = rct_results or {}
-    index = {cid: i for i, cid in enumerate(sorted({spec.campaign_id for spec in campaigns}))}
-    campaign = np.array([index.get(label[2], -1) for label in table.labels], dtype=np.intp)
-    if np.any(campaign < 0):
-        _, tp_id, campaign_id, *_ = table.labels[int(np.argmax(campaign < 0))]
-        raise DataIntegrityError(f"touchpoint {tp_id!r} belongs to campaign {campaign_id!r} "
-                                 "which is not in the campaign list")
+    campaign, index = campaign_codes(table, campaigns)
     totals = {
         name: np.bincount(campaign, table.scaled(name), len(index)).tolist()
         for name in sorted(table.columns)

@@ -58,8 +58,9 @@ logger = logging.getLogger(__name__)
 # imported on first access, so that config loading and ``report`` need no numpy;
 # ``main`` binds them before running any other command.
 _LAZY = {"pipeline": "pipeline", "MdaModel": "attribution", "CalibrationModel": "calibration",
-         "feature_rows_to_csv": "calibration", "parse_event_log": "events",
-         "build_journeys": "events", "write_conversions": "events", "RctResult": "rct",
+         "campaign_codes": "calibration", "feature_rows_to_csv": "calibration",
+         "parse_event_log": "events", "build_journeys": "events", "write_conversions": "events",
+         "read_store": "events", "write_store": "events", "RctResult": "rct",
          "GroundTruthRow": "rct", "simulate": "rct", "estimate_all": "rct",
          "lift_from_counts": "rct"}
 
@@ -94,7 +95,11 @@ ARTIFACTS = {
     "attribution_summary": "attribution_summary.json",
     "shares_json": "attribution_shares.json",
     "shares_table": "attribution_shares.txt",
+    "events": "events.npz",
 }
+# The event store, a cache of the parsed logs that only ``fit`` writes. It is
+# always in the output directory: no ``paths`` key moves it.
+EVENT_STORE = "events"
 
 # A credit CSV's columns: a credit table's label fields, then the credit. CSV
 # writes a float as its repr, which reads back exactly.
@@ -198,7 +203,8 @@ CONFIG_KEYS = {
         "horizon_days": Key("number", 14.0, **_DAYS),
         "campaigns": Key("array", [], keys=CAMPAIGN_KEYS),
     }),
-    "paths": Key("object", {}, keys={name: Key("string", None) for name in ARTIFACTS}),
+    "paths": Key("object", {}, keys={name: Key("string", None) for name in ARTIFACTS
+                                     if name != EVENT_STORE}),
 }
 
 
@@ -286,7 +292,7 @@ def _write_outputs(cfg: RunConfig, command: str, outputs: dict[str, Any], **bloc
         if content is None:
             path.unlink(missing_ok=True)
             continue
-        with path.open("w") as fh:
+        with path.open("wb" if name == EVENT_STORE else "w") as fh:
             if isinstance(content, str):
                 fh.write(content)
             else:
@@ -322,29 +328,65 @@ def _reading(path: Path, *errors: type[Exception]) -> Iterator[IO[str]]:
         raise UnusableArtifactError(f"{path}: {what}") from None
 
 
+def _log_format(path: Path) -> str:
+    """An event log's format: CSV when its name ends in ``.csv``, else JSONL."""
+    return "csv" if path.suffix.lower() == ".csv" else "jsonl"
+
+
 def _parse_input(path: Path):
-    """Parse an event log, as CSV when its name ends in ``.csv``, else as JSONL."""
     with _reading(path, ParseError) as fh:
-        return parse_event_log(fh, "csv" if path.suffix.lower() == ".csv" else "jsonl")
+        return parse_event_log(fh, _log_format(path))
+
+
+def _store_key(cfg: RunConfig, logs: Sequence[Path]) -> str | None:
+    """The event store's key for ``logs`` read with ``cfg``'s lookback: each
+    log's SHA-256 and format, and the lookback in microseconds. None when a
+    log cannot be read, which parsing it then reports."""
+    digests = []
+    for path in logs:
+        digest = hashlib.sha256()  # hashlib.file_digest needs Python 3.11
+        try:
+            with path.open("rb") as fh:  # 1 MB chunks raised fit's peak RSS by 1.5 MB at 20k
+                for chunk in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(chunk)
+        except OSError:
+            return None
+        digests.append([digest.hexdigest(), _log_format(path)])
+    lookback_us = cfg.lookback.duration // timedelta(microseconds=1)
+    return json.dumps({"logs": digests, "lookback_us": lookback_us})
 
 
 def _load_journeys(cfg: RunConfig):
-    """Every journey of the event logs, the attributable ones, and the
-    manifest's ``counts`` block: records read, lines skipped, journeys, and
-    attributable and unattributed conversions."""
-    touchpoints = _parse_input(cfg.artifact("touchpoints"))
-    conversions = _parse_input(cfg.artifact("conversions"))
-    journeys = build_journeys(touchpoints.touchpoints, conversions.conversions, cfg.lookback)
+    """Every journey of the event logs, the attributable ones, the manifest's
+    ``counts`` block (records read, lines skipped, journeys, and attributable
+    and unattributed conversions) and a writer of the event store.
+
+    The store (``events.npz`` in the output directory, which only ``fit``
+    writes) is a hit when its key, the SHA-256 and format of each log and the
+    lookback in microseconds, is exactly this run's and it reads back whole:
+    the tables and journeys then come from it. On any other store, or none,
+    both logs are parsed and the journeys built. A hit logs the same
+    skipped-line warnings as the parse, and both give the same ``counts``."""
+    logs = [cfg.artifact("touchpoints"), cfg.artifact("conversions")]
+    key = _store_key(cfg, logs)
+    stored = None if key is None else read_store(cfg.artifact(EVENT_STORE), key)
+    if stored is None:
+        touchpoints, conversions = map(_parse_input, logs)
+        journeys = build_journeys(touchpoints.touchpoints, conversions.conversions, cfg.lookback)
+        skipped = [touchpoints.skipped, conversions.skipped]
+    else:
+        journeys, skipped = stored
     attributable, unattributed = pipeline.split_attributable(journeys)
     counts = {
-        "touchpoints": len(touchpoints.touchpoints),
-        "conversions": len(conversions.conversions),
-        "lines_skipped": touchpoints.skipped + conversions.skipped,
+        "touchpoints": len(journeys.table),
+        "conversions": len(journeys.conversions),
+        "lines_skipped": sum(skipped),
         "journeys": len(journeys),
         "attributable_conversions": len(attributable),
         "unattributed_conversions": unattributed,
     }
-    return journeys, attributable, counts
+    store = None if key is None else lambda fh: write_store(fh, key, journeys, skipped)
+    return journeys, attributable, counts, store
 
 
 def _read_rct_results(path: Path) -> dict[str, RctResult]:
@@ -410,7 +452,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     if cfg.sim is None:
         raise ConfigError("config has no 'simulation' section (campaign list is required to fit)")
     rct_results = _read_rct_results(cfg.artifact("rct_results"))
-    journeys, attributable, counts = _load_journeys(cfg)
+    journeys, attributable, counts, store = _load_journeys(cfg)
 
     mda = pipeline.train_attributor(journeys, cfg.mda_hyper, cfg.mda_max_negatives)
     credits = pipeline.ensemble_credits(attributable, cfg.calibration.feature_models, cfg.decay, mda)
@@ -423,6 +465,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
         "calibration_model": model.to_json(),
         "mda_model": None if mda is None else mda.to_json(),
         "campaign_features": lambda fh: feature_rows_to_csv(rows, fh),
+        EVENT_STORE: store,
     }
     _write_outputs(cfg, "fit", outputs, counts=counts)
 
@@ -488,9 +531,11 @@ def cmd_attribute(cfg: RunConfig, args) -> int:
         with _reading(mda_path) as fh:
             mda = MdaModel.from_json(fh.read())
 
-    _, attributable, counts = _load_journeys(cfg)
+    _, attributable, counts, _ = _load_journeys(cfg)
     unattributed = counts["unattributed_conversions"]
     credits = pipeline.ensemble_credits(attributable, MODEL_NAMES, cfg.decay, mda)
+    if cfg.sim is not None:  # a listed campaign is required, as fit requires it
+        campaign_codes(credits, cfg.sim.campaigns)
     mta_credits = pipeline.score_all(model, credits)
     records = pipeline.model_credit_records(credits)
 

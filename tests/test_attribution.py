@@ -434,3 +434,28 @@ class TestMdaClosedForm:
             mda_credits(PROPERTY_MODEL, simple_journey(*[0.01 * (i + 1) for i in range(n)]))
             per_call.append(len(calls))
         assert per_call == [per_call[0]] * 4 and per_call[0] <= 2
+
+
+def sigmoid_masked(z: np.ndarray) -> np.ndarray:
+    """The logistic by two boolean-mask branches, as the MDA trainer computed
+    it before: the oracle ``attribution._sigmoid_vec`` must equal bit for bit."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoidVec:
+    @pytest.mark.parametrize("z", [
+        np.random.default_rng(0).normal(size=22_000),
+        np.random.default_rng(1).normal(size=40_000) * 30,
+        np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0, 1e308, -1e308,
+                  709.8, -709.8, 5e-324, -5e-324, 36.9, -36.9]),
+        np.array([0x7FF8000000000001, -0x0008000000000001], np.int64).view(np.float64),
+    ], ids=["normal", "wide", "edges", "nan-payloads"])
+    def test_equals_the_masked_branches_bit_for_bit(self, z):
+        got = attribution._sigmoid_vec(z)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), sigmoid_masked(z).view(np.int64))

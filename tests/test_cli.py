@@ -1157,3 +1157,178 @@ class TestPaperMirrorConfig:
         payload = json.loads(capsys.readouterr().out)
         beta = payload["weights"]["global"]["lta"]
         assert 0.75 <= beta <= 1.05
+
+
+# What each of fit and attribute writes besides the event store.
+STAGE_ARTIFACTS = {
+    "fit": ("calibration_model.json", "mda_model.json", "campaign_features.csv",
+            "manifest_fit.json"),
+    "attribute": ("mta_credits.csv", "model_credits.csv", "attribution_summary.json",
+                  "manifest_attribute.json"),
+}
+
+
+def stage_outputs(out: Path, command: str, capsys, caplog) -> dict:
+    """The artifacts ``command`` wrote to ``out``, its stdout and stderr and
+    the records it logged, after a run; the captured output is then cleared."""
+    captured, logged = capsys.readouterr(), caplog.record_tuples
+    caplog.clear()
+    return {"stdout": captured.out, "stderr": captured.err, "log": logged,
+            **{name: (out / name).read_bytes() for name in STAGE_ARTIFACTS[command]}}
+
+
+def run_counting_parses(command: str, cfg_path: Path) -> int:
+    """The number of logs that ``command`` parsed; it must exit 0."""
+    with mock.patch.object(cli, "parse_event_log", wraps=events.parse_event_log) as parse:
+        assert run(command, "--config", cfg_path) == 0, command
+    return parse.call_count
+
+
+class TestEventStore:
+    """``fit`` saves the parsed logs and journeys in ``events.npz``, and a stage
+    whose logs, formats and lookback match its key reads them from there."""
+
+    def test_fit_writes_the_store_byte_identically_and_attribute_reads_it(
+        self, workspace, capsys
+    ):
+        cfg_path, out = workspace
+        assert run("simulate", "--config", cfg_path) == 0
+        assert run_counting_parses("fit", cfg_path) == 2
+        store = out / "events.npz"
+        first = store.read_bytes()
+        manifest = json.loads((out / "manifest_fit.json").read_text())
+        assert manifest["outputs"]["events"] == str(store)
+        assert run_counting_parses("fit", cfg_path) == 0
+        assert store.read_bytes() == first
+        store.unlink()
+        assert run_counting_parses("fit", cfg_path) == 2
+        assert store.read_bytes() == first
+        assert run_counting_parses("attribute", cfg_path) == 0
+        assert "events" not in json.loads((out / "manifest_attribute.json").read_text())["outputs"]
+
+    @pytest.mark.parametrize("change", ["touchpoints", "conversions", "lookback"])
+    def test_a_changed_log_byte_or_lookback_is_parsed_as_a_cold_run(
+        self, workspace, tmp_path, capsys, caplog, change
+    ):
+        cfg_path, out = workspace
+        for command in ("simulate", "fit"):
+            assert run(command, "--config", cfg_path) == 0
+        if change == "lookback":
+            cfg_path = write_config(tmp_path, base_config(out, lookback_days=3.0))
+        else:
+            log = out / f"{change}.jsonl"
+            text = log.read_bytes()
+            at = text.index(b'Z"') - 1  # the last digit of the first record's stamp
+            log.write_bytes(text[:at] + bytes([text[at] ^ 1]) + text[at + 1:])
+        capsys.readouterr()
+        warm = {}
+        for command in ("fit", "attribute"):
+            assert run_counting_parses(command, cfg_path) == (2 if command == "fit" else 0)
+            warm[command] = stage_outputs(out, command, capsys, caplog)
+        for command in ("fit", "attribute"):
+            (out / "events.npz").unlink()
+            assert run_counting_parses(command, cfg_path) == 2
+            assert stage_outputs(out, command, capsys, caplog) == warm[command]
+
+    @pytest.mark.parametrize("damage", [
+        lambda blob: blob[: len(blob) // 2],
+        lambda blob: b"not a store",
+        lambda blob: b"",
+        lambda blob: blob[:-100] + bytes(b ^ 0xFF for b in blob[-100:]),
+    ], ids=["truncated", "garbage", "empty", "flipped"])
+    def test_a_damaged_store_is_a_miss(self, attributed_run, tmp_path, capsys, caplog, damage):
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        cfg_path = write_config(tmp_path, base_config(out))
+        capsys.readouterr()
+        assert run_counting_parses("attribute", cfg_path) == 0
+        hit = stage_outputs(out, "attribute", capsys, caplog)
+        store = out / "events.npz"
+        store.write_bytes(damage(store.read_bytes()))
+        assert run_counting_parses("attribute", cfg_path) == 2
+        assert stage_outputs(out, "attribute", capsys, caplog) == hit
+
+    def test_malformed_lines_warn_and_count_the_same_on_a_hit_and_a_miss(
+        self, workspace, capsys, caplog
+    ):
+        cfg_path, out = workspace
+        assert run("simulate", "--config", cfg_path) == 0
+        with (out / "touchpoints.jsonl").open("a") as fh:
+            fh.write("{not json\n[]\n")
+        with (out / "conversions.jsonl").open("a") as fh:
+            fh.write('{"conversion_id": "x", "customer_id": "c", "timestamp": "soon"}\n')
+        caplog.clear()
+        assert run_counting_parses("fit", cfg_path) == 2
+        warnings = [("mta_engine.events", logging.WARNING,
+                     f"skipped {n} malformed line(s) while parsing") for n in (2, 1)]
+        assert caplog.record_tuples == warnings
+        caplog.clear()
+        capsys.readouterr()
+        assert json.loads((out / "manifest_fit.json").read_text())["counts"]["lines_skipped"] == 3
+        assert run_counting_parses("attribute", cfg_path) == 0
+        hit = stage_outputs(out, "attribute", capsys, caplog)
+        (out / "events.npz").unlink()
+        assert run_counting_parses("attribute", cfg_path) == 2
+        assert stage_outputs(out, "attribute", capsys, caplog) == hit
+        assert hit["log"] == warnings
+        assert json.loads(hit["manifest_attribute.json"])["counts"] == json.loads(
+            (out / "manifest_fit.json").read_text())["counts"]
+
+    @pytest.mark.parametrize("workload", ["two-channel-20k", "long-journeys"])
+    def test_hit_and_miss_give_the_same_artifacts_on_each_workload(
+        self, tmp_path, capsys, caplog, monkeypatch, workload
+    ):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from workloads import WORKLOADS
+
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, WORKLOADS[workload].config(1, str(out), 0.1))
+        for command in ("simulate", "fit"):
+            assert run(command, "--config", cfg_path) == 0
+        capsys.readouterr()
+        assert run_counting_parses("attribute", cfg_path) == 0
+        hit = stage_outputs(out, "attribute", capsys, caplog)
+        (out / "events.npz").unlink()
+        assert run_counting_parses("attribute", cfg_path) == 2
+        assert stage_outputs(out, "attribute", capsys, caplog) == hit
+
+
+class TestAttributeCampaigns:
+    @staticmethod
+    def relabel(out: Path) -> None:
+        """Move campaign up0's touchpoints to zz99, which the config does not list."""
+        log = out / "touchpoints.jsonl"
+        log.write_text(log.read_text().replace('"campaign_id": "up0"', '"campaign_id": "zz99"'))
+
+    def test_attribute_refuses_a_campaign_fit_refuses(self, attributed_run, tmp_path, capsys):
+        """``attribute`` used to credit touchpoints of a campaign that the
+        config does not list, with an earlier fit, while ``fit`` refused them."""
+        _, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        cfg_path = write_config(tmp_path, base_config(out))
+        self.relabel(out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path) == 1
+        refused = capsys.readouterr().err
+        assert refused.startswith("DataIntegrityError: touchpoint ")
+        assert refused.endswith("belongs to campaign 'zz99' which is not in the campaign list\n")
+        assert run("attribute", "--config", cfg_path) == 1
+        assert capsys.readouterr().err == refused
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_without_a_simulation_section_attribute_credits_every_campaign(
+        self, attributed_run, tmp_path
+    ):
+        _, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        config = base_config(out)
+        del config["simulation"]
+        cfg_path = write_config(tmp_path, config)
+        self.relabel(out)
+        assert run("attribute", "--config", cfg_path) == 0
+        with (out / "mta_credits.csv").open() as fh:
+            assert "zz99" in {row["campaign_id"] for row in csv.DictReader(fh)}

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -494,3 +495,120 @@ class TestConversionUnits:
         buf = io.StringIO()
         write_conversions(buf, result.conversions)
         assert json.loads(buf.getvalue())["units"] == 2**63 - 1
+
+
+def journeys_state(journeys: events.Journeys) -> dict:
+    """Every column of ``journeys`` and of its two tables as plain values,
+    each array with its dtype."""
+    state = {}
+    for prefix, columns in (("tp", journeys.table), ("conv", journeys.conversions),
+                            ("journeys", journeys)):
+        for f in dataclasses.fields(columns):
+            value = getattr(columns, f.name)
+            if isinstance(value, np.ndarray):
+                state[f"{prefix}.{f.name}"] = (value.dtype.str, value.tolist())
+            elif isinstance(value, (list, events.PackedStrings)):
+                state[f"{prefix}.{f.name}"] = list(value)
+    return state
+
+
+STORE_TOUCHPOINTS = [
+    *(json.dumps(touchpoint_to_record(mk_tp(f"t{i}", f"c{i % 3}", ts=T0 + timedelta(hours=i))))
+      for i in range(6)),
+    # A JSON escape gives a lone surrogate, which UTF-8 holds only as surrogatepass bytes.
+    '{"touchpoint_id": "t\\ud800\\u00e9", "customer_id": "c\\u00e9", "campaign_id": "up00", '
+    '"channel": "Upper", "ad_product": "display", "interaction_kind": "click", '
+    '"timestamp": "2025-01-01T00:00:00Z"}',
+    "{not json",
+]
+STORE_CONVERSIONS = [
+    json.dumps(conversion_to_record(mk_conv("x1", "c1", T0 + timedelta(days=1), units=3))),
+    json.dumps(conversion_to_record(mk_conv("xé", "cé", T0 + timedelta(days=1)))),
+    json.dumps(conversion_to_record(mk_conv("x3", "c9", T0))),
+]
+
+
+@pytest.fixture
+def stored(tmp_path):
+    """Journeys over small logs, and the path of their store under key "k"."""
+    touchpoints, conversions = parse_event_log(STORE_TOUCHPOINTS), parse_event_log(STORE_CONVERSIONS)
+    journeys = build_journeys(touchpoints.touchpoints, conversions.conversions, WEEK)
+    path = tmp_path / "events.npz"
+    with path.open("wb") as fh:
+        events.write_store(fh, "k", journeys, [touchpoints.skipped, conversions.skipped])
+    return journeys, path
+
+
+class TestEventStore:
+    def test_a_hit_rebuilds_every_column_and_logs_the_parse_warnings(self, stored, caplog):
+        journeys, path = stored
+        assert "t\ud800é" in list(journeys.table.touchpoint_id)
+        caplog.clear()
+        loaded, skipped = events.read_store(path, "k")
+        assert skipped == [1, 0]
+        assert caplog.messages == ["skipped 1 malformed line(s) while parsing"]
+        assert journeys_state(loaded) == journeys_state(journeys)
+        assert list(loaded) == list(journeys)
+
+    def test_another_key_or_version_is_a_miss(self, stored, monkeypatch):
+        _, path = stored
+        assert events.read_store(path, "k2") is None
+        assert events.read_store(path.with_name("absent.npz"), "k") is None
+        monkeypatch.setattr(events, "STORE_VERSION", events.STORE_VERSION + 1)
+        assert events.read_store(path, "k") is None
+
+    def test_truncations_and_flipped_bytes_are_a_miss_or_the_same_journeys(self, stored):
+        """The zip CRC and the column checks turn damage into a miss; damage
+        that misses both (as in a member's timestamp) reads back the same."""
+        journeys, path = stored
+        blob, expected = path.read_bytes(), journeys_state(journeys)
+        # Every byte of the first member's header, of the first central
+        # directory records and of the end records; every 13th byte elsewhere.
+        central = blob.index(b"PK\x01\x02")
+        flips = {*range(0, 128), *range(central, central + 256),
+                 *range(len(blob) - 128, len(blob)), *range(0, len(blob), 13)}
+        damaged = [blob[:n] for n in range(0, len(blob), 29)]
+        damaged += [blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in sorted(flips)]
+        for data in damaged:
+            path.write_bytes(data)
+            loaded = events.read_store(path, "k")
+            assert loaded is None or journeys_state(loaded[0]) == expected
+
+    @pytest.mark.parametrize("tamper", [
+        lambda j: dataclasses.replace(j, rows=j.rows + 1),
+        lambda j: dataclasses.replace(j, rows=j.rows.astype(np.int32)),
+        lambda j: dataclasses.replace(j, start=j.stop + 1),
+        lambda j: dataclasses.replace(j, stop=j.start[:-1]),
+        lambda j: dataclasses.replace(j, conversion=np.full_like(j.conversion, 3)),
+        lambda j: dataclasses.replace(j, customers=j.customers[:1]),
+        lambda j: dataclasses.replace(j, table=dataclasses.replace(j.table, channels=[])),
+        lambda j: dataclasses.replace(j, table=dataclasses.replace(
+            j.table, ts_us=np.full_like(j.table.ts_us, 2**62))),
+        lambda j: dataclasses.replace(j, table=dataclasses.replace(
+            j.table, is_click=j.table.is_click.astype(np.int8))),
+        lambda j: dataclasses.replace(j, table=dataclasses.replace(j.table, touchpoint_id=(
+            events.PackedStrings(j.table.touchpoint_id.text, j.table.touchpoint_id.ends[::-1])))),
+        lambda j: dataclasses.replace(j, table=dataclasses.replace(j.table, touchpoint_id=(
+            events.PackedStrings(j.table.touchpoint_id.text + "x", j.table.touchpoint_id.ends)))),
+        lambda j: dataclasses.replace(j, conversions=dataclasses.replace(
+            j.conversions, units=-j.conversions.units)),
+        lambda j: dataclasses.replace(j, conversions=dataclasses.replace(
+            j.conversions, customer=j.conversions.customer[:1])),
+    ])
+    def test_a_column_that_breaks_an_invariant_is_a_miss(self, stored, tamper):
+        journeys, path = stored
+        with path.open("wb") as fh:
+            events.write_store(fh, "k", tamper(journeys), [1, 0])
+        assert events.read_store(path, "k") is None
+
+    @pytest.mark.parametrize("blob", [b"", b"\x93NUMPY garbage", b"PK\x03\x04 garbage"])
+    def test_a_file_that_is_no_store_is_a_miss(self, tmp_path, blob):
+        path = tmp_path / "events.npz"
+        path.write_bytes(blob)
+        assert events.read_store(path, "k") is None
+
+    def test_a_plain_array_file_is_a_miss(self, tmp_path):
+        path = tmp_path / "events.npz"
+        with path.open("wb") as fh:
+            np.save(fh, np.arange(3))
+        assert events.read_store(path, "k") is None
