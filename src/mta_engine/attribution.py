@@ -13,14 +13,17 @@ touchpoint and returns its credits as a tuple of floats, one per touchpoint
 in ``journey.touchpoints`` order, that lie in [0, 1] and sum to 1.
 ``pipeline.ensemble_credits`` stacks every kernel's tuples into the one
 credit table, :class:`ModelCredits`, which scoring, calibration, the
-credit CSVs and shares read. The MDA trains on a :class:`Journeys` table.
+credit CSVs and shares read. The MDA trains on a :class:`Journeys` table:
+a maximum-likelihood fit, by Newton's method, over every journey's count
+features, collapsed to the distinct (counts, label) rows.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,10 +31,14 @@ import numpy as np
 from .config import (  # noqa: F401  -- MODEL_NAMES is re-exported
     MODEL_NAMES, DecayConfig, MdaHyperparams)
 from .errors import DataIntegrityError, DegenerateLabelsError, NoTouchpointsError
-from .events import InteractionKind, Journey, Journeys, Touchpoint
+from .events import InteractionKind, Journey, Journeys
 
-_BASE_FEATURES = ("n_touchpoints", "n_views", "n_clicks", "recency_days")
-_SECONDS_PER_DAY = 86400.0
+logger = logging.getLogger(__name__)
+
+_BASE_FEATURES = ("n_clicks",)
+# Newton stops once the step is predicted to lower the mean log-loss by at
+# most this many nats (half the squared Newton decrement).
+_NEWTON_TOL = 1e-16
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +71,15 @@ class ModelCredits:
 
 @dataclass(frozen=True, slots=True)
 class TrainingInfo:
-    iterations: int
+    """How ``train_mda`` fitted a model: its Newton steps, whether it reached the
+    maximum-likelihood weights, the max-norm of the mean log-loss gradient at
+    them, and the mean log-loss at the start, the end and after each step."""
+
+    steps: int
     initial_loss: float
     final_loss: float
-    learning_rate_used: float
+    gradient_max_norm: float
+    converged: bool
     loss_history: tuple[float, ...] = ()
 
 
@@ -75,12 +87,10 @@ class TrainingInfo:
 class MdaModel:
     """Logistic conversion model over a fixed, documented feature set.
 
-    Feature order is ``n_touchpoints, n_views, n_clicks, recency_days``
-    followed by one ``channel_count:<channel>`` feature per training channel
-    in sorted order. ``recency_days`` is the age in days of the most recent
-    touchpoint relative to the conversion (0 for non-converting journeys,
-    whose reference time is their own last touchpoint).
-    """
+    Feature order is ``n_clicks``, then one ``channel_count:<channel>`` per
+    training channel in sorted order: counts of a journey's touchpoints. The
+    counts of all touchpoints and of views are left out, as sums and
+    differences of these, so no two weight vectors give the same model."""
 
     feature_names: tuple[str, ...]
     weights: tuple[float, ...]
@@ -103,29 +113,24 @@ class MdaModel:
             "feature_names": list(self.feature_names),
             "weights": list(self.weights),
             "bias": self.bias,
-            "metadata": {
-                "iterations": self.training.iterations,
-                "final_loss": self.training.final_loss,
-                "initial_loss": self.training.initial_loss,
-                "learning_rate_used": self.training.learning_rate_used,
-            },
+            "metadata": asdict(self.training),
         }
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "MdaModel":
         doc = json.loads(text)
+        names = tuple(doc["feature_names"])
+        _touchpoint_columns(names, np.zeros(0, bool), np.zeros(0, str))  # before the metadata
         meta = doc["metadata"]
         return cls(
-            feature_names=tuple(doc["feature_names"]),
+            feature_names=names,
             weights=tuple(float(w) for w in doc["weights"]),
             bias=float(doc["bias"]),
             training=TrainingInfo(
-                iterations=int(meta["iterations"]),
-                initial_loss=float(meta["initial_loss"]),
-                final_loss=float(meta["final_loss"]),
-                learning_rate_used=float(meta["learning_rate_used"]),
-            ),
+                int(meta["steps"]), float(meta["initial_loss"]), float(meta["final_loss"]),
+                float(meta["gradient_max_norm"]), bool(meta["converged"]),
+                tuple(float(v) for v in meta["loss_history"])),
         )
 
 
@@ -144,30 +149,17 @@ def _sigmoid_vec(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _recency_days(touchpoints: Sequence[Touchpoint], conversion) -> float:
-    if not touchpoints:
-        return 0.0
-    last_ts = max(tp.timestamp for tp in touchpoints)
-    reference = conversion.timestamp if conversion is not None else last_ts
-    return max(0.0, (reference - last_ts).total_seconds() / _SECONDS_PER_DAY)
-
-
 def _touchpoint_columns(
     feature_names: Sequence[str], is_click: np.ndarray, channel: np.ndarray
 ) -> np.ndarray:
-    """Row i is touchpoint i's contribution to each MDA feature: 1 or 0 for
-    every count feature, and 0 for ``recency_days``, which is no sum."""
+    """Row i is touchpoint i's contribution, 1 or 0, to each MDA feature."""
     columns = np.zeros((len(is_click), len(feature_names)))
     for i, name in enumerate(feature_names):
-        if name == "n_touchpoints":
-            columns[:, i] = 1.0
-        elif name == "n_views":
-            columns[:, i] = ~is_click
-        elif name == "n_clicks":
+        if name == "n_clicks":
             columns[:, i] = is_click
         elif name.startswith("channel_count:"):
             columns[:, i] = channel == name.split(":", 1)[1]
-        elif name != "recency_days":
+        else:
             raise ValueError(f"unknown MDA feature {name!r}")
     return columns
 
@@ -182,7 +174,7 @@ def feature_names_for(journeys: Journeys) -> tuple[str, ...]:
 
 def _feature_matrix(feature_names: Sequence[str], journeys: Journeys) -> np.ndarray:
     """Row i is the feature vector of journey i: the sum of the touchpoint
-    columns of its rows, plus its recency."""
+    columns of its rows."""
     table = journeys.table
     # Every row is one of the table's few (kind, channel) pairs, numbered
     # is_click * n_channels + channel, so the kernel runs once per pair; a
@@ -197,17 +189,29 @@ def _feature_matrix(feature_names: Sequence[str], journeys: Journeys) -> np.ndar
     for i, column in enumerate(pairs.T):
         np.cumsum(column[pair], out=prefix[1:])
         X[:, i] = prefix[journeys.stop] - prefix[journeys.start]
-
-    # A journey's rows are in time order, so its last row is its latest.
-    dated = journeys.converted & (journeys.stop > journeys.start)
-    recency = np.zeros(len(journeys))
-    if dated.any():
-        last_us = table.ts_us[journeys.rows[journeys.stop[dated] - 1]]
-        age_s = (journeys.conversions.ts_us[journeys.conversion[dated]] - last_us) / 1e6
-        recency[dated] = np.maximum(age_s / _SECONDS_PER_DAY, 0.0)
-    is_recency = np.array([name == "recency_days" for name in feature_names], dtype=bool)
-    X[:, is_recency] = recency[:, None]
     return X
+
+
+def _distinct_rows(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of count matrix ``X`` with labels ``y``: rows, labels and
+    how many journeys each stands for. A row's code reads its label and counts
+    as mixed-radix digits, so one sort of integers, not of rows, finds them."""
+    code = y.astype(np.int64)
+    for column in X.T.astype(np.int64):
+        radix = int(column.max()) + 1
+        if int(code.max()) >= np.iinfo(np.int64).max // radix - 1:
+            code = np.unique(code, return_inverse=True)[1]
+        code = code * radix + column
+    _, first, count = np.unique(code, return_index=True, return_counts=True)
+    return X[first], y[first].astype(np.float64), count
+
+
+def _separates(column: np.ndarray, y: np.ndarray) -> bool:
+    """Whether a feature that is not constant has every positive at or above every
+    negative, or at or below: the likelihood then grows without bound."""
+    positive, negative = column[y == 1.0], column[y == 0.0]
+    return column.min() < column.max() and (
+        negative.max() <= positive.min() or positive.max() <= negative.min())
 
 
 def _require_touchpoints(journey: Journey) -> None:
@@ -251,54 +255,59 @@ def decay_credits(journey: Journey, cfg: DecayConfig = DecayConfig()) -> tuple[f
 
 
 def train_mda(journeys: Journeys, hyper: MdaHyperparams = MdaHyperparams()) -> MdaModel:
-    """Fit the logistic conversion model by full-batch gradient descent.
+    """Fit the logistic conversion model to every journey by maximum likelihood.
 
-    The label is whether the journey converted. The learning rate is capped
-    at a descent-safe step (4 / mean squared feature norm) so the log-loss is
-    nonincreasing across iterations; training is deterministic given the seed
-    and the canonical feature order.
-    """
+    The label is whether the journey converted. The journeys collapse to their
+    distinct (counts, label) rows, weighted by how many each stands for, and
+    Newton's method fits these from zero weights: each step solves the Hessian
+    system by least squares (finite when it is singular) and is halved while
+    it raises the mean log-loss. It stops when half the squared Newton
+    decrement is at most ``_NEWTON_TOL``, or after ``hyper.iterations`` steps.
+    Separated labels have no maximum-likelihood weights (Albert & Anderson
+    1984): one warning names a separating feature, or says that the fit did
+    not converge, and the weights of the last step are kept."""
     if hyper.learning_rate <= 0 or hyper.iterations < 1:
         raise ValueError("learning_rate must be > 0 and iterations >= 1")
-    labels = journeys.converted.astype(np.float64)
-    if len(labels) == 0 or labels.min() == labels.max():
-        raise DegenerateLabelsError(
-            "training needs at least one converting and one non-converting journey"
-        )
+    converted = journeys.converted
+    if not 0 < np.count_nonzero(converted) < len(converted):
+        raise DegenerateLabelsError("training needs converting and non-converting journeys")
     names = feature_names_for(journeys)
-    X = _feature_matrix(names, journeys)
-    n, k = X.shape
+    X, y, count = _distinct_rows(_feature_matrix(names, journeys), converted)
+    Z = np.column_stack([X, np.ones(len(X))])
+    f = count / len(converted)
 
-    # Smoothness bound for the log-loss: L <= mean ||(x, 1)||^2 / 4, so a step
-    # of 1/L guarantees monotone descent for this convex objective.
-    mean_sq_norm = float(np.mean(np.sum(X * X, axis=1)) + 1.0)
-    lr = min(hyper.learning_rate, 4.0 / mean_sq_norm)
+    def loss(theta: np.ndarray) -> float:
+        z = Z @ theta
+        return float(f @ (np.logaddexp(0.0, z) - y * z))
 
-    rng = np.random.default_rng(hyper.seed)
-    w = rng.normal(scale=1e-3, size=k)
-    b = 0.0
+    theta = np.zeros(Z.shape[1])
+    history = [loss(theta)]
+    while True:
+        p = _sigmoid_vec(Z @ theta)
+        grad = Z.T @ (f * (p - y))
+        step = np.linalg.lstsq((Z.T * (f * p * (1.0 - p))) @ Z, grad, rcond=None)[0]
+        small = float(grad @ step) / 2 <= _NEWTON_TOL
+        if small or len(history) > hyper.iterations:
+            break
+        t = 1.0  # a rise within 1e-12 of the loss is rounding, not a worse fit
+        while (new := loss(theta - t * step)) > history[-1] * (1 + 1e-12) and t > 2.0**-30:
+            t /= 2
+        theta -= t * step
+        history.append(new)
 
-    def loss(z: np.ndarray) -> float:
-        return float(np.mean(np.logaddexp(0.0, z) - labels * z))
-
-    z = X @ w + b
-    history = [loss(z)]
-    for _ in range(hyper.iterations):
-        p = _sigmoid_vec(z)
-        grad_z = (p - labels) / n
-        w -= lr * (X.T @ grad_z)
-        b -= lr * float(np.sum(grad_z))
-        z = X @ w + b
-        history.append(loss(z))
-
-    info = TrainingInfo(
-        iterations=hyper.iterations,
-        initial_loss=history[0],
-        final_loss=history[-1],
-        learning_rate_used=lr,
-        loss_history=tuple(history),
-    )
-    return MdaModel(names, tuple(float(v) for v in w), b, info)
+    steps = len(history) - 1
+    separating = next((name for name, column in zip(names, X.T) if _separates(column, y)), None)
+    extreme = float(np.minimum(p, 1.0 - p).min()) < 1e-9  # a probability of 0 or 1
+    converged = small and separating is None and not extreme
+    if separating is not None:
+        logger.warning("MDA training labels are separated by %r, so no maximum-likelihood "
+                       "weights exist; keeping the weights of Newton step %d", separating, steps)
+    elif not converged:
+        logger.warning("MDA training did not converge in %d Newton step(s)%s", steps,
+                       "; fitted probabilities of 0 or 1 mean the labels are separated" * extreme)
+    info = TrainingInfo(steps, history[0], history[-1], float(np.abs(grad).max()), converged,
+                        tuple(history))
+    return MdaModel(names, tuple(float(v) for v in theta[:-1]), float(theta[-1]), info)
 
 
 def mda_credits(model: MdaModel, journey: Journey) -> tuple[float, ...]:
@@ -306,26 +315,16 @@ def mda_credits(model: MdaModel, journey: Journey) -> tuple[float, ...]:
     conversion probability caused by removing it, normalized to sum to 1;
     if no removal lowers the probability the credit falls back to uniform.
 
-    The features are counts plus the recency of the latest touchpoint, so
-    removing touchpoint i subtracts the column row of its (is_click, channel)
-    pair from the full vector; recency changes only when i is the unique
-    latest touchpoint, and is then recomputed. One vector is scored per
-    distinct pair (the unique latest touchpoint's on its own) with the same
-    scalar arithmetic as rebuilding it, so the credits are the O(n^2) ones.
-    """
+    Removing touchpoint i subtracts the column row of its (is_click, channel)
+    pair from the full count vector. One vector is scored per distinct pair,
+    with the scalar arithmetic of rebuilding it: the credits are the O(n^2) ones."""
     _require_touchpoints(journey)
     tps = journey.touchpoints
     pairs = [(tp.interaction_kind is InteractionKind.CLICK, tp.channel) for tp in tps]
     columns = _touchpoint_columns(model.feature_names, *map(np.array, zip(*pairs)))
-    recency = np.array([name == "recency_days" for name in model.feature_names], dtype=bool)
     x = columns.sum(axis=0)
-    x[recency] = _recency_days(tps, journey.conversion)
-    if len(tps) == 1 or tps[-1].timestamp != tps[-2].timestamp:
-        pairs[-1] = None  # the unique latest: a key of its own, and the last one added
     row_of = {pair: i for i, pair in enumerate(pairs)}
     loo = x - columns[list(row_of.values())]
-    if pairs[-1] is None:
-        loo[-1, recency] = _recency_days(tps[:-1], journey.conversion)
 
     # Per-row np.dot, not loo @ weights: a batched product sums in another
     # order and moves credits in their last bits.

@@ -115,7 +115,6 @@ class RunConfig:
     lookback: LookbackWindow
     decay: DecayConfig
     mda_hyper: MdaHyperparams
-    mda_max_negatives: int | None
     calibration: CalibrationOptions
     cv_folds: int
     cv_seed: int
@@ -269,7 +268,6 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
         lookback=LookbackWindow(timedelta(days=values["lookback_days"])),
         decay=DecayConfig(timedelta(days=values["decay_half_life_days"])),
         mda_hyper=MdaHyperparams(mda["learning_rate"], mda["iterations"], mda["seed"]),
-        mda_max_negatives=mda["max_negatives"],
         calibration=_build("calibration", CalibrationOptions, cal["features"], cal["pooling"],
                            cal["intercept"], cal["inverse_variance_weighting"]),
         cv_folds=cal["cv_folds"],
@@ -454,7 +452,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     rct_results = _read_rct_results(cfg.artifact("rct_results"))
     journeys, attributable, counts, store = _load_journeys(cfg)
 
-    mda = pipeline.train_attributor(journeys, cfg.mda_hyper, cfg.mda_max_negatives)
+    mda = pipeline.train_attributor(journeys, cfg.mda_hyper)
     credits = pipeline.ensemble_credits(attributable, cfg.calibration.feature_models, cfg.decay, mda)
     rows = pipeline.calibration_rows(
         credits, cfg.sim.campaigns, rct_results, cfg.calibration.feature_models

@@ -42,6 +42,9 @@ class DecayConfig:
 
 @dataclass(frozen=True, slots=True)
 class MdaHyperparams:
+    """``iterations`` caps the MDA's Newton steps. ``learning_rate`` and ``seed``
+    have no effect; they stay so that configs that set them still load."""
+
     learning_rate: float = 0.5
     iterations: int = 400
     seed: int = 0

@@ -21,7 +21,7 @@ import re
 import zipfile
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from itertools import chain, count, islice, repeat
@@ -602,13 +602,6 @@ class Journeys(_Rows):
     def __len__(self) -> int:
         return len(self.conversion)
 
-    def select(self, indices: np.ndarray) -> Journeys:
-        """The journeys at ``indices``, still as a table."""
-        return replace(
-            self, start=self.start[indices], stop=self.stop[indices],
-            customer=self.customer[indices], conversion=self.conversion[indices],
-        )
-
     def take(self, indices: np.ndarray) -> list[Journey]:
         """The journeys at ``indices`` as objects, their touchpoints and
         conversions each built in one pass."""
@@ -705,7 +698,7 @@ def build_journeys(
 
 # The version of the store's layout and of the parse and journey rules whose
 # output it holds: bump it when either changes, so that no earlier store is read.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 # The range [low, high) of the microseconds since the Unix epoch that a datetime holds.
 _DATETIME_US = ((datetime.min.replace(tzinfo=timezone.utc) - _UNIX_EPOCH) // _MICROSECOND,
@@ -719,8 +712,9 @@ def _utf8(text: str) -> np.ndarray:
 def write_store(fh: IO[bytes], key: str, journeys: Journeys, skipped: Sequence[int]) -> None:
     """Save ``journeys``, the touchpoint and conversion tables it is over and
     the skipped-line count of each log they were read from, as one ``.npz``
-    store under ``key`` and ``STORE_VERSION``. Each array column is saved as
-    it is; each string column as its UTF-8 bytes plus the character offset
+    store under ``key`` and ``STORE_VERSION``. An int64 column is saved in the
+    narrowest integer dtype of its values, any other array column as it is,
+    and each string column as its UTF-8 bytes plus the character offset
     where each string ends, as ``PackedStrings`` holds them. The members are
     the ``.npy`` files ``np.savez`` writes, byte for byte, but each is written
     from its array's own buffer and each string column is encoded only when
@@ -728,6 +722,8 @@ def write_store(fh: IO[bytes], key: str, journeys: Journeys, skipped: Sequence[i
     raised ``fit``'s peak RSS at 200k customers."""
     with zipfile.ZipFile(fh, "w") as store:
         for name, array in _store_arrays(key, journeys, skipped):
+            if array.dtype == np.int64:
+                array = array.astype(_narrowest(array))
             with store.open(f"{name}.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(
                     member, np.lib.format.header_data_from_array_1_0(array))
@@ -752,17 +748,26 @@ def _store_arrays(key: str, journeys: Journeys, skipped: Sequence[int]) -> Itera
                 yield name, value
 
 
+def _narrowest(values: np.ndarray) -> np.dtype:
+    """The narrowest integer dtype of ``values``: unsigned when none is negative."""
+    low, high = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    return np.min_scalar_type(high if low >= 0 else min(low, -high - 1))
+
+
 def _column(store: Mapping[str, np.ndarray], name: str, dtype, size: int | None = None,
             low: int | None = None, high: int | None = None) -> np.ndarray:
     """The array ``name`` of ``store`` if it is a vector of ``dtype``, ``size``
-    long, with values in [low, high) where these are given; else ValueError."""
+    long, with values in [low, high) where these are given; else ValueError.
+    An int64 column, stored in the narrowest dtype of its values, is widened."""
     column = store[name]
-    if column.dtype != dtype or column.ndim != 1 or size not in (None, len(column)):
+    integer = column.ndim == 1 and dtype == np.int64 and column.dtype.kind in "iu"
+    stored = _narrowest(column) if integer else dtype
+    if column.dtype != stored or column.ndim != 1 or size not in (None, len(column)):
         raise ValueError(f"{name} is no {dtype} vector of length {size}")
     if len(column) and (low is not None and column.min() < low
                         or high is not None and column.max() >= high):
         raise ValueError(f"{name} holds a value outside [{low}, {high})")
-    return column
+    return column.astype(dtype, copy=False)
 
 
 def _strings(store: Mapping[str, np.ndarray], name: str) -> PackedStrings:

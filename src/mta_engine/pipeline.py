@@ -45,30 +45,17 @@ def split_attributable(journeys: Journeys) -> tuple[list[Journey], int]:
     return attributable, unattributed
 
 
-def mda_training_set(
-    journeys: Journeys, max_negatives: int | None = None, seed: int = 0
-) -> Journeys:
-    """Training rows for the MDA: all converting journeys plus (optionally
-    capped, seeded subsample of) non-converting ones, selected without
-    building journey objects."""
-    positives = np.flatnonzero(journeys.converted)
-    negatives = np.flatnonzero(~journeys.converted)
-    if max_negatives is not None and len(negatives) > max_negatives:
-        keep = np.random.default_rng(seed).choice(len(negatives), max_negatives, replace=False)
-        negatives = negatives[np.sort(keep)]
-    return journeys.select(np.concatenate([positives, negatives]))
-
-
 def train_attributor(
     journeys: Journeys,
     hyper: MdaHyperparams = MdaHyperparams(),
     max_negatives: int | None = None,
 ) -> MdaModel | None:
-    """Train the MDA on the journey set; returns None when the labels are
-    degenerate (e.g. a log with no non-converting customers)."""
-    rows = mda_training_set(journeys, max_negatives, hyper.seed)
+    """Train the MDA on every journey; returns None when the labels are
+    degenerate (e.g. a log with no non-converting customers).
+    ``max_negatives`` has no effect: the fit over distinct journey rows costs
+    little enough that no journey is left out."""
     try:
-        return attribution.train_mda(rows, hyper)
+        return attribution.train_mda(journeys, hyper)
     except DegenerateLabelsError as exc:
         logger.warning("MDA training skipped: %s", exc)
         return None

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mta_engine import events
-from mta_engine.attribution import MdaModel, ModelCredits, _recency_days
+from mta_engine.attribution import MdaModel, ModelCredits, TrainingInfo
 from mta_engine.calibration import CalibrationModel, CampaignFeatureRow, _predict, _warn_gaps
 from mta_engine.cli import CONFIG_KEYS
 from mta_engine.events import (
@@ -128,37 +128,27 @@ def score_one(model, credits_by_model, journey):
     return credit_rows(score_all(model, credit_table([journey], per_journey)))
 
 
-def feature_vector(
-    feature_names: Sequence[str],
-    touchpoints: Sequence[Touchpoint],
-    conversion,
-) -> np.ndarray:
+def feature_vector(feature_names: Sequence[str], touchpoints: Sequence[Touchpoint]) -> np.ndarray:
     """The MDA feature vector of one journey, by its definition: the oracle
     for the training matrix and the leave-one-out credits."""
     x = np.zeros(len(feature_names))
-    recency = _recency_days(touchpoints, conversion)
     channel_counts: dict[str, int] = {}
-    n_views = n_clicks = 0
+    n_clicks = 0
     for tp in touchpoints:
         channel_counts[tp.channel] = channel_counts.get(tp.channel, 0) + 1
-        if tp.interaction_kind is InteractionKind.CLICK:
-            n_clicks += 1
-        else:
-            n_views += 1
+        n_clicks += tp.interaction_kind is InteractionKind.CLICK
     for i, name in enumerate(feature_names):
-        if name == "n_touchpoints":
-            x[i] = len(touchpoints)
-        elif name == "n_views":
-            x[i] = n_views
-        elif name == "n_clicks":
+        if name == "n_clicks":
             x[i] = n_clicks
-        elif name == "recency_days":
-            x[i] = recency
         elif name.startswith("channel_count:"):
             x[i] = channel_counts.get(name.split(":", 1)[1], 0)
         else:
             raise ValueError(f"unknown MDA feature {name!r}")
     return x
+
+
+# The training record of a hand-made MDA model, which no fit produced.
+UNTRAINED = TrainingInfo(0, 0.0, 0.0, 0.0, False)
 
 
 def by_touchpoint_id(journey: Journey, credits: Sequence[float]) -> dict[str, float]:
@@ -169,8 +159,7 @@ def by_touchpoint_id(journey: Journey, credits: Sequence[float]) -> dict[str, fl
 
 def predict_proba(model: MdaModel, journey: Journey) -> float:
     """The MDA's conversion probability for one journey."""
-    x = feature_vector(model.feature_names, journey.touchpoints, journey.conversion)
-    return model._proba(x)
+    return model._proba(feature_vector(model.feature_names, journey.touchpoints))
 
 
 def format_timestamp(ts: datetime) -> str:

@@ -1,3 +1,5 @@
+import json
+import logging
 import math
 from datetime import timedelta
 from unittest import mock
@@ -11,7 +13,6 @@ from mta_engine.attribution import (
     DecayConfig,
     MdaHyperparams,
     MdaModel,
-    TrainingInfo,
     decay_credits,
     feature_names_for,
     linear_credits,
@@ -24,6 +25,7 @@ from mta_engine.events import Journey
 
 from conftest import (
     T0,
+    UNTRAINED,
     by_touchpoint_id,
     feature_vector,
     journey_table,
@@ -119,10 +121,8 @@ class TestDecay:
 
 
 def zero_model(channels=("Upper", "Lower")) -> MdaModel:
-    names = ("n_touchpoints", "n_views", "n_clicks", "recency_days") + tuple(
-        f"channel_count:{c}" for c in channels
-    )
-    return MdaModel(names, (0.0,) * len(names), -1.0, TrainingInfo(0, 0.0, 0.0, 0.0))
+    names = ("n_clicks",) + tuple(f"channel_count:{c}" for c in channels)
+    return MdaModel(names, (0.0,) * len(names), -1.0, UNTRAINED)
 
 
 class TestMdaCredits:
@@ -130,7 +130,7 @@ class TestMdaCredits:
         model = zero_model()
         model = MdaModel(
             model.feature_names,
-            (0.5, 0.0, 0.0, 0.0, 0.0, 0.0),
+            (0.0, 0.5, 0.0),
             -1.0,
             model.training,
         )
@@ -147,10 +147,8 @@ class TestMdaCredits:
     def test_asymmetric_split_possible(self):
         # A channel-weighted model must be able to split credit unevenly
         # across an Upper view and a Lower click, clicks earning more.
-        names = ("n_touchpoints", "n_views", "n_clicks", "recency_days",
-                 "channel_count:Lower", "channel_count:Upper")
-        model = MdaModel(names, (0.0, 0.0, 1.0, 0.0, 1.2, 0.4), -1.5,
-                         TrainingInfo(0, 0.0, 0.0, 0.0))
+        names = ("n_clicks", "channel_count:Lower", "channel_count:Upper")
+        model = MdaModel(names, (1.0, 1.2, 0.4), -1.5, UNTRAINED)
         j = simple_journey(3.0, 1.0, kinds=["view", "click"], channels=["Upper", "Lower"])
         credits = by_touchpoint_id(j, mda_credits(model, j))
         assert credits["t1"] > credits["t0"] > 0.0
@@ -158,7 +156,7 @@ class TestMdaCredits:
 
     def test_permutation_invariance(self):
         names = feature_names_for(journey_table([simple_journey(1.0, channels=["Upper"])]))
-        model = MdaModel(names, (0.2, 0.1, 0.3, -0.05, 0.4), -1.0, TrainingInfo(0, 0, 0, 0))
+        model = MdaModel(names, (0.3, 0.4), -1.0, UNTRAINED)
         j = simple_journey(5.0, 3.0, 1.0, kinds=["view", "click", "view"])
         reversed_j = mk_journey(tuple(reversed(j.touchpoints)), j.conversion)
         assert mda_credits(model, j) == mda_credits(model, reversed_j)
@@ -183,15 +181,81 @@ def training_fixture():
     return journeys
 
 
+def separated_by_a_difference():
+    """Converters hold one more Upper than Lower touchpoint, non-converters as
+    many of each: ``channel_count:Upper - channel_count:Lower`` separates the
+    labels, and neither count does alone."""
+    journeys = []
+    for i, (upper, lower, converted) in enumerate(
+        [(2, 1, True), (1, 0, True), (2, 2, False), (0, 0, False), (1, 1, False)] * 3
+    ):
+        tps = [mk_tp(f"u{i}.{k}", customer=f"c{i}", ts=T0 - timedelta(days=1), channel="Upper")
+               for k in range(upper)]
+        tps += [mk_tp(f"l{i}.{k}", customer=f"c{i}", ts=T0 - timedelta(days=1), channel="Lower")
+                for k in range(lower)]
+        conv = mk_conv(f"x{i}", customer=f"c{i}", ts=T0) if converted else None
+        journeys.append(mk_journey(tps, conv, customer=f"c{i}"))
+    return journeys
+
+
+def overlapping_fixture():
+    """Journeys whose labels no weights separate: every (clicks, channel)
+    pattern both converts and does not, at different rates."""
+    journeys = []
+    for i in range(60):
+        kinds = ["click"] * (i % 3) + ["view"] * (1 + i % 2)
+        channels = ["Upper", "Lower"] * 3
+        tps = [mk_tp(f"t{i}.{k}", customer=f"c{i}", ts=T0 - timedelta(days=1 + k), kind=kind,
+                     channel=channels[k + i % 2])
+               for k, kind in enumerate(kinds)]
+        converted = (i * 7919) % 5 < 1 + i % 3
+        conv = mk_conv(f"x{i}", customer=f"c{i}", ts=T0) if converted else None
+        journeys.append(mk_journey(tps, conv, customer=f"c{i}"))
+    return journeys
+
+
+def mda_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "mta_engine.attribution"]
+
+
 class TestTrainMda:
-    def test_separable_set_ranks_converters_first(self):
+    def test_separable_set_ranks_converters_first_and_warns_once(self, caplog):
         journeys = training_fixture()
         hyper = MdaHyperparams(learning_rate=0.5, iterations=800, seed=3)
-        model = train_mda(journey_table(journeys), hyper)
+        with caplog.at_level(logging.WARNING):
+            model = train_mda(journey_table(journeys), hyper)
         scores = [(predict_proba(model, j), j.converted) for j in journeys]
         worst_converter = min(s for s, conv in scores if conv)
         best_abstainer = max(s for s, conv in scores if not conv)
         assert worst_converter > best_abstainer
+        assert all(math.isfinite(w) for w in (*model.weights, model.bias))
+        assert not model.training.converged
+        [warning] = mda_warnings(caplog)
+        assert "separated by 'n_clicks'" in warning
+        assert f"Newton step {model.training.steps}" in warning
+
+    def test_separation_by_no_single_feature_is_reported(self, caplog):
+        journeys = separated_by_a_difference()
+        with caplog.at_level(logging.WARNING):
+            model = train_mda(journey_table(journeys))
+        scores = [(predict_proba(model, j), j.converted) for j in journeys]
+        assert min(s for s, conv in scores if conv) > max(s for s, conv in scores if not conv)
+        assert not model.training.converged
+        [warning] = mda_warnings(caplog)
+        assert "did not converge" in warning and "separated" in warning
+
+    def test_a_fit_stopped_by_the_cap_warns_once(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            model = train_mda(journey_table(overlapping_fixture()), MdaHyperparams(iterations=1))
+        assert model.training.steps == 1 and not model.training.converged
+        assert mda_warnings(caplog) == ["MDA training did not converge in 1 Newton step(s)"]
+
+    def test_overlapping_labels_converge_without_a_warning(self, caplog):
+        with caplog.at_level(logging.WARNING):
+            model = train_mda(journey_table(overlapping_fixture()))
+        assert model.training.converged and model.training.steps <= 10
+        assert model.training.gradient_max_norm < 1e-9
+        assert mda_warnings(caplog) == []
 
     def test_constant_features_converge_to_base_rate(self):
         journeys = []
@@ -204,7 +268,7 @@ class TestTrainMda:
         base_rate = 2.0 / 5.0
         assert abs(p - base_rate) < 1e-3
         # closed form check: fitted log-odds approach log(0.4 / 0.6)
-        x = feature_vector(model.feature_names, journeys[0].touchpoints, journeys[0].conversion)
+        x = feature_vector(model.feature_names, journeys[0].touchpoints)
         z = sum(w * v for w, v in zip(model.weights, x)) + model.bias
         assert abs(z - math.log(base_rate / (1 - base_rate))) < 5e-3
 
@@ -225,17 +289,19 @@ class TestTrainMda:
         with pytest.raises(DegenerateLabelsError):
             train_mda(journey_table([]))
 
-    def test_loss_monotone_and_metadata(self):
+    @pytest.mark.parametrize("fixture", [training_fixture, overlapping_fixture])
+    def test_loss_monotone_and_metadata(self, fixture):
         hyper = MdaHyperparams(learning_rate=5.0, iterations=200)
-        model = train_mda(journey_table(training_fixture()), hyper)
+        model = train_mda(journey_table(fixture()), hyper)
         history = model.training.loss_history
-        assert len(history) == 201
-        assert all(history[i + 1] <= history[i] + 1e-12 for i in range(len(history) - 1))
-        assert model.training.final_loss <= model.training.initial_loss
-        assert model.training.learning_rate_used <= 5.0
+        assert len(history) == model.training.steps + 1 <= 201
+        assert history[0] == model.training.initial_loss == math.log(2.0)
+        assert history[-1] == model.training.final_loss
+        assert all(history[i + 1] <= history[i] * (1 + 1e-12) for i in range(len(history) - 1))
+        assert model.training.final_loss < model.training.initial_loss
 
     def test_json_round_trip_bit_exact(self):
-        model = train_mda(journey_table(training_fixture()), MdaHyperparams(seed=11))
+        model = train_mda(journey_table(overlapping_fixture()), MdaHyperparams(seed=11))
         # perturb weights to awkward floats
         weights = tuple(np.nextafter(w, 1.0) for w in model.weights)
         model = MdaModel(model.feature_names, weights, model.bias / 3.0, model.training)
@@ -243,7 +309,38 @@ class TestTrainMda:
         assert again.weights == model.weights
         assert again.bias == model.bias
         assert again.feature_names == model.feature_names
-        assert again.training.final_loss == model.training.final_loss
+        assert again.training == model.training
+        assert json.loads(model.to_json())["metadata"] == {
+            "steps": model.training.steps, "converged": True,
+            "gradient_max_norm": model.training.gradient_max_norm,
+            "initial_loss": math.log(2.0), "final_loss": model.training.final_loss,
+            "loss_history": list(model.training.loss_history),
+        }
+
+    def test_weights_solve_the_score_equations_of_every_journey(self):
+        """The fit over distinct rows is the maximum-likelihood fit over the
+        journeys: the log-loss gradient, summed journey by journey from the
+        feature oracle, vanishes at its weights."""
+        journeys = overlapping_fixture()
+        model = train_mda(journey_table(journeys))
+        X = np.array([[*feature_vector(model.feature_names, j.touchpoints), 1.0] for j in journeys])
+        p = np.array([predict_proba(model, j) for j in journeys])
+        y = np.array([j.converted for j in journeys], dtype=float)
+        assert np.abs(X.T @ (p - y)).max() / len(journeys) < 1e-9
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("high", [3, 2**40], ids=["small-counts", "renumbered"])
+    def test_equal_to_unique_rows(self, high):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, high, size=(500, 4)).astype(np.float64)
+        X[250:] = X[:250]  # every row at least twice
+        y = rng.integers(0, 2, 500).astype(bool)
+        rows, labels, count = attribution._distinct_rows(X, y)
+        expected, expected_count = np.unique(np.column_stack([y, X]), axis=0, return_counts=True)
+        got = sorted(zip(map(tuple, np.column_stack([labels, rows]).tolist()), count.tolist()))
+        assert got == sorted(zip(map(tuple, expected.tolist()), expected_count.tolist()))
+        assert count.sum() == 500 and labels.dtype == np.float64
 
 
 @st.composite
@@ -264,11 +361,10 @@ def converting_journeys(draw):
 
 
 PROPERTY_MODEL = MdaModel(
-    ("n_touchpoints", "n_views", "n_clicks", "recency_days",
-     "channel_count:Lower", "channel_count:Mid", "channel_count:Upper"),
-    (0.25, 0.05, 0.6, -0.1, 0.5, -0.2, 0.15),
+    ("n_clicks", "channel_count:Lower", "channel_count:Mid", "channel_count:Upper"),
+    (0.55, 0.8, 0.1, 0.45),
     -1.2,
-    TrainingInfo(0, 0.0, 0.0, 0.0),
+    UNTRAINED,
 )
 
 
@@ -335,11 +431,11 @@ def loo_journeys(draw):
 def loo_models(draw):
     """Models over the base features plus two channels, with the weight of any
     feature possibly 0 (all-zero weights give the uniform fallback)."""
-    names = PROPERTY_MODEL.feature_names[:4] + ("channel_count:Lower", "channel_count:Upper")
+    names = ("n_clicks", "channel_count:Lower", "channel_count:Upper")
     weight = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
     weights = tuple(draw(weight) for _ in names)
     bias = draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0)))
-    return MdaModel(names, weights, bias, TrainingInfo(0, 0.0, 0.0, 0.0))
+    return MdaModel(names, weights, bias, UNTRAINED)
 
 
 @st.composite
@@ -408,13 +504,13 @@ class TestMdaClosedForm:
     @given(loo_models(), st.one_of(loo_journeys(), shared_vector_journeys()))
     def test_one_score_per_distinct_vector(self, model, journey):
         channels = {tp.channel for tp in journey.touchpoints}
-        assert proba_calls(model, journey) <= 2 * len(channels) + 2
+        assert proba_calls(model, journey) <= 2 * len(channels) + 1
 
     def test_scores_do_not_grow_with_journey_length(self):
         kinds = ["view", "click"] * 75
         channels = ["Upper", "Lower", "Mid"] * 50
         journey = simple_journey(*[0.01 * (i + 1) for i in range(150)], kinds=kinds, channels=channels)
-        assert proba_calls(PROPERTY_MODEL, journey) <= 2 * 3 + 2
+        assert proba_calls(PROPERTY_MODEL, journey) <= 2 * 3 + 1
         assert credit_bits(mda_credits(PROPERTY_MODEL, journey)) == credit_bits(
             loo_reference(PROPERTY_MODEL, journey)
         )

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
@@ -435,6 +436,21 @@ def edit_json(key: str, edit):
     return corrupt
 
 
+# An ``mda_model.json`` as ``fit`` wrote it while the MDA had a recency feature.
+RECENCY_MODEL = {
+    "feature_names": ["n_touchpoints", "n_views", "n_clicks", "recency_days",
+                      "channel_count:Lower", "channel_count:Upper"],
+    "weights": [-0.57, -0.58, 0.0017, 3.31, 0.00066, -0.58],
+    "bias": -0.92,
+    "metadata": {"iterations": 250, "final_loss": 0.264, "initial_loss": 0.693,
+                 "learning_rate_used": 0.5},
+}
+
+
+def recency_model(path: Path) -> None:
+    path.write_text(json.dumps(RECENCY_MODEL, indent=2))
+
+
 class TestUnusableArtifacts:
     """An input artifact that exists but cannot be decoded exits 4 with one
     line naming it; each used to exit 1 with a traceback."""
@@ -468,7 +484,9 @@ class TestUnusableArtifacts:
              "attribute"),
             # Used to exit 1 with "ValueError: unknown MDA feature", naming no file.
             ("mda_model.json", edit_json("feature_names", lambda names: [
-                "n_touchpointz" if n == "n_touchpoints" else n for n in names]), "attribute"),
+                "n_clickz" if n == "n_clicks" else n for n in names]), "attribute"),
+            # A model fitted before recency_days went; reading it used to be fine.
+            ("mda_model.json", recency_model, "attribute"),
             # The next three used to exit 0: every MTA credit doubled, every credit zero
             # with one warning, and ``ltaa`` scored as zero credit with one warning.
             ("calibration_model.json", edit_json("feature_names", lambda names: ["mda", "mda"]),
@@ -487,7 +505,8 @@ class TestUnusableArtifacts:
              "negative-unattributed", "fractional-unattributed", "boolean-unattributed",
              "credits-short-row", "model-credits-short-row", "nan-credit", "negative-credits",
              "infinite-model-credit", "calibration-weight-missing", "calibration-weights-extra",
-             "nan-calibration-weight", "unknown-mda-feature", "duplicate-calibration-feature",
+             "nan-calibration-weight", "unknown-mda-feature", "recency-mda-model",
+             "duplicate-calibration-feature",
              "unknown-calibration-pooling", "unknown-calibration-feature",
              "rct-results-repeated-campaign", "rct-results-empty-arm"],
     )
@@ -502,6 +521,16 @@ class TestUnusableArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"UnusableArtifactError: {out / artifact}: ")
+
+    def test_a_recency_model_is_named_as_such(self, attributed_run, tmp_path, capsys):
+        cfg_path, source = attributed_run
+        out = tmp_path / "out"
+        shutil.copytree(source, out)
+        recency_model(out / "mda_model.json")
+        capsys.readouterr()
+        assert run("attribute", "--config", cfg_path, "--out", out) == 4
+        assert capsys.readouterr().err == (f"UnusableArtifactError: {out / 'mda_model.json'}: "
+                                           "unknown MDA feature 'n_touchpoints'\n")
 
     def test_rct_results_naming_a_campaign_twice_are_refused(self, tmp_path):
         path = tmp_path / "rct_results.csv"
@@ -773,6 +802,38 @@ class TestInsufficientData:
         assert "campaign row(s): no fitted weights for group 'Lower'; treated as 0" in caplog.text
         model = json.loads((tmp_path / "out" / ARTIFACTS["calibration_model"]).read_text())
         assert model["cv_metrics"]["folds"] == 4.0
+
+
+class TestSeparatedMdaLabels:
+    def test_fit_warns_once_and_the_mda_credits_stay_normalized(self, tmp_path, capsys, caplog):
+        """With no baseline conversions and Upper lifts of 1, a journey converts
+        exactly when it holds an Upper touchpoint: ``channel_count:Upper``
+        separates the labels, and no maximum-likelihood weights exist."""
+        config = base_config(tmp_path / "out")
+        config["simulation"]["baseline_conversion_rate"] = 0.0
+        for campaign in config["simulation"]["campaigns"]:
+            campaign["true_lift"] = 1.0 if campaign["channel"] == "Upper" else 0.0
+        cfg_path = write_config(tmp_path, config)
+        assert run("simulate", "--config", cfg_path) == 0
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert run("fit", "--config", cfg_path) == 0
+        [warning] = caplog.records
+        assert "labels are separated by 'channel_count:Upper'" in warning.getMessage()
+        model = json.loads((tmp_path / "out" / ARTIFACTS["mda_model"]).read_text())
+        assert not model["metadata"]["converged"]
+        assert all(math.isfinite(w) for w in (*model["weights"], model["bias"]))
+
+        assert run("attribute", "--config", cfg_path) == 0
+        totals: dict[str, float] = {}
+        with (tmp_path / "out" / ARTIFACTS["model_credits"]).open() as fh:
+            for row in csv.DictReader(fh):
+                if row["model"] == "mda":
+                    credit = float(row["credit"])
+                    assert 0.0 <= credit <= 1.0
+                    totals[row["conversion_id"]] = totals.get(row["conversion_id"], 0.0) + credit
+        assert len(totals) > 100
+        assert all(abs(total - 1.0) < 1e-9 for total in totals.values())
 
 
 class TestFitOutput:

@@ -22,7 +22,6 @@ from mta_engine.attribution import (
     DecayConfig,
     MdaHyperparams,
     MdaModel,
-    TrainingInfo,
     decay_credits,
     linear_credits,
     lta_credits,
@@ -34,7 +33,8 @@ from mta_engine.events import Journey, LookbackWindow, build_journeys
 from mta_engine.rct import CampaignSpec, SimConfig, estimate_all, simulate
 
 from conftest import (
-    T0, CreditRow, credit_rows, credit_table, exact_rct, mk_conv, mk_tp, touchpoint_table)
+    T0, UNTRAINED, CreditRow, credit_rows, credit_table, exact_rct, mk_conv, mk_tp,
+    touchpoint_table)
 
 
 @dataclass(frozen=True)
@@ -145,11 +145,10 @@ def model_credit_records_reference(attributable, credits_by_model):
 
 
 MDA = MdaModel(
-    ("n_touchpoints", "n_views", "n_clicks", "recency_days",
-     "channel_count:Lower", "channel_count:Upper"),
-    (0.25, 0.05, 0.6, -0.1, 0.5, 0.15),
+    ("n_clicks", "channel_count:Lower", "channel_count:Upper"),
+    (0.55, 0.8, 0.45),
     -1.2,
-    TrainingInfo(0, 0.0, 0.0, 0.0),
+    UNTRAINED,
 )
 
 # "decay" is weighted but, in the scorings below, sometimes has no credit

@@ -557,6 +557,44 @@ class TestEventStore:
         monkeypatch.setattr(events, "STORE_VERSION", events.STORE_VERSION + 1)
         assert events.read_store(path, "k") is None
 
+    def test_integer_columns_are_stored_narrow_and_read_back_as_int64(self, stored):
+        """Codes, offsets, stamps and units were all saved as int64."""
+        journeys, path = stored
+        with np.load(path) as store:
+            dtypes = {name: store[name].dtype for name in store.files}
+        assert dtypes["tp.customer"] == dtypes["journeys.rows"] == np.uint8
+        assert dtypes["journeys.conversion"] == np.int8  # -1 for no conversion
+        assert dtypes["tp.ts_us"] == np.uint64 and dtypes["conv.units"] == np.uint8
+        assert dtypes["tp.touchpoint_id.ends"] == dtypes["skipped"] == np.uint8
+        assert np.int64 not in dtypes.values()
+        loaded, _ = events.read_store(path, "k")
+        assert journeys_state(loaded) == journeys_state(journeys)
+        assert loaded.conversion.dtype == loaded.table.channel.dtype == np.intp
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([], np.uint8), ([0, 255], np.uint8), ([256], np.uint16), ([-1, 2], np.int8),
+        ([-1, 127], np.int8), ([-1, 128], np.int16), ([-129], np.int16),
+        ([2**32], np.uint64), ([-1, 2**31], np.int64), ([2**63 - 1], np.uint64),
+    ])
+    def test_the_narrowest_dtype_holds_every_value(self, values, dtype):
+        column = np.array(values, np.int64)
+        assert events._narrowest(column) == dtype
+        assert np.array_equal(column.astype(dtype).astype(np.int64), column)
+
+    def test_a_store_of_the_int64_layout_is_a_miss(self, stored, monkeypatch):
+        """A store written before the columns were narrowed (version 1) is a
+        miss, and so are int64 columns under the current version."""
+        journeys, path = stored
+        for version in (1, events.STORE_VERSION):
+            with monkeypatch.context() as patch:
+                patch.setattr(events, "_narrowest", lambda values: np.dtype(np.int64))
+                patch.setattr(events, "STORE_VERSION", version)
+                with path.open("wb") as fh:
+                    events.write_store(fh, "k", journeys, [1, 0])
+            with np.load(path) as store:
+                assert store["journeys.rows"].dtype == np.int64
+            assert events.read_store(path, "k") is None
+
     def test_truncations_and_flipped_bytes_are_a_miss_or_the_same_journeys(self, stored):
         """The zip CRC and the column checks turn damage into a miss; damage
         that misses both (as in a member's timestamp) reads back the same."""

@@ -1,4 +1,6 @@
 import logging
+import math
+from dataclasses import replace
 from datetime import timedelta
 
 import pytest
@@ -45,17 +47,21 @@ class TestBuildingBlocks:
         assert [j.conversion.conversion_id for j in attributable] == ["x1"]
         assert unattributed == 1
 
-    def test_mda_training_set_caps_negatives_deterministically(self):
+    def test_max_negatives_keeps_every_negative(self):
+        """``max_negatives`` used to subsample the non-converting journeys; the
+        fit now reads them all, and the argument has no effect."""
         journeys = [mk_journey([mk_tp("t0")], mk_conv("x0"))]
         journeys += [
             mk_journey([mk_tp(f"t{i}", customer=f"n{i}")], None, customer=f"n{i}")
             for i in range(1, 40)
         ]
-        a = pipeline.mda_training_set(journey_table(journeys), max_negatives=10, seed=4)
-        b = pipeline.mda_training_set(journey_table(journeys), max_negatives=10, seed=4)
-        assert list(a) == list(b)
-        assert sum(1 for j in a if not j.converted) == 10
-        assert sum(1 for j in a if j.converted) == 1
+        hyper = MdaHyperparams(seed=4)
+        a = pipeline.train_attributor(journey_table(journeys), hyper, max_negatives=10)
+        b = pipeline.train_attributor(journey_table(journeys), hyper, max_negatives=10)
+        assert a == b == pipeline.train_attributor(journey_table(journeys), hyper)
+        # The fitted rate is that of all 40 journeys, 1 in 40, not 1 in 11.
+        assert a.training.converged
+        assert a.training.final_loss == pytest.approx(-(math.log(1 / 40) + 39 * math.log(39 / 40)) / 40)
 
     def test_ensemble_credits_aligned_and_mda_optional(self, caplog):
         journeys = [
@@ -111,6 +117,58 @@ class TestBuildingBlocks:
         assert list(records.columns) == ["lta"]
         assert records.scaled("lta").tolist() == [2.0]
         assert len(records) == 1
+
+
+@pytest.fixture(scope="module")
+def simulated_journeys():
+    """The journeys of a small two-channel population, and of the same
+    population with channel ``Upper`` renamed ``AUpper``."""
+    window = LookbackWindow(timedelta(days=7))
+    both = []
+    for rename in ({}, {"Upper": "AUpper"}):
+        cfg = two_channel_config(n_customers=4000, seed=3)
+        campaigns = tuple(replace(c, channel=rename.get(c.channel, c.channel)) for c in cfg.campaigns)
+        touchpoints, conversions, _ = simulate(replace(cfg, campaigns=campaigns))
+        both.append(build_journeys(touchpoints.touchpoint_table(), conversions, window))
+    return both
+
+
+def same_weights(a, b, order=None) -> bool:
+    """Whether two converged fits agree to 1e-9 relative, ``b``'s weights
+    taken in ``order`` when given."""
+    order = range(len(a.weights)) if order is None else order
+    pairs = [*zip(a.weights, [b.weights[i] for i in order]), (a.bias, b.bias)]
+    return all(math.isclose(x, y, rel_tol=1e-9) for x, y in pairs) and (
+        a.training.converged and b.training.converged)
+
+
+class TestMdaInvariance:
+    """Once the Newton fit has converged, its weights depend on the journeys
+    alone. Gradient descent from a seeded start gave weights set by the
+    iteration count, the seed, the negative subsample and the order of the
+    channel names."""
+
+    def test_iteration_cap(self, simulated_journeys):
+        journeys, _ = simulated_journeys
+        capped = [pipeline.train_attributor(journeys, MdaHyperparams(iterations=n)) for n in (50, 400)]
+        assert same_weights(*capped)
+
+    def test_seed(self, simulated_journeys):
+        journeys, _ = simulated_journeys
+        seeded = [pipeline.train_attributor(journeys, MdaHyperparams(seed=s)) for s in (0, 7)]
+        assert same_weights(*seeded)
+
+    def test_max_negatives(self, simulated_journeys):
+        journeys, _ = simulated_journeys
+        assert len(journeys) - journeys.converted.sum() > 100
+        capped = [pipeline.train_attributor(journeys, MdaHyperparams(), n) for n in (None, 100)]
+        assert same_weights(*capped)
+
+    def test_channel_names(self, simulated_journeys):
+        models = [pipeline.train_attributor(journeys) for journeys in simulated_journeys]
+        renamed = [name.replace(":Upper", ":AUpper") for name in models[0].feature_names]
+        assert same_weights(models[0], models[1], [models[1].feature_names.index(n) for n in renamed])
+        assert models[1].feature_names == ("n_clicks", "channel_count:AUpper", "channel_count:Lower")
 
 
 class TestFigureFixtureThroughPipeline:

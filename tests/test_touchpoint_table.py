@@ -230,7 +230,7 @@ def journey_lists(draw):
 
 
 def stacked_feature_vectors(names, journeys) -> np.ndarray:
-    rows = [feature_vector(names, j.touchpoints, j.conversion) for j in journeys]
+    rows = [feature_vector(names, j.touchpoints) for j in journeys]
     return np.array(rows).reshape(len(journeys), len(names))
 
 
@@ -246,26 +246,24 @@ class TestTrainingMatrix:
         assert np.array_equal(matrix, stacked_feature_vectors(names, journeys))
 
     @settings(max_examples=100, deadline=None)
-    @given(journey_lists(), st.integers(0, 4))
-    def test_matrix_of_built_journeys(self, journey_list, max_negatives):
+    @given(journey_lists())
+    def test_matrix_of_built_journeys(self, journey_list):
         touchpoints = [tp for j in journey_list for tp in j.touchpoints]
         conversions = [j.conversion for j in journey_list if j.conversion is not None]
         journeys = build_journeys(
             touchpoint_table(touchpoints), conversion_table(conversions), WEEK
         )
-        rows = pipeline.mda_training_set(journeys, max_negatives, seed=1)
-        names = feature_names_for(rows)
-        assert names == feature_names_for(journey_table(list(rows)))
-        matrix = attribution._feature_matrix(names, rows)
-        assert np.array_equal(matrix, stacked_feature_vectors(names, list(rows)))
+        names = feature_names_for(journeys)
+        assert names == feature_names_for(journey_table(list(journeys)))
+        matrix = attribution._feature_matrix(names, journeys)
+        assert np.array_equal(matrix, stacked_feature_vectors(names, list(journeys)))
 
     def test_training_on_the_table_equals_training_on_objects(self):
         touchpoints, conversions, _ = simulate(small_config())
         journeys = build_journeys(touchpoints.touchpoint_table(), conversions, WEEK)
-        rows = pipeline.mda_training_set(journeys, max_negatives=300, seed=2)
         hyper = MdaHyperparams(0.5, 40, 0)
-        assert attribution.train_mda(rows, hyper) == attribution.train_mda(
-            journey_table(list(rows)), hyper
+        assert attribution.train_mda(journeys, hyper) == attribution.train_mda(
+            journey_table(list(journeys)), hyper
         )
 
 
