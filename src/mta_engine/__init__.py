@@ -21,8 +21,8 @@ _EXPORTS = {
         "calibration": ("CalibrationModel", "CampaignFeatureRow", "aggregate_campaign_features",
                         "evaluate_oos", "fit_calibration", "nnls"),
         "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",
-                   "MdaHyperparams", "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA",
-                   "MODEL_NAMES", "SimConfig"),
+                   "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA", "MODEL_NAMES",
+                   "SimConfig"),
         "errors": ("ConfigError", "DataIntegrityError", "DegenerateDesignError",
                    "DegenerateLabelsError", "InsufficientDataError", "MissingArtifactError",
                    "MtaError", "NoTouchpointsError", "ParseError", "UnusableArtifactError"),

@@ -28,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import (  # noqa: F401  -- MODEL_NAMES is re-exported
-    MODEL_NAMES, DecayConfig, MdaHyperparams)
+from .config import MODEL_NAMES, DecayConfig  # noqa: F401  -- MODEL_NAMES is re-exported
 from .errors import DataIntegrityError, DegenerateLabelsError, NoTouchpointsError
 from .events import InteractionKind, Journey, Journeys
 
@@ -39,6 +38,9 @@ _BASE_FEATURES = ("n_clicks",)
 # Newton stops once the step is predicted to lower the mean log-loss by at
 # most this many nats (half the squared Newton decrement).
 _NEWTON_TOL = 1e-16
+# The cap on Newton steps. Labels that overlap converge in a handful; only
+# separated labels, which have no maximum-likelihood weights, reach it.
+_MAX_NEWTON_STEPS = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,7 +256,7 @@ def decay_credits(journey: Journey, cfg: DecayConfig = DecayConfig()) -> tuple[f
     return tuple(w / total for w in weights)
 
 
-def train_mda(journeys: Journeys, hyper: MdaHyperparams = MdaHyperparams()) -> MdaModel:
+def train_mda(journeys: Journeys) -> MdaModel:
     """Fit the logistic conversion model to every journey by maximum likelihood.
 
     The label is whether the journey converted. The journeys collapse to their
@@ -262,12 +264,10 @@ def train_mda(journeys: Journeys, hyper: MdaHyperparams = MdaHyperparams()) -> M
     Newton's method fits these from zero weights: each step solves the Hessian
     system by least squares (finite when it is singular) and is halved while
     it raises the mean log-loss. It stops when half the squared Newton
-    decrement is at most ``_NEWTON_TOL``, or after ``hyper.iterations`` steps.
+    decrement is at most ``_NEWTON_TOL``, or after ``_MAX_NEWTON_STEPS`` steps.
     Separated labels have no maximum-likelihood weights (Albert & Anderson
     1984): one warning names a separating feature, or says that the fit did
     not converge, and the weights of the last step are kept."""
-    if hyper.learning_rate <= 0 or hyper.iterations < 1:
-        raise ValueError("learning_rate must be > 0 and iterations >= 1")
     converted = journeys.converted
     if not 0 < np.count_nonzero(converted) < len(converted):
         raise DegenerateLabelsError("training needs converting and non-converting journeys")
@@ -287,7 +287,7 @@ def train_mda(journeys: Journeys, hyper: MdaHyperparams = MdaHyperparams()) -> M
         grad = Z.T @ (f * (p - y))
         step = np.linalg.lstsq((Z.T * (f * p * (1.0 - p))) @ Z, grad, rcond=None)[0]
         small = float(grad @ step) / 2 <= _NEWTON_TOL
-        if small or len(history) > hyper.iterations:
+        if small or len(history) > _MAX_NEWTON_STEPS:
             break
         t = 1.0  # a rise within 1e-12 of the loss is rounding, not a worse fit
         while (new := loss(theta - t * step)) > history[-1] * (1 + 1e-12) and t > 2.0**-30:

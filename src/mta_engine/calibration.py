@@ -63,7 +63,7 @@ class CalibrationModel:
     weights_by_group: dict[str, tuple[float, ...]]
     intercept_by_group: dict[str, float] | None
     fit_diagnostics: dict[str, float] = field(default_factory=dict)
-    cv_metrics: dict[str, float] | None = None
+    cv_metrics: dict[str, float | None] | None = None
 
     def __post_init__(self) -> None:
         # The feature names and the pooling obey the run config's rule.
@@ -144,7 +144,8 @@ def aggregate_campaign_features(
     Every campaign in ``campaigns`` yields a row, zero-credit campaigns
     included. Targets are joined from ``rct_results`` for campaigns flagged
     ``is_rct``; other campaigns keep ``target=None`` and are ignored by the
-    fit. A touchpoint whose campaign is not in ``campaigns`` raises
+    fit, and so are ``is_rct`` campaigns without a result, counted in one
+    warning. A touchpoint whose campaign is not in ``campaigns`` raises
     :class:`DataIntegrityError`. Each campaign's sum adds its touchpoints'
     terms in row order.
     """
@@ -155,8 +156,13 @@ def aggregate_campaign_features(
         for name in sorted(table.columns)
     }
 
+    specs = sorted(campaigns, key=lambda s: s.campaign_id)
+    unmatched = [s.campaign_id for s in specs if s.is_rct and s.campaign_id not in rct_results]
+    if unmatched:
+        logger.warning("%d RCT campaign(s) have no RCT result, the first %r; the fit leaves "
+                       "them out", len(unmatched), unmatched[0])
     rows = []
-    for spec in sorted(campaigns, key=lambda s: s.campaign_id):
+    for spec in specs:
         result = rct_results.get(spec.campaign_id) if spec.is_rct else None
         rows.append(
             CampaignFeatureRow(
@@ -185,14 +191,6 @@ def feature_rows_to_csv(rows: Sequence[CampaignFeatureRow], stream: IO[str]) -> 
                 "" if row.target_std_error is None else repr(row.target_std_error),
             ]
         )
-
-
-def _resolve_feature_names(
-    rows: Sequence[CampaignFeatureRow], options: CalibrationOptions
-) -> tuple[str, ...]:
-    if options.feature_models is not None:
-        return tuple(options.feature_models)
-    return tuple(sorted({name for row in rows for name in row.features}))
 
 
 def nnls(A, b):
@@ -336,7 +334,7 @@ def _fit(
 ) -> CalibrationModel:
     """``fit_calibration``, or in a CV fold (``in_fold``) the same fit that
     leaves a group its rows cannot identify without weights and logs nothing."""
-    names = _resolve_feature_names(rows, options)
+    names = tuple(options.feature_models)
     if not names:
         raise InsufficientDataError("no feature columns to fit")
     usable = sorted(
@@ -409,13 +407,14 @@ def evaluate_oos(
     options: CalibrationOptions = CalibrationOptions(),
     k: int = 5,
     seed: int = 0,
-) -> dict[str, float]:
+) -> dict[str, float | None]:
     """K-fold cross-validation over RCT campaigns.
 
     A group that a fold's training rows cannot identify gets no weights in
     that fold: its held-out rows are predicted as 0 and reported as a gap.
     Returns out-of-sample R^2 and MAPE; rows with |target| < 1 are excluded
-    from the MAPE (their count is reported separately as ``mape_excluded``).
+    from the MAPE (their count is reported separately as ``mape_excluded``),
+    which is None when no row is left.
     ``gap_rows`` counts the held-out rows whose prediction counted a group
     without weights or a missing feature as 0.
     """
@@ -450,12 +449,11 @@ def evaluate_oos(
 
     sizable = np.abs(targets) >= 1.0
     excluded = int(np.sum(~sizable))
+    mape = None
     if np.any(sizable):
         mape = float(
             np.mean(np.abs(predictions[sizable] - targets[sizable]) / np.abs(targets[sizable]))
         )
-    else:
-        mape = float("nan")
     return {
         "r_squared": r_squared,
         "mape": mape,

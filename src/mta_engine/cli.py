@@ -41,10 +41,10 @@ from typing import IO, TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .config import (
     MODEL_LTA, MODEL_MDA, MODEL_NAMES, CalibrationOptions, CampaignSpec, DecayConfig,
-    LookbackWindow, MdaHyperparams, SimConfig)
+    LookbackWindow, SimConfig)
 from .errors import (
-    ConfigError, DegenerateDesignError, InsufficientDataError, MissingArtifactError, ParseError,
-    UnusableArtifactError)
+    ConfigError, DataIntegrityError, DegenerateDesignError, InsufficientDataError,
+    MissingArtifactError, ParseError, UnusableArtifactError)
 from .shares import (  # noqa: F401  -- perfbench/tracing.py times report through aggregate_shares
     DIMENSION_FIELDS, DIMENSIONS, LABEL_FIELDS, AttributionShareReport, aggregate_shares,
     credit_totals, render_share_table, shares_from_totals)
@@ -114,7 +114,6 @@ class RunConfig:
     out_dir: Path
     lookback: LookbackWindow
     decay: DecayConfig
-    mda_hyper: MdaHyperparams
     calibration: CalibrationOptions
     cv_folds: int
     cv_seed: int
@@ -180,6 +179,7 @@ CONFIG_KEYS = {
     "decay_half_life_days": Key("number", 3.0, **_DAYS),
     "report_dimension": Key("string", "channel", f"one of {', '.join(DIMENSIONS)}",
                             lambda v: v in DIMENSIONS),
+    # Gradient descent's options: checked so that configs that set them load, and unused.
     "mda": Key("object", {}, keys={
         "learning_rate": Key("number", 0.5, "> 0", lambda v: v > 0),
         "iterations": Key("integer", 400, ">= 1", lambda v: v >= 1),
@@ -254,7 +254,7 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
     if type(raw) is not dict:
         raise ConfigError("config must be a JSON object")
     values = _read_object(raw, CONFIG_KEYS)
-    mda, cal, sim = values["mda"], values["calibration"], values["simulation"]
+    cal, sim = values["calibration"], values["simulation"]
     seed = values["seed"] if seed_override is None else seed_override
     out_dir = Path(values["out_dir"] if out_override is None else out_override)
     if sim is not None:
@@ -267,7 +267,6 @@ def load_run_config(path: Path, seed_override: int | None, out_override: Path | 
         out_dir=out_dir,
         lookback=LookbackWindow(timedelta(days=values["lookback_days"])),
         decay=DecayConfig(timedelta(days=values["decay_half_life_days"])),
-        mda_hyper=MdaHyperparams(mda["learning_rate"], mda["iterations"], mda["seed"]),
         calibration=_build("calibration", CalibrationOptions, cal["features"], cal["pooling"],
                            cal["intercept"], cal["inverse_variance_weighting"]),
         cv_folds=cal["cv_folds"],
@@ -363,13 +362,21 @@ def _load_journeys(cfg: RunConfig):
     writes) is a hit when its key, the SHA-256 and format of each log and the
     lookback in microseconds, is exactly this run's and it reads back whole:
     the tables and journeys then come from it. On any other store, or none,
-    both logs are parsed and the journeys built. A hit logs the same
-    skipped-line warnings as the parse, and both give the same ``counts``."""
+    both logs are parsed and the journeys built; a conversion record in the
+    touchpoint log, or a touchpoint record in the conversion log, raises
+    DataIntegrityError. A hit logs the same skipped-line warnings as the
+    parse, and both give the same ``counts``."""
     logs = [cfg.artifact("touchpoints"), cfg.artifact("conversions")]
     key = _store_key(cfg, logs)
     stored = None if key is None else read_store(cfg.artifact(EVENT_STORE), key)
     if stored is None:
         touchpoints, conversions = map(_parse_input, logs)
+        misplaced = ((logs[0], "touchpoint", touchpoints.conversions, "conversion"),
+                     (logs[1], "conversion", conversions.touchpoints, "touchpoint"))
+        for path, log, records, kind in misplaced:
+            if len(records):
+                raise DataIntegrityError(f"{path}: the {log} log holds {len(records)} {kind} "
+                                         "record(s)")
         journeys = build_journeys(touchpoints.touchpoints, conversions.conversions, cfg.lookback)
         skipped = [touchpoints.skipped, conversions.skipped]
     else:
@@ -452,7 +459,7 @@ def cmd_fit(cfg: RunConfig, args) -> int:
     rct_results = _read_rct_results(cfg.artifact("rct_results"))
     journeys, attributable, counts, store = _load_journeys(cfg)
 
-    mda = pipeline.train_attributor(journeys, cfg.mda_hyper)
+    mda = pipeline.train_attributor(journeys)
     credits = pipeline.ensemble_credits(attributable, cfg.calibration.feature_models, cfg.decay, mda)
     rows = pipeline.calibration_rows(
         credits, cfg.sim.campaigns, rct_results, cfg.calibration.feature_models

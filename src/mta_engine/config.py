@@ -41,24 +41,14 @@ class DecayConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class MdaHyperparams:
-    """``iterations`` caps the MDA's Newton steps. ``learning_rate`` and ``seed``
-    have no effect; they stay so that configs that set them still load."""
-
-    learning_rate: float = 0.5
-    iterations: int = 400
-    seed: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class CalibrationOptions:
-    feature_models: tuple[str, ...] | None = None
+    feature_models: tuple[str, ...] = (MODEL_LTA, MODEL_MDA)
     pooling: str = POOLING_GLOBAL
     intercept: bool = False
     inverse_variance_weighting: bool = False
 
     def __post_init__(self) -> None:
-        names = self.feature_models or ()
+        names = self.feature_models
         if self.pooling not in (POOLING_GLOBAL, POOLING_PER_CHANNEL):
             raise ConfigError(f"pooling must be global or per_channel, got {self.pooling!r}")
         if not all(name in MODEL_NAMES for name in names):

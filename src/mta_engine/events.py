@@ -698,7 +698,7 @@ def build_journeys(
 
 # The version of the store's layout and of the parse and journey rules whose
 # output it holds: bump it when either changes, so that no earlier store is read.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 # The range [low, high) of the microseconds since the Unix epoch that a datetime holds.
 _DATETIME_US = ((datetime.min.replace(tzinfo=timezone.utc) - _UNIX_EPOCH) // _MICROSECOND,

@@ -26,8 +26,7 @@ from .calibration import (
     evaluate_oos,
     fit_calibration,
 )
-from .config import (
-    MODEL_DECAY, MODEL_LINEAR, MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig, MdaHyperparams)
+from .config import MODEL_DECAY, MODEL_LINEAR, MODEL_LTA, MODEL_MDA, MODEL_NAMES, DecayConfig
 from .errors import DataIntegrityError, DegenerateLabelsError, InsufficientDataError
 from .events import Journey, Journeys, label_codes
 from .rct import CampaignSpec, RctResult
@@ -45,17 +44,11 @@ def split_attributable(journeys: Journeys) -> tuple[list[Journey], int]:
     return attributable, unattributed
 
 
-def train_attributor(
-    journeys: Journeys,
-    hyper: MdaHyperparams = MdaHyperparams(),
-    max_negatives: int | None = None,
-) -> MdaModel | None:
+def train_attributor(journeys: Journeys) -> MdaModel | None:
     """Train the MDA on every journey; returns None when the labels are
-    degenerate (e.g. a log with no non-converting customers).
-    ``max_negatives`` has no effect: the fit over distinct journey rows costs
-    little enough that no journey is left out."""
+    degenerate (e.g. a log with no non-converting customers)."""
     try:
-        return attribution.train_mda(journeys, hyper)
+        return attribution.train_mda(journeys)
     except DegenerateLabelsError as exc:
         logger.warning("MDA training skipped: %s", exc)
         return None

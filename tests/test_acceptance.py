@@ -13,7 +13,6 @@ import numpy as np
 from mta_engine import pipeline
 from mta_engine.attribution import (
     DecayConfig,
-    MdaHyperparams,
     decay_credits,
     linear_credits,
     lta_credits,
@@ -118,7 +117,7 @@ def test_criterion_4_credit_normalization_property_suite():
         mk_journey([tp for tp in j.touchpoints], None, customer=f"neg{i}")
         for i, j in enumerate(_random_converting_journey(rng, 200_000 + k) for k in range(150))
     ]
-    mda_model = train_mda(journey_table(train), MdaHyperparams(iterations=150, seed=1))
+    mda_model = train_mda(journey_table(train))
 
     decay_cfg = DecayConfig(timedelta(days=3))
     worst = 0.0
@@ -237,9 +236,7 @@ def _run_two_channel_pipeline(seed: int, n_customers: int):
         touchpoints.touchpoint_table(), conversions, LookbackWindow(timedelta(days=7))
     )
     attributable, unattributed = pipeline.split_attributable(journeys)
-    mda = pipeline.train_attributor(
-        journeys, MdaHyperparams(0.5, 250, 0), max_negatives=20_000
-    )
+    mda = pipeline.train_attributor(journeys)
     credits = pipeline.ensemble_credits(attributable, ("lta", "mda"), DecayConfig(), mda)
     rows = pipeline.calibration_rows(credits, config.campaigns, rct_results, ("lta", "mda"))
     model = fit_calibration(rows, CalibrationOptions(feature_models=("lta", "mda")))

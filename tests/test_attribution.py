@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from mta_engine import attribution
 from mta_engine.attribution import (
     DecayConfig,
-    MdaHyperparams,
     MdaModel,
     decay_credits,
     feature_names_for,
@@ -221,9 +220,8 @@ def mda_warnings(caplog) -> list[str]:
 class TestTrainMda:
     def test_separable_set_ranks_converters_first_and_warns_once(self, caplog):
         journeys = training_fixture()
-        hyper = MdaHyperparams(learning_rate=0.5, iterations=800, seed=3)
         with caplog.at_level(logging.WARNING):
-            model = train_mda(journey_table(journeys), hyper)
+            model = train_mda(journey_table(journeys))
         scores = [(predict_proba(model, j), j.converted) for j in journeys]
         worst_converter = min(s for s, conv in scores if conv)
         best_abstainer = max(s for s, conv in scores if not conv)
@@ -244,9 +242,10 @@ class TestTrainMda:
         [warning] = mda_warnings(caplog)
         assert "did not converge" in warning and "separated" in warning
 
-    def test_a_fit_stopped_by_the_cap_warns_once(self, caplog):
+    def test_a_fit_stopped_by_the_cap_warns_once(self, caplog, monkeypatch):
+        monkeypatch.setattr(attribution, "_MAX_NEWTON_STEPS", 1)
         with caplog.at_level(logging.WARNING):
-            model = train_mda(journey_table(overlapping_fixture()), MdaHyperparams(iterations=1))
+            model = train_mda(journey_table(overlapping_fixture()))
         assert model.training.steps == 1 and not model.training.converged
         assert mda_warnings(caplog) == ["MDA training did not converge in 1 Newton step(s)"]
 
@@ -263,7 +262,7 @@ class TestTrainMda:
             tp = mk_tp(f"t{i}", customer=f"c{i}", ts=T0)
             conv = mk_conv(f"x{i}", customer=f"c{i}", ts=T0) if i < 2 else None
             journeys.append(mk_journey([tp], conv, customer=f"c{i}"))
-        model = train_mda(journey_table(journeys), MdaHyperparams(iterations=500, seed=0))
+        model = train_mda(journey_table(journeys))
         p = predict_proba(model, journeys[0])
         base_rate = 2.0 / 5.0
         assert abs(p - base_rate) < 1e-3
@@ -274,11 +273,10 @@ class TestTrainMda:
 
     def test_deterministic_under_canonical_resort(self):
         journeys = training_fixture()
-        hyper = MdaHyperparams(seed=7)
         permuted = list(reversed(journeys))
         canonical = sorted(permuted, key=lambda j: j.customer_id)
-        reference = train_mda(journey_table(sorted(journeys, key=lambda j: j.customer_id)), hyper)
-        again = train_mda(journey_table(canonical), hyper)
+        reference = train_mda(journey_table(sorted(journeys, key=lambda j: j.customer_id)))
+        again = train_mda(journey_table(canonical))
         assert reference.weights == again.weights
         assert reference.bias == again.bias
 
@@ -291,8 +289,7 @@ class TestTrainMda:
 
     @pytest.mark.parametrize("fixture", [training_fixture, overlapping_fixture])
     def test_loss_monotone_and_metadata(self, fixture):
-        hyper = MdaHyperparams(learning_rate=5.0, iterations=200)
-        model = train_mda(journey_table(fixture()), hyper)
+        model = train_mda(journey_table(fixture()))
         history = model.training.loss_history
         assert len(history) == model.training.steps + 1 <= 201
         assert history[0] == model.training.initial_loss == math.log(2.0)
@@ -301,7 +298,7 @@ class TestTrainMda:
         assert model.training.final_loss < model.training.initial_loss
 
     def test_json_round_trip_bit_exact(self):
-        model = train_mda(journey_table(overlapping_fixture()), MdaHyperparams(seed=11))
+        model = train_mda(journey_table(overlapping_fixture()))
         # perturb weights to awkward floats
         weights = tuple(np.nextafter(w, 1.0) for w in model.weights)
         model = MdaModel(model.feature_names, weights, model.bias / 3.0, model.training)

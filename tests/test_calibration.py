@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import logging
 from dataclasses import replace
 
@@ -97,6 +98,23 @@ class TestAggregate:
         campaigns = (CampaignSpec("campA", "Upper", "display", 0.5, 0.2, 0.01),)
         rows = aggregate_campaign_features(lta_table(journey, (1.0,)), campaigns)
         assert rows[0].features["lta"] == pytest.approx(4.0)
+
+    def test_rct_campaigns_without_a_result_warn_once(self, credit_example, caplog):
+        """An ``is_rct`` campaign missing from the RCT results has no target, so
+        the fit leaves it out; it used to do so without a word."""
+        journeys, credits, campaigns, rct_results = credit_example
+        extra = campaigns + tuple(CampaignSpec(cid, "Upper", "display", 0.5, 0.2, 0.0)
+                                  for cid in ("campZ", "campY"))
+        extra += (CampaignSpec("campX", "Upper", "display", 0.5, 0.2, 0.0, is_rct=False),)
+        with caplog.at_level(logging.WARNING):
+            rows = aggregate_campaign_features(credit_table(journeys, credits), extra, rct_results)
+        assert [r.campaign_id for r in rows if r.target is None] == ["campX", "campY", "campZ"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 RCT campaign(s) have no RCT result, the first 'campY'; the fit leaves them out"]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            aggregate_campaign_features(credit_table(journeys, credits), campaigns, rct_results)
+        assert caplog.records == []
 
     def test_unknown_touchpoint_rejected(self):
         # A credit for a touchpoint the journey does not have: one credit too many.
@@ -454,6 +472,21 @@ class TestEvaluateOos:
         tiny = CampaignFeatureRow("tiny", "Upper", {"lta": 0.1, "mda": 0.1}, target=0.05)
         metrics = evaluate_oos(rows + [tiny], CalibrationOptions(("lta", "mda")), k=4, seed=0)
         assert metrics["mape_excluded"] == 1.0
+
+    def test_mape_without_a_sizable_row_is_null_in_the_model_json(self):
+        """With every |target| below 1 no row enters the MAPE. It was NaN, which
+        ``to_json`` wrote as the bare token ``NaN``: no JSON reader accepts it."""
+        rows = [row(f"c{i}", 1.0 + i, 2.0 + i * i, target=0.09 * (i + 1)) for i in range(7)]
+        options = CalibrationOptions(("lta", "mda"))
+        metrics = evaluate_oos(rows, options, k=3, seed=0)
+        assert metrics["mape"] is None and metrics["mape_excluded"] == 7.0
+        model = replace(fit_calibration(rows, options), cv_metrics=metrics)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert json.loads(model.to_json(), parse_constant=refuse)["cv_metrics"] == metrics
+        assert CalibrationModel.from_json(model.to_json()) == model
 
 
 class TestSerialization:

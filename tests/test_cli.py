@@ -22,7 +22,7 @@ from mta_engine import attribution, cli, events, rct
 from mta_engine.cli import ARTIFACTS, MTA_CREDIT_COLUMNS, load_run_config, main
 from mta_engine.attribution import ModelCredits
 from mta_engine.config import (
-    CalibrationOptions, CampaignSpec, DecayConfig, LookbackWindow, MdaHyperparams, SimConfig)
+    CalibrationOptions, CampaignSpec, DecayConfig, LookbackWindow, SimConfig)
 from mta_engine.errors import UnusableArtifactError
 from mta_engine.events import CONVERSION_FIELDS, TOUCHPOINT_FIELDS
 
@@ -87,7 +87,7 @@ TYPE_EXAMPLES = {"string": "x", "boolean": True, "array": [], "object": {}}
 def wrong_values():
     """(path, value) for each config key: a value of each other JSON type, null where
     null is not allowed, 2.5 for an integer, and Infinity and 1e300 for a number,
-    bar a learning rate of 1e300, which is in range (the trainer caps its step)."""
+    bar a learning rate of 1e300, which is in range."""
     for path, key in config_keys():
         values = [v for json_type, v in TYPE_EXAMPLES.items() if json_type != key.type]
         values += [None] if key.default is not None else []
@@ -291,11 +291,7 @@ SAME = lambda value: value  # noqa: E731
 SHARED_DEFAULTS = {
     (LookbackWindow, "duration"): ("lookback_days", DAYS),
     (DecayConfig, "half_life"): ("decay_half_life_days", DAYS),
-    (MdaHyperparams, "learning_rate"): ("mda.learning_rate", SAME),
-    (MdaHyperparams, "iterations"): ("mda.iterations", SAME),
-    (MdaHyperparams, "seed"): ("mda.seed", SAME),
-    # None means "every feature in the rows"; the config always names its features.
-    (CalibrationOptions, "feature_models"): None,
+    (CalibrationOptions, "feature_models"): ("calibration.features", tuple),
     (CalibrationOptions, "pooling"): ("calibration.pooling", SAME),
     (CalibrationOptions, "intercept"): ("calibration.intercept", SAME),
     (CalibrationOptions, "inverse_variance_weighting"):
@@ -308,11 +304,11 @@ SHARED_DEFAULTS = {
 
 
 def test_config_defaults_equal_the_dataclass_defaults():
-    """``MdaHyperparams.iterations`` defaulted to 500 while ``mda.iterations`` defaults
-    to 400, so ``train_mda(journeys)`` and a config without the key fit different models."""
+    """A dataclass default that differs from its key's makes the library and a
+    config without the key disagree: ``MdaHyperparams.iterations``, since gone,
+    once defaulted to 500 while ``mda.iterations`` defaulted to 400."""
     defaults = {path: key.default for path, key in config_keys()}
-    for cls in (LookbackWindow, DecayConfig, MdaHyperparams, CalibrationOptions, CampaignSpec,
-                SimConfig):
+    for cls in (LookbackWindow, DecayConfig, CalibrationOptions, CampaignSpec, SimConfig):
         for f in dataclasses.fields(cls):
             if f.default is dataclasses.MISSING:
                 continue
@@ -836,6 +832,87 @@ class TestSeparatedMdaLabels:
         assert all(abs(total - 1.0) < 1e-9 for total in totals.values())
 
 
+class TestMdaKeys:
+    def test_the_mda_keys_change_no_fit_output(self, attributed_run, tmp_path, capsys, caplog):
+        """``mda.*`` set gradient descent's learning rate, step count, seed and
+        negative subsample. The Newton fit reads none of them: a one-step cap, a
+        seed and no negatives give the fit of a config without the keys."""
+        _, source = attributed_run
+        keys = {"learning_rate": 9.0, "iterations": 1, "seed": 5, "max_negatives": 0}
+        outputs = []
+        for name in ("unset", "set"):
+            out = tmp_path / name / "out"
+            out.mkdir(parents=True)
+            for artifact in ("touchpoints", "conversions", "rct_results"):
+                shutil.copyfile(source / ARTIFACTS[artifact], out / ARTIFACTS[artifact])
+            config = base_config(out, mda=keys)
+            if name == "unset":
+                del config["mda"]
+            capsys.readouterr()
+            caplog.clear()
+            assert run("fit", "--config", write_config(tmp_path / name, config),
+                       "--format", "json") == 0
+            captured = capsys.readouterr()
+            outputs.append({"stdout": captured.out, "stderr": captured.err,
+                            "log": caplog.record_tuples,
+                            **{key: (out / ARTIFACTS[key]).read_bytes()
+                               for key in ("mda_model", "calibration_model")}})
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["mda_model"])["metadata"]["steps"] > 1
+
+
+def copy_run(source: Path, tmp_path: Path) -> tuple[Path, Path]:
+    """A copy of the run in ``source``, and the path of its config."""
+    out = tmp_path / "out"
+    shutil.copytree(source, out)
+    return write_config(tmp_path, base_config(out)), out
+
+
+class TestFitInputs:
+    def test_rct_campaigns_missing_from_the_results_warn_once(
+        self, attributed_run, tmp_path, capsys, caplog
+    ):
+        """An RCT campaign without a row in ``rct_results.csv`` leaves the fit;
+        it used to do so silently."""
+        cfg_path, out = copy_run(attributed_run[1], tmp_path)
+        path = out / ARTIFACTS["rct_results"]
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:5]))
+        capsys.readouterr()
+        with caplog.at_level(logging.WARNING):
+            assert run("fit", "--config", cfg_path, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["diagnostics"]["n_rows"] == 4.0
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 RCT campaign(s) have no RCT result, the first 'up1'; the fit leaves them out"]
+
+    def test_a_mape_without_a_sizable_row_is_written_as_null(
+        self, attributed_run, tmp_path, capsys
+    ):
+        """Every RCT estimate below 1 left no row for the CV MAPE: ``fit`` wrote
+        it as ``NaN``, which is not JSON, to its stdout and its model."""
+        cfg_path, out = copy_run(attributed_run[1], tmp_path)
+        path = out / ARTIFACTS["rct_results"]
+        with path.open() as fh:
+            records = list(csv.DictReader(fh))
+        with path.open("w") as fh:
+            writer = csv.DictWriter(fh, records[0].keys(), lineterminator="\n")
+            writer.writeheader()
+            for i, record in enumerate(records):
+                record.update(n_treatment=1000, n_holdout=1000, conv_holdout=10.0,
+                              conv_treatment=10.0 + 0.1 * (i + 1))
+                writer.writerow(record)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path, "--format", "json") == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        model = json.loads((out / ARTIFACTS["calibration_model"]).read_text(),
+                           parse_constant=refuse)
+        for metrics in (printed["cv_metrics"], model["cv_metrics"]):
+            assert metrics["mape"] is None and metrics["mape_excluded"] == 6.0
+
+
 class TestFitOutput:
     """``fit`` prints the intercepts its model holds, and its CSV summary
     writes every value as JSON. It used to print no ``intercepts`` although
@@ -1062,6 +1139,50 @@ def jsonl_to_csv(source: Path, target: Path, fields) -> None:
         for line in source.read_text().splitlines():
             record = json.loads(line)
             writer.writerow([record[f] for f in fields])
+
+
+def move_lines(source: Path, target: Path, n: int = 10) -> None:
+    """Move the first ``n`` lines of the log ``source`` to the end of the log ``target``."""
+    lines = source.read_text().splitlines(keepends=True)
+    source.write_text("".join(lines[n:]))
+    with target.open("a") as fh:
+        fh.write("".join(lines[:n]))
+
+
+class TestMisplacedRecords:
+    """A record in the other event kind's log used to be dropped without a
+    word: ``fit`` and ``attribute`` exited 0, fewer records were counted, and
+    ``lines_skipped`` stayed 0."""
+
+    @pytest.mark.parametrize("command", ["fit", "attribute"])
+    @pytest.mark.parametrize("moved, into", [("conversions", "touchpoints"),
+                                             ("touchpoints", "conversions")])
+    def test_exits_1_naming_the_log_and_writes_nothing(
+        self, attributed_run, tmp_path, capsys, command, moved, into
+    ):
+        cfg_path, out = copy_run(attributed_run[1], tmp_path)
+        move_lines(out / ARTIFACTS[moved], out / ARTIFACTS[into])
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run(command, "--config", cfg_path) == 1
+        assert capsys.readouterr().err == (f"DataIntegrityError: {out / ARTIFACTS[into]}: the "
+                                           f"{into[:-1]} log holds 10 {moved[:-1]} record(s)\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_a_conversion_csv_given_as_the_touchpoint_log_exits_1(
+        self, attributed_run, tmp_path, capsys
+    ):
+        """Its records were all conversions, so the touchpoint table was empty
+        and ``fit`` ended with exit 3 for want of MDA credits."""
+        _, out = copy_run(attributed_run[1], tmp_path)
+        path = tmp_path / "conversions.csv"
+        jsonl_to_csv(out / ARTIFACTS["conversions"], path, CONVERSION_FIELDS)
+        n = len((out / ARTIFACTS["conversions"]).read_text().splitlines())
+        cfg_path = write_config(tmp_path, base_config(out, paths={"touchpoints": str(path)}))
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path) == 1
+        assert capsys.readouterr().err == (
+            f"DataIntegrityError: {path}: the touchpoint log holds {n} conversion record(s)\n")
 
 
 class TestEventLogInputs:

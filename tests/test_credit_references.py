@@ -20,7 +20,6 @@ from mta_engine import pipeline
 from mta_engine.attribution import (
     MODEL_NAMES,
     DecayConfig,
-    MdaHyperparams,
     MdaModel,
     decay_credits,
     linear_credits,
@@ -264,7 +263,7 @@ class TestAgainstIdKeyedReferences:
         )
         attributable, _ = pipeline.split_attributable(journeys)
         assert len(attributable) > 50 and max(len(j.touchpoints) for j in attributable) > 2
-        mda = pipeline.train_attributor(journeys, MdaHyperparams(0.5, 50, 0))
+        mda = pipeline.train_attributor(journeys)
         credits = all_credits(attributable, mda)
         table = pipeline.ensemble_credits(attributable, MODEL_NAMES, DecayConfig(), mda)
         expected = credit_table(attributable, credits)

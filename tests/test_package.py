@@ -1,6 +1,7 @@
 """The package exports its names lazily; each is the object its module defines."""
 
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -17,8 +18,8 @@ EXPORTS = {
     "calibration": ("CalibrationModel", "CampaignFeatureRow", "aggregate_campaign_features",
                     "evaluate_oos", "fit_calibration", "nnls"),
     "config": ("CalibrationOptions", "CampaignSpec", "DecayConfig", "LookbackWindow",
-               "MdaHyperparams", "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA",
-               "MODEL_NAMES", "SimConfig"),
+               "MODEL_DECAY", "MODEL_LINEAR", "MODEL_LTA", "MODEL_MDA", "MODEL_NAMES",
+               "SimConfig"),
     "errors": ("ConfigError", "DataIntegrityError", "DegenerateDesignError",
                "DegenerateLabelsError", "InsufficientDataError", "MissingArtifactError",
                "MtaError", "NoTouchpointsError", "ParseError", "UnusableArtifactError"),
@@ -62,6 +63,19 @@ def test_object_adapters_are_gone():
     assert not hasattr(mta_engine, "MtaCredit") and not hasattr(shares, "MtaCredit")
     for cls in (attribution.ModelCredits, events.TouchpointTable, events.Journeys):
         assert not hasattr(cls, "of"), cls.__name__
+
+
+def test_the_mda_fit_takes_only_the_journeys():
+    """The Newton fit has no learning rate, seed or negative subsample, and its
+    step cap is ``attribution._MAX_NEWTON_STEPS``: ``MdaHyperparams`` and the
+    training functions' options are gone."""
+    from mta_engine import attribution, config, pipeline
+
+    for module in (mta_engine, config, attribution, pipeline):
+        assert not hasattr(module, "MdaHyperparams"), module.__name__
+    for train in (attribution.train_mda, pipeline.train_attributor):
+        assert list(inspect.signature(train).parameters) == ["journeys"], train.__name__
+    assert attribution._MAX_NEWTON_STEPS == 400
 
 
 def test_cv_metrics_are_attached_by_replace():

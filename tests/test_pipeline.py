@@ -5,8 +5,8 @@ from datetime import timedelta
 
 import pytest
 
-from mta_engine import pipeline
-from mta_engine.attribution import DecayConfig, MdaHyperparams
+from mta_engine import attribution, pipeline
+from mta_engine.attribution import DecayConfig
 from mta_engine.calibration import (
     CalibrationModel,
     CalibrationOptions,
@@ -48,17 +48,15 @@ class TestBuildingBlocks:
         assert unattributed == 1
 
     def test_max_negatives_keeps_every_negative(self):
-        """``max_negatives`` used to subsample the non-converting journeys; the
-        fit now reads them all, and the argument has no effect."""
+        """``max_negatives`` used to subsample the non-converting journeys; it is
+        gone, and the fit reads them all."""
         journeys = [mk_journey([mk_tp("t0")], mk_conv("x0"))]
         journeys += [
             mk_journey([mk_tp(f"t{i}", customer=f"n{i}")], None, customer=f"n{i}")
             for i in range(1, 40)
         ]
-        hyper = MdaHyperparams(seed=4)
-        a = pipeline.train_attributor(journey_table(journeys), hyper, max_negatives=10)
-        b = pipeline.train_attributor(journey_table(journeys), hyper, max_negatives=10)
-        assert a == b == pipeline.train_attributor(journey_table(journeys), hyper)
+        a = pipeline.train_attributor(journey_table(journeys))
+        assert a == pipeline.train_attributor(journey_table(journeys))
         # The fitted rate is that of all 40 journeys, 1 in 40, not 1 in 11.
         assert a.training.converged
         assert a.training.final_loss == pytest.approx(-(math.log(1 / 40) + 39 * math.log(39 / 40)) / 40)
@@ -146,22 +144,15 @@ class TestMdaInvariance:
     """Once the Newton fit has converged, its weights depend on the journeys
     alone. Gradient descent from a seeded start gave weights set by the
     iteration count, the seed, the negative subsample and the order of the
-    channel names."""
+    channel names. The options for the seed and the subsample are gone;
+    ``tests/test_cli.py`` checks that the ``mda`` config keys change nothing."""
 
-    def test_iteration_cap(self, simulated_journeys):
+    def test_iteration_cap(self, simulated_journeys, monkeypatch):
         journeys, _ = simulated_journeys
-        capped = [pipeline.train_attributor(journeys, MdaHyperparams(iterations=n)) for n in (50, 400)]
-        assert same_weights(*capped)
-
-    def test_seed(self, simulated_journeys):
-        journeys, _ = simulated_journeys
-        seeded = [pipeline.train_attributor(journeys, MdaHyperparams(seed=s)) for s in (0, 7)]
-        assert same_weights(*seeded)
-
-    def test_max_negatives(self, simulated_journeys):
-        journeys, _ = simulated_journeys
-        assert len(journeys) - journeys.converted.sum() > 100
-        capped = [pipeline.train_attributor(journeys, MdaHyperparams(), n) for n in (None, 100)]
+        capped = []
+        for n in (50, 400):
+            monkeypatch.setattr(attribution, "_MAX_NEWTON_STEPS", n)
+            capped.append(pipeline.train_attributor(journeys))
         assert same_weights(*capped)
 
     def test_channel_names(self, simulated_journeys):
@@ -253,9 +244,7 @@ class TestEndToEndSmoke:
             touchpoints.touchpoint_table(), conversions, LookbackWindow(timedelta(days=7))
         )
         attributable, unattributed = pipeline.split_attributable(journeys)
-        mda = pipeline.train_attributor(
-            journeys, MdaHyperparams(0.5, 250, 0), max_negatives=10_000
-        )
+        mda = pipeline.train_attributor(journeys)
         assert mda is not None
         credits = pipeline.ensemble_credits(attributable, ("lta", "mda"), DecayConfig(), mda)
         rows = pipeline.calibration_rows(credits, cfg.campaigns, rct_results, ("lta", "mda"))

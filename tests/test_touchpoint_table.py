@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mta_engine import attribution, events, pipeline
-from mta_engine.attribution import MdaHyperparams, feature_names_for
+from mta_engine.attribution import feature_names_for
 from mta_engine.events import (
     TOUCHPOINT_FIELDS,
     LookbackWindow,
@@ -261,9 +261,8 @@ class TestTrainingMatrix:
     def test_training_on_the_table_equals_training_on_objects(self):
         touchpoints, conversions, _ = simulate(small_config())
         journeys = build_journeys(touchpoints.touchpoint_table(), conversions, WEEK)
-        hyper = MdaHyperparams(0.5, 40, 0)
-        assert attribution.train_mda(journeys, hyper) == attribution.train_mda(
-            journey_table(list(journeys)), hyper
+        assert attribution.train_mda(journeys) == attribution.train_mda(
+            journey_table(list(journeys))
         )
 
 
@@ -278,7 +277,7 @@ class TestEventLogJourneys:
             patch.setattr(events, "Touchpoint", forbidden)
             table = touchpoints.touchpoint_table()
             journeys = build_journeys(table, conversions, WEEK)
-            assert pipeline.train_attributor(journeys, MdaHyperparams(0.5, 20, 0)) is not None
+            assert pipeline.train_attributor(journeys) is not None
         attributable, unattributed = pipeline.split_attributable(journeys)
 
         buffers = io.StringIO(), io.StringIO()
