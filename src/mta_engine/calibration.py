@@ -11,6 +11,7 @@ disaggregated credits meaningful as shares.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
@@ -145,9 +146,9 @@ def aggregate_campaign_features(
     included. Targets are joined from ``rct_results`` for campaigns flagged
     ``is_rct``; other campaigns keep ``target=None`` and are ignored by the
     fit, and so are ``is_rct`` campaigns without a result, counted in one
-    warning. A touchpoint whose campaign is not in ``campaigns`` raises
-    :class:`DataIntegrityError`. Each campaign's sum adds its touchpoints'
-    terms in row order.
+    warning. A touchpoint or an RCT result whose campaign is not in
+    ``campaigns`` raises :class:`DataIntegrityError`. Each campaign's sum
+    adds its touchpoints' terms in row order.
     """
     rct_results = rct_results or {}
     campaign, index = campaign_codes(table, campaigns)
@@ -156,6 +157,10 @@ def aggregate_campaign_features(
         for name in sorted(table.columns)
     }
 
+    unlisted = sorted(set(rct_results).difference(index))
+    if unlisted:
+        raise DataIntegrityError(f"{len(unlisted)} RCT result(s) belong to no listed campaign, "
+                                 f"the first {unlisted[0]!r}")
     specs = sorted(campaigns, key=lambda s: s.campaign_id)
     unmatched = [s.campaign_id for s in specs if s.is_rct and s.campaign_id not in rct_results]
     if unmatched:
@@ -194,81 +199,30 @@ def feature_rows_to_csv(rows: Sequence[CampaignFeatureRow], stream: IO[str]) -> 
 
 
 def nnls(A, b):
-    """Solve ``min ||A x - b||_2`` subject to ``x >= 0`` by the Lawson-Hanson
-    active-set method.
+    """Solve ``min ||A x - b||_2`` subject to ``x >= 0`` exactly, returning ``(x, rnorm)``.
 
-    Parameters
-    ----------
-    A : array_like, shape (m, n)
-        Design matrix.
-    b : array_like, shape (m,)
-        Target vector.
-
-    Returns
-    -------
-    x : numpy.ndarray, shape (n,)
-        Nonnegative solution vector.
-    rnorm : float
-        Residual norm ``||A x - b||_2``.
-
-    Notes
-    -----
-    The KKT tolerance on the dual vector ``w = A.T (b - A x)`` is
-    ``1e-10 * max(1, ||A.T b||_inf)``, and after ``10 * n`` backtracking
-    steps the current feasible point is returned.
-
-    Classic algorithm of Lawson and Hanson, *Solving Least Squares
-    Problems*, SIAM 1974, chapter 23. The passive-set subproblems are
-    solved with ``numpy.linalg.lstsq``, so rank-deficient passive sets take
-    the least-norm solution.
+    Every support is tried, by size and then column index: a full-rank one whose
+    least-squares solution is strictly positive is a candidate, and the first
+    with the strictly smallest residual over its own columns wins, so of
+    identical columns the first gets the weight; no candidate gives ``x = 0``.
+    The optimum lies on some full-rank support. The cost is ``2**n - 1``
+    solves, meant for one column per attribution model.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if A.ndim != 2 or b.ndim != 1 or A.shape[0] != b.shape[0]:
         raise ValueError(f"incompatible shapes {A.shape} and {b.shape}")
-    m, n = A.shape
-    grad0 = A.T @ b
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(grad0))) if n else 1.0)
-
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = grad0.copy()
-
-    def solve_passive() -> np.ndarray:
-        z = np.zeros(n)
-        cols = np.flatnonzero(passive)
-        z[cols] = np.linalg.lstsq(A[:, cols], b, rcond=None)[0]
-        return z
-
-    iters = 0
-    while np.any(~passive):
-        candidates = np.where(~passive, w, -np.inf)
-        best = int(np.argmax(candidates))
-        if candidates[best] <= tol:
-            break
-        passive[best] = True
-        z = solve_passive()
-        # Back off along x -> z until the passive solution is feasible,
-        # dropping coordinates that hit the boundary.
-        while np.any(z[passive] <= 0.0):
-            iters += 1
-            if iters > 10 * max(n, 1):
-                return x, float(np.linalg.norm(A @ x - b))
-            blocking = np.flatnonzero(passive & (z <= 0.0))
-            denom = x[blocking] - z[blocking]
-            ratios = np.where(denom > 0.0, x[blocking] / np.where(denom > 0.0, denom, 1.0), 0.0)
-            k = int(np.argmin(ratios))
-            x = x + ratios[k] * (z - x)
-            x[blocking[k]] = 0.0
-            dropped = passive & (x <= 0.0)
-            passive[dropped] = False
-            x[dropped] = 0.0
-            z = solve_passive()
-        x = z
-        w = A.T @ (b - A @ x)
-
-    x = np.where(passive, x, 0.0)
-    return x, float(np.linalg.norm(A @ x - b))
+    n = A.shape[1]
+    best = np.zeros(n)
+    best_rnorm = float(np.linalg.norm(A @ best - b))
+    for size in range(1, n + 1):
+        for cols in map(list, itertools.combinations(range(n), size)):
+            z, _, rank, _ = np.linalg.lstsq(A[:, cols], b, rcond=None)
+            rnorm = float(np.linalg.norm(A[:, cols] @ z - b))
+            if rank == size and np.all(z > 0.0) and rnorm < best_rnorm:
+                best, best_rnorm = np.zeros(n), rnorm
+                best[cols] = z
+    return best, float(np.linalg.norm(A @ best - b))
 
 
 def _fit_group(
@@ -364,10 +318,8 @@ def _fit(
             intercepts[group] = intercept
         total_rss += res_norm**2
 
-    b_all = np.array(targets)
-    tss = float(np.sum((b_all - np.mean(b_all)) ** 2))
     diagnostics = {
-        "r_squared": 1.0 - total_rss / tss if tss > 0.0 else (1.0 if total_rss < 1e-24 else 0.0),
+        "r_squared": _r_squared(total_rss, targets),
         "residual_norm": float(np.sqrt(total_rss)),
         "n_rows": float(len(usable)),
     }
@@ -378,6 +330,13 @@ def _fit(
         intercept_by_group=intercepts if options.intercept else None,
         fit_diagnostics=diagnostics,
     )
+
+
+def _r_squared(rss: float, targets: Sequence[float]) -> float:
+    """``1 - rss / tss``; targets without spread give 1 for an exact fit, else 0."""
+    targets = np.asarray(targets, dtype=float)
+    tss = float(np.sum((targets - np.mean(targets)) ** 2))
+    return 1.0 - rss / tss if tss > 0.0 else (1.0 if rss < 1e-24 else 0.0)
 
 
 def _predict(model: CalibrationModel, row: CampaignFeatureRow) -> tuple[float, list[str]]:
@@ -443,9 +402,7 @@ def evaluate_oos(
     _warn_gaps(gaps)
 
     targets = np.array([row.target for row in usable], dtype=float)
-    rss = float(np.sum((targets - predictions) ** 2))
-    tss = float(np.sum((targets - np.mean(targets)) ** 2))
-    r_squared = 1.0 - rss / tss if tss > 0.0 else (1.0 if rss < 1e-24 else 0.0)
+    r_squared = _r_squared(float(np.sum((targets - predictions) ** 2)), targets)
 
     sizable = np.abs(targets) >= 1.0
     excluded = int(np.sum(~sizable))

@@ -29,6 +29,7 @@ import hashlib
 import importlib
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -406,7 +407,12 @@ def _read_rct_results(path: Path) -> dict[str, RctResult]:
             if not all(0 <= count <= sys.float_info.max for count in counts.values()):
                 raise ValueError(f"campaign {campaign_id}: counts must be finite and >= 0, "
                                  f"got {counts}")
-            results[campaign_id] = lift_from_counts(campaign_id, **counts)
+            result = lift_from_counts(campaign_id, **counts)
+            lift = result.incremental_conversions, result.std_error
+            if not all(map(math.isfinite, lift)):
+                raise ValueError(f"campaign {campaign_id}: the counts give incremental conversions "
+                                 f"{lift[0]} and standard error {lift[1]}, which are not both finite")
+            results[campaign_id] = result
     return results
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 
 from mta_engine import pipeline
 from mta_engine.calibration import (
@@ -16,6 +17,7 @@ from mta_engine.calibration import (
     evaluate_oos,
     feature_rows_to_csv,
     fit_calibration,
+    nnls,
 )
 from mta_engine.errors import ConfigError, DataIntegrityError, InsufficientDataError
 
@@ -284,6 +286,45 @@ class TestFit:
                 np.abs(gradient[w > 0]) <= 1e-8 * scale
             )
             assert np.all(gradient[w == 0] >= -1e-8 * scale)
+
+
+class TestNnlsSupportRule:
+    """``nnls`` tries every full-rank support, so collinear columns and an
+    empty design have one defined answer."""
+
+    def test_identical_columns_put_all_the_weight_on_the_first(self):
+        column = np.array([1.0, 2.0, 3.0, 5.0])
+        A, b = np.column_stack([column, column]), 0.7 * column + [0.1, -0.1, 0.0, 0.0]
+        x, rnorm = nnls(A, b)
+        assert x[1] == 0.0 and x[0] == pytest.approx(0.7 - 0.1 / 39)
+        assert rnorm == float(np.linalg.norm(A @ x - b))
+        # Beside other columns too, where a residual over all of A could differ
+        # between the two supports in the last bit.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            A = rng.uniform(0.0, 10.0, size=(12, 4))
+            A[:, 1] = A[:, 0]
+            x, _ = nnls(A, A @ [0.7, 0.0, 0.4, 0.2] + rng.normal(size=12))
+            assert x[1] == 0.0 and x[0] > 0.0
+
+    def test_a_column_that_sums_two_others_still_reaches_the_optimum(self):
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            pair = rng.uniform(0.0, 10.0, size=(8, 2))
+            A = np.column_stack([pair, pair.sum(axis=1)])
+            b = rng.normal(size=8) * 10.0 + pair @ rng.uniform(-1.0, 1.0, size=2)
+            x, rnorm = nnls(A, b)
+            gradient = A.T @ (A @ x - b)
+            scale = max(1.0, float(np.max(np.abs(A.T @ b))))
+            assert np.all(x >= 0.0)
+            assert np.all(np.abs(gradient[x > 0]) <= 1e-8 * scale)
+            assert np.all(gradient[x == 0] >= -1e-8 * scale)
+            assert rnorm == pytest.approx(scipy_nnls(A, b)[1], rel=1e-9, abs=1e-9)
+
+    def test_no_columns_give_an_empty_x_and_the_norm_of_b(self):
+        b = np.array([3.0, -4.0, 0.0])
+        x, rnorm = nnls(np.zeros((3, 0)), b)
+        assert x.shape == (0,) and rnorm == 5.0
 
 
 # Per group: (lta weight, mda weight, intercept). Global pooling fits every

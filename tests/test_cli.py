@@ -884,6 +884,38 @@ class TestFitInputs:
         assert [r.getMessage() for r in caplog.records] == [
             "2 RCT campaign(s) have no RCT result, the first 'up1'; the fit leaves them out"]
 
+    def test_an_rct_result_of_an_unlisted_campaign_exits_1(self, attributed_run, tmp_path, capsys):
+        """A result whose campaign the config does not list was dropped without
+        a word, while a touchpoint of such a campaign exits 1."""
+        cfg_path, out = copy_run(attributed_run[1], tmp_path)
+        path = out / ARTIFACTS["rct_results"]
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines) + "zz99" + lines[1][lines[1].index(","):])
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path) == 1
+        assert capsys.readouterr().err == ("DataIntegrityError: 1 RCT result(s) belong to no "
+                                           "listed campaign, the first 'zz99'\n")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_counts_whose_lift_overflows_exit_4(self, attributed_run, tmp_path, capsys):
+        """Finite counts whose incremental conversions overflow used to fit all-zero
+        weights with an infinite residual, a bare ``NaN`` MAPE and numpy warnings."""
+        cfg_path, out = copy_run(attributed_run[1], tmp_path)
+        path = out / ARTIFACTS["rct_results"]
+        with path.open() as fh:
+            records = list(csv.DictReader(fh))
+        records[0].update(n_treatment=5, n_holdout=1, conv_holdout=1e308)
+        with path.open("w") as fh:
+            writer = csv.DictWriter(fh, records[0].keys(), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(records)
+        capsys.readouterr()
+        assert run("fit", "--config", cfg_path) == 4
+        assert capsys.readouterr().err == (
+            f"UnusableArtifactError: {path}: campaign {records[0]['campaign_id']}: the counts give "
+            "incremental conversions -inf and standard error 0.0, which are not both finite\n")
+
     def test_a_mape_without_a_sizable_row_is_written_as_null(
         self, attributed_run, tmp_path, capsys
     ):
